@@ -30,11 +30,12 @@ from .eigensystems import (
     CylinderState,
     GaussHermite,
     GeneralizedFunction,
+    _stripped_barrier_pair,
     conjugate_function,
     evaluate,
 )
-from .pairing import pair
-from .specfun import SQRT_PI, log_gamma, parabolic_cylinder_d
+from .pairing import _pair_block, _require_finite
+from .specfun import log_gamma, parabolic_cylinder_d
 
 __all__ = [
     "PoleScanReport",
@@ -146,16 +147,11 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
 def stripped_discrete_function(params: ModelParams, n: int, branch: str) -> GaussHermite:
     """The similarity-stripped discrete state phi_n^(+-) of the barrier regions."""
     _require_barrier(params)
-    d = derive(params)
-    sigma, b0 = d.sigma, params.b0
-    base = math.sqrt(sigma / (b0 * SQRT_PI * 2.0 ** n * math.factorial(n)))
-    root_i = cmath.exp(1j * math.pi / 4.0)
-    norm_plus = cmath.sqrt(root_i) * base
+    plus, minus = _stripped_barrier_pair(derive(params).sigma, params.b0, n)
     if branch == "+":
-        return GaussHermite(gauss=-1j * sigma ** 2, scale=root_i * sigma, n=n, norm=norm_plus)
+        return plus
     if branch == "-":
-        return GaussHermite(gauss=1j * sigma ** 2, scale=root_i.conjugate() * sigma, n=n,
-                            norm=norm_plus.conjugate())
+        return minus
     raise ValueError("branch must be '+' or '-'")
 
 
@@ -187,14 +183,14 @@ def resonant_expansion(params: ModelParams, target, n_max: int, sector: str = "m
         grid = np.linspace(-6.0 * params.b0, 6.0 * params.b0, 201)
     grid = np.asarray(grid, dtype=float)
 
+    duals = [stripped_discrete_function(params, n, dual_branch) for n in range(n_max + 1)]
     coeffs = np.zeros(n_max + 1, dtype=complex)
-    for n in range(n_max + 1):
-        dual = stripped_discrete_function(params, n, dual_branch)
+    for c, f in pieces:
         try:
-            coeffs[n] = sum(c * pair(dual, f, params) for c, f in pieces)
+            coeffs += c * _pair_block(duals, [f], params)[:, 0]
         except NonConvergentError as exc:
             raise NonConvergentError(
-                f"sector mismatch: coefficient <phi_{n}^{dual_branch}|target> diverges "
+                f"sector mismatch: coefficients <phi_n^{dual_branch}|target> diverge "
                 f"({exc})") from exc
 
     target_vals = np.zeros_like(grid, dtype=complex)
@@ -205,6 +201,7 @@ def resonant_expansion(params: ModelParams, target, n_max: int, sector: str = "m
         recon += coeffs[n] * evaluate(stripped_discrete_function(params, n, basis_branch),
                                       grid, params)
     sup_error = float(np.max(np.abs(recon - target_vals)))
+    _require_finite(coeffs, sup_error, f"resonant expansion at n_max = {n_max}")
     return coeffs, sup_error
 
 

@@ -29,7 +29,6 @@ from .eigensystems import (
     discrete_states,
     evaluate,
 )
-from .pairing import gram
 
 __all__ = [
     "ObservableKind",
@@ -67,11 +66,14 @@ def _require_real_spectrum(params: ModelParams) -> RegionLabel:
 
 
 def make_state(params: ModelParams, coeffs) -> StateVector:
-    """Normalize coefficients to unit metric norm <I|I>_U = 1."""
+    """Normalize coefficients to unit metric norm <I|I>_U = sum |c_n|^2 = 1.
+
+    The metric-dressed right states are exactly their left partners, so the
+    metric Gram of the basis is the identity by construction.
+    """
     label = _require_real_spectrum(params)
     c = np.asarray(coeffs, dtype=complex)
-    g = gram(params, len(c) - 1, which="metric").matrix
-    norm_sq = np.real(np.conjugate(c) @ g @ c)
+    norm_sq = float(np.sum(np.abs(c) ** 2))
     if norm_sq <= 0:
         raise ValueError("state has non-positive metric norm")
     return StateVector(label, tuple(c / math.sqrt(norm_sq)), True)
@@ -165,18 +167,13 @@ def apply_observable(params: ModelParams, f: GeneralizedFunction,
     return GaussPoly(gauss=gauss, coeffs=tuple(out), norm=1.0)
 
 
-def _energies(params: ModelParams, count: int) -> np.ndarray:
-    states = discrete_states(params, count - 1)
-    return np.array([s.energy for s in states], dtype=complex)
-
-
 def evolve_expectation(state: StateVector, kind: ObservableKind, params: ModelParams,
                        t: float) -> complex:
     """<I(t) | O |I(t)>_U = sum c_n conj(c_m) e^{i (E_m - E_n) t/hbar} O_mn."""
     _require_real_spectrum(params)
     c = np.asarray(state.coeffs, dtype=complex)
     n_states = len(c)
-    energies = _energies(params, n_states).real
+    energies = np.array([s.energy for s in discrete_states(params, n_states - 1)]).real
     amp = c * np.exp(-1j * energies * t / params.hbar)   # coefficients at time t
     mat = np.array([[matrix_element(kind, m, n, params) for n in range(n_states)]
                     for m in range(n_states)])
@@ -185,13 +182,13 @@ def evolve_expectation(state: StateVector, kind: ObservableKind, params: ModelPa
 
 
 def metric_norm(state: StateVector, params: ModelParams, t: float = 0.0) -> float:
-    """<I(t) | I(t)>_U through the metric gram (conserved for real spectra)."""
+    """<I(t) | I(t)>_U = sum |c_n|^2, the same at every t for the real spectra.
+
+    The metric Gram of the dressed basis is the identity and each mode only
+    gains the phase exp(-i E_n t / hbar), so t drops out.
+    """
     _require_real_spectrum(params)
-    c = np.asarray(state.coeffs, dtype=complex)
-    energies = _energies(params, len(c)).real
-    ct = c * np.exp(-1j * energies * t / params.hbar)
-    g = gram(params, len(c) - 1, which="metric").matrix
-    return float(np.real(np.conjugate(ct) @ g @ ct))
+    return float(np.sum(np.abs(np.asarray(state.coeffs, dtype=complex)) ** 2))
 
 
 def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, RegionLabel, classify, derive
+from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify, derive
 from .errors import DeltaDerivNotEvaluableError, RegionError, SingularParameterError
 from .specfun import SQRT_PI, hermite, hermite_coefficients, log_gamma, parabolic_cylinder_d
 
@@ -146,6 +146,26 @@ def _cyl_fields(f: CylinderState) -> tuple[complex, complex, complex, complex]:
     return g, -nu - 1.0, slope, prefactor
 
 
+def _stripped(f: GeneralizedFunction, x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """f(x) with its Gaussian factor exp(gauss x^2/(2 b0^2)) removed.
+
+    Defined for the polynomial and plane-wave variants; the pairing kernel
+    samples it at shared nodes and evaluate multiplies it by the Gaussian.
+    """
+    if isinstance(f, GaussHermite):
+        return f.norm * hermite(f.n, f.scale * x / params.b0)
+    if isinstance(f, GaussMonomial):
+        return f.norm * x ** f.n
+    if isinstance(f, GaussPoly):
+        out = np.zeros_like(x)
+        for k in range(len(f.coeffs) - 1, -1, -1):
+            out = out * x + f.coeffs[k]
+        return f.norm * out
+    if isinstance(f, PlaneWaveGauss):
+        return f.amp_plus * np.exp(1j * f.k_wave * x) + f.amp_minus * np.exp(-1j * f.k_wave * x)
+    raise TypeError(f"{type(f).__name__} has no stripped closed form")
+
+
 def evaluate(f: GeneralizedFunction, x, params: ModelParams):
     """Pointwise value of a generalized function; x may be scalar or array,
     real or complex (closed forms are entire, so complex x means analytic
@@ -157,26 +177,12 @@ def evaluate(f: GeneralizedFunction, x, params: ModelParams):
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     b0 = params.b0
-    if isinstance(f, GaussHermite):
-        val = f.norm * np.exp(f.gauss * x_arr ** 2 / (2.0 * b0 * b0)) \
-            * hermite(f.n, f.scale * x_arr / b0)
-    elif isinstance(f, GaussMonomial):
-        val = f.norm * np.exp(f.gauss * x_arr ** 2 / (2.0 * b0 * b0)) * x_arr ** f.n
-    elif isinstance(f, GaussPoly):
-        poly = np.zeros_like(x_arr)
-        for k in range(len(f.coeffs) - 1, -1, -1):
-            poly = poly * x_arr + f.coeffs[k]
-        val = f.norm * np.exp(f.gauss * x_arr ** 2 / (2.0 * b0 * b0)) * poly
-    elif isinstance(f, PlaneWaveGauss):
-        val = (f.amp_plus * np.exp(1j * f.k_wave * x_arr)
-               + f.amp_minus * np.exp(-1j * f.k_wave * x_arr)) \
-            * np.exp(f.gauss * x_arr ** 2 / (2.0 * b0 * b0))
-    elif isinstance(f, CylinderState):
+    if isinstance(f, CylinderState):
         g, mu, slope, pref = _cyl_fields(f)
         val = pref * np.exp(g * x_arr ** 2 / (2.0 * b0 * b0)) \
             * parabolic_cylinder_d(mu, slope * x_arr)
     else:
-        raise TypeError(f"unsupported function variant {type(f)!r}")
+        val = _stripped(f, x_arr, params) * np.exp(f.gauss * x_arr ** 2 / (2.0 * b0 * b0))
     return complex(val[0]) if scalar else val
 
 
@@ -368,7 +374,22 @@ def _oscillator_norm(sigma: float, b0: float, n: int) -> float:
     return math.sqrt(sigma / (b0 * SQRT_PI * 2.0 ** n * math.factorial(n)))
 
 
-def discrete_states(params: ModelParams, n_max: int, tol: float = 1e-12) -> list[EigenstateSpec]:
+def _stripped_barrier_pair(sigma: float, b0: float, n: int) -> tuple[GaussHermite, GaussHermite]:
+    """The similarity-stripped Region II/IV states (phi_n^+, phi_n^-).
+
+    The '+' state carries exp(-i sigma^2 x^2/(2 b0^2)) and the norm
+    sqrt(e^{i pi/4} sigma / (b0 sqrt(pi) 2^n n!)); the '-' state is its
+    complex conjugate.
+    """
+    norm_plus = cmath.sqrt(ROOT_I) * _oscillator_norm(sigma, b0, n)
+    plus = GaussHermite(gauss=-1j * sigma ** 2, scale=ROOT_I * sigma, n=n, norm=norm_plus)
+    minus = GaussHermite(gauss=1j * sigma ** 2, scale=ROOT_I.conjugate() * sigma, n=n,
+                         norm=norm_plus.conjugate())
+    return plus, minus
+
+
+def discrete_states(params: ModelParams, n_max: int,
+                    tol: float = DEFAULT_TOL) -> list[EigenstateSpec]:
     """All discrete generalized eigenstates with index n <= n_max.
 
     Regions I and III return one state per n; Regions II/IV and boundary
@@ -408,12 +429,7 @@ def discrete_states(params: ModelParams, n_max: int, tol: float = 1e-12) -> list
         abs_omega = abs(d.omega_cap)
         sign = 1.0 if label is RegionLabel.REGION_II else -1.0
         for n in range(n_max + 1):
-            base = _oscillator_norm(sigma, b0, n)
-            norm_plus = cmath.sqrt(ROOT_I) * base       # sqrt(e^{i pi/4} sigma / (b0 sqrt(pi) 2^n n!))
-            norm_minus = norm_plus.conjugate()
-            plus_strip = GaussHermite(gauss=-1j * sigma ** 2, scale=ROOT_I * sigma, n=n, norm=norm_plus)
-            minus_strip = GaussHermite(gauss=1j * sigma ** 2, scale=ROOT_I.conjugate() * sigma,
-                                       n=n, norm=norm_minus)
+            plus_strip, minus_strip = _stripped_barrier_pair(sigma, b0, n)
             e_plus = sign * 1j * hbar * abs_omega * (n + 0.5)
             states.append(EigenstateSpec(
                 label, n, "+", e_plus,
@@ -450,7 +466,7 @@ def _ep_exponent(params: ModelParams, tol: float) -> float:
 
 
 def ep_states(params: ModelParams, c0: complex, c1: complex,
-              d0: complex, d1: complex, tol: float = 1e-12) -> EigenstateSpec:
+              d0: complex, d1: complex, tol: float = DEFAULT_TOL) -> EigenstateSpec:
     """The E = 0 coalescent state pair on the Omega = 0 boundary.
 
     right_fn = (c1 x + c0) exp(-(omega+2 beta)/(omega-2 beta) x^2/(2 b0^2)),
@@ -466,7 +482,7 @@ def ep_states(params: ModelParams, c0: complex, c1: complex,
 
 
 def free_particle_states(params: ModelParams, energy: float, amp_plus: complex,
-                         amp_minus: complex, tol: float = 1e-12) -> EigenstateSpec:
+                         amp_minus: complex, tol: float = DEFAULT_TOL) -> EigenstateSpec:
     """Free-particle generalized eigenfunctions on the Omega = 0 boundary.
 
     The wavenumber is k = sqrt(2 E / (hbar (omega-alpha-beta) b0^2)); when

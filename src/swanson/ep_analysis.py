@@ -4,11 +4,12 @@ Two families of sweeps exhibit the coalescence structure:
 
 * sweep_to_boundary_i_iii drives omega -> alpha + beta along the root
   epsilon(G) of r(eps)^2 = G^2 eps^2 with r(eps)^2 = (alpha-beta)^2
-  + 2 eps (alpha+beta) + eps^2.  The plus root carries the oscillator states
-  onto the monomial eigenfunctions tau^-1 x^n / sqrt(n!); the minus root
-  carries their Fourier-side partners onto the delta-derivative family, which
-  is only a distributional limit and is therefore measured weakly against a
-  fixed battery of displaced Gaussians.
+  + 2 eps (alpha+beta) + eps^2, taking each swept state from discrete_states.
+  The root of the sign of alpha - beta (eps > 0 for alpha > beta, Region I)
+  carries the oscillator states onto the monomial eigenfunctions
+  tau^-1 x^n / sqrt(n!); the other root carries them onto the
+  delta-derivative family, which is only a distributional limit and is
+  therefore measured weakly against a fixed battery of displaced Gaussians.
 
 * sweep_to_ep drives Omega^2 = +-eps^2 -> 0 at fixed (omega, beta) with
   alpha = (omega^2 -+ eps^2)/(4 beta); the Region I and Region II states both
@@ -28,14 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, RegionLabel, classify
+from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify
 from .errors import RegionError, SingularParameterError
 from .eigensystems import (
     DeltaDeriv,
-    GaussHermite,
     GaussMonomial,
     GaussPoly,
     PlaneWaveGauss,
+    _ep_exponent,
     discrete_states,
     evaluate,
 )
@@ -86,29 +87,6 @@ def _normalized_distance(fv: np.ndarray, gv: np.ndarray, w: np.ndarray) -> float
 # sweep onto the boundary omega = alpha + beta
 # ---------------------------------------------------------------------------
 
-def _boundary_sweep_function(alpha: float, beta: float, g_value: float, n: int,
-                             root: str, b0: float) -> GaussHermite:
-    """The swept eigenfunction at parameter G, written directly in terms of G.
-
-    root 'plus' is the epsilon_+ branch (Gaussian exponent
-    -c_tau + G (sqrt(1+q) - 1) -> -c_tau, flattening onto the monomial limit);
-    'minus' is the epsilon_- branch with exponent -c_tau - G (sqrt(1+q) + 1),
-    a narrowing Gaussian whose limit is distributional.  Both equal the
-    dressed oscillator eigenfunction of the swept parameter point
-    (cross-checked against the eigensystem constructors in the test suite).
-    """
-    q = 4.0 * alpha * beta / (g_value ** 2 * (alpha - beta) ** 2)
-    if q < -1.0:
-        raise SingularParameterError("sweep parameter leaves the real-root range")
-    ct = (alpha + beta) / (alpha - beta)
-    if root == "plus":
-        gauss = -ct + g_value * (math.sqrt(1.0 + q) - 1.0)
-    else:
-        gauss = -ct - g_value * (math.sqrt(1.0 + q) + 1.0)
-    norm = 2.0 ** (-n) * g_value ** (-0.5 * n) / math.sqrt(math.factorial(n))
-    return GaussHermite(gauss=gauss, scale=math.sqrt(g_value), n=n, norm=norm)
-
-
 def _gaussian_battery(b0: float) -> list[PlaneWaveGauss]:
     """Displaced Gaussians exp(-(x - a)^2/b0^2), a in {0, +-0.5, +-1} b0.
 
@@ -143,11 +121,14 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
                             g_values, b0: float = 1.0, hbar: float = 1.0) -> LimitSweepReport:
     """Sweep eigenfunctions onto the boundary omega = alpha + beta.
 
-    branch_target 'plus': weighted-L2 distance of the swept function to the
-    monomial limit tau^-1 x^n / sqrt(n!); energies are hbar (n+1/2) G eps_+.
-    branch_target 'minus': distributional convergence onto the
-    delta-derivative family, measured as the euclidean distance between
-    normalized battery-pairing vectors (five displaced Gaussians).
+    The swept state is the n-th eigenstate of discrete_states at
+    omega = alpha + beta + eps(G), and energies are its eigenvalues
+    hbar (n+1/2) G eps.  branch_target 'plus': weighted-L2 distance of the
+    swept function to the monomial limit tau^-1 x^n / sqrt(n!), energies tending
+    to hbar (alpha-beta)(n+1/2).  branch_target 'minus': distributional
+    convergence onto the delta-derivative family, measured as the euclidean
+    distance between normalized battery-pairing vectors (five displaced
+    Gaussians).
     """
     if alpha == beta:
         raise SingularParameterError("boundary sweep requires alpha != beta")
@@ -161,34 +142,40 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
 
     params_boundary = ModelParams(alpha + beta, alpha, beta, b0, hbar)
     ct = (alpha + beta) / (alpha - beta)
-    distances = np.zeros(len(g_values))
-    energies = np.zeros(len(g_values), dtype=complex)
-
     if branch_target == "plus":
         x, w = _weighted_grid(b0)
-        limit_fn = GaussMonomial(gauss=-ct, n=n, norm=1.0)
-        limit_vals = evaluate(limit_fn, x, params_boundary)
-        for i, g_val in enumerate(g_values):
-            eps = (alpha + beta + math.sqrt(4.0 * alpha * beta + g_val ** 2 * (alpha - beta) ** 2)) \
-                / (g_val ** 2 - 1.0)
-            swept = _boundary_sweep_function(alpha, beta, g_val, n, "plus", b0)
-            swept_vals = evaluate(swept, x, ModelParams(alpha + beta + eps, alpha, beta, b0, hbar))
-            distances[i] = _normalized_distance(swept_vals, limit_vals, w)
-            energies[i] = hbar * (n + 0.5) * g_val * eps
-        return LimitSweepReport(g_values, distances, energies)
+        limit_vals = evaluate(GaussMonomial(gauss=-ct, n=n, norm=1.0), x, params_boundary)
 
-    battery = _gaussian_battery(b0)
-    limit_fn = DeltaDeriv(gauss=-ct, n=n, norm=(-1.0) ** n / math.sqrt(math.factorial(n)))
-    limit_vec = _battery_direction(
-        np.array([pair(t, limit_fn, params_boundary) for t in battery]))
+        def distance(f, p):
+            return _normalized_distance(evaluate(f, x, p), limit_vals, w)
+    else:
+        battery = _gaussian_battery(b0)
+        limit_fn = DeltaDeriv(gauss=-ct, n=n, norm=(-1.0) ** n / math.sqrt(math.factorial(n)))
+        limit_vec = _battery_direction(
+            np.array([pair(t, limit_fn, params_boundary) for t in battery]))
+
+        def distance(f, p):
+            vec = _battery_direction(np.array([pair(t, f, p) for t in battery]))
+            return _direction_distance(vec, limit_vec)
+
+    # Region I (eps > 0) energies tend to hbar |alpha - beta| (n + 1/2), Region III
+    # (eps < 0) ones to the negative; the monomial limit has hbar (alpha - beta)(n + 1/2)
+    eps_sign = 1.0 if (branch_target == "plus") == (alpha > beta) else -1.0
+    expected = RegionLabel.REGION_I if eps_sign > 0 else RegionLabel.REGION_III
+    distances = np.zeros(len(g_values))
+    energies = np.zeros(len(g_values), dtype=complex)
     for i, g_val in enumerate(g_values):
-        eps = (alpha + beta - math.sqrt(4.0 * alpha * beta + g_val ** 2 * (alpha - beta) ** 2)) \
-            / (g_val ** 2 - 1.0)
-        swept = _boundary_sweep_function(alpha, beta, g_val, n, "minus", b0)
+        disc = math.sqrt(4.0 * alpha * beta + g_val ** 2 * (alpha - beta) ** 2)
+        eps = (alpha + beta + eps_sign * disc) / (g_val ** 2 - 1.0)
         p_eps = ModelParams(alpha + beta + eps, alpha, beta, b0, hbar)
-        vec = _battery_direction(np.array([pair(t, swept, p_eps) for t in battery]))
-        distances[i] = _direction_distance(vec, limit_vec)
-        energies[i] = hbar * (n + 0.5) * g_val * eps
+        label = classify(p_eps)
+        if label is not expected:
+            raise RegionError(
+                f"swept point at G={g_val:g} classifies as {label.pretty()}, not "
+                f"{expected.pretty()}")
+        state = discrete_states(p_eps, n)[n]
+        distances[i] = distance(state.right_fn, p_eps)
+        energies[i] = complex(state.energy)
     return LimitSweepReport(g_values, distances, energies)
 
 
@@ -196,9 +183,9 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
 # sweep onto the Omega = 0 exceptional points
 # ---------------------------------------------------------------------------
 
-def _ep_limit_function(omega: float, beta: float, n: int) -> GaussPoly:
+def _ep_limit_function(p_ref: ModelParams, n: int) -> GaussPoly:
     coeffs = (1.0 + 0.0j,) if n % 2 == 0 else (0.0 + 0.0j, 1.0 + 0.0j)
-    return GaussPoly(gauss=-(omega + 2.0 * beta) / (omega - 2.0 * beta), coeffs=coeffs, norm=1.0)
+    return GaussPoly(gauss=_ep_exponent(p_ref, DEFAULT_TOL), coeffs=coeffs, norm=1.0)
 
 
 def _ep_swept_params(omega: float, beta: float, eps: float, side: str,
@@ -221,15 +208,13 @@ def sweep_to_ep(omega: float, beta: float, n: int, region_side: str, eps_values,
     """
     if region_side not in ("I", "II"):
         raise ValueError("region_side must be 'I' or 'II'")
-    if abs(omega - 2.0 * beta) <= 1e-12 * max(abs(omega), abs(beta)):
-        raise SingularParameterError("EP sweep closed form is singular at omega = 2 beta")
+    p_ref = _ep_swept_params(omega, beta, 0.0, "I", b0, hbar)
+    limit_fn = _ep_limit_function(p_ref, n)     # raises at omega = 2 beta
     eps_values = np.asarray(eps_values, dtype=float)
     if np.any(eps_values <= 0.0) or np.any(np.diff(eps_values) >= 0.0):
         raise ValueError("eps values must be positive and decreasing")
 
     x, w = _weighted_grid(b0)
-    limit_fn = _ep_limit_function(omega, beta, n)
-    p_ref = ModelParams(omega, omega ** 2 / (4.0 * beta), beta, b0, hbar)
     limit_vals = evaluate(limit_fn, x, p_ref)
 
     expected = RegionLabel.REGION_I if region_side == "I" else RegionLabel.REGION_II
@@ -270,8 +255,8 @@ def ep_spectrum_flow(omega: float, beta: float, n_max: int, eps_values,
     collapse to 0 simultaneously for every n: the coalescence is of infinite
     order.
     """
-    if abs(omega - 2.0 * beta) <= 1e-12 * max(abs(omega), abs(beta)):
-        raise SingularParameterError("EP sweep closed form is singular at omega = 2 beta")
+    # the closed forms are singular at omega = 2 beta, where _ep_exponent raises
+    _ep_exponent(_ep_swept_params(omega, beta, 0.0, "I", b0, hbar), DEFAULT_TOL)
     rows = []
     for eps in np.asarray(eps_values, dtype=float):
         p1 = _ep_swept_params(omega, beta, eps, "I", b0, hbar)

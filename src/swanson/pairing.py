@@ -16,6 +16,11 @@ Three integration strategies realize the formal integrals:
 The exponent bookkeeping is symbolic throughout: Gaussian coefficients add,
 they are never multiplied pointwise, so growing similarity factors cancel
 before any number is evaluated.
+
+Pairings are computed a family at a time by one kernel: every pair of a Gram
+block, a reconstruction or a resonant-expansion column shares one combined
+exponent, so the block takes one strategy, one contour angle, one rule and
+one weighted matrix product; a single pairing is the 1 x 1 case.
 """
 
 from __future__ import annotations
@@ -35,13 +40,13 @@ from .eigensystems import (
     GaussMonomial,
     GaussPoly,
     GeneralizedFunction,
-    PlaneWaveGauss,
+    _stripped,
     conjugate_function,
     discrete_states,
     evaluate,
     taylor_coefficients,
 )
-from .specfun import gauss_hermite, hermite
+from .specfun import gauss_hermite
 
 __all__ = [
     "DirectGaussHermite",
@@ -88,33 +93,11 @@ def _poly_degree(f: GeneralizedFunction) -> int:
     return 0
 
 
-def _default_order(left: GeneralizedFunction, right: GeneralizedFunction) -> int:
-    return 4 * max(_poly_degree(left), _poly_degree(right)) + 40
-
-
-def _rest(f: GeneralizedFunction, x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """f(x) with its Gaussian factor exp(gauss x^2/(2 b0^2)) stripped."""
-    b0 = params.b0
-    if isinstance(f, GaussHermite):
-        return f.norm * hermite(f.n, f.scale * x / b0)
-    if isinstance(f, GaussMonomial):
-        return f.norm * x ** f.n
-    if isinstance(f, GaussPoly):
-        out = np.zeros_like(x)
-        for k in range(len(f.coeffs) - 1, -1, -1):
-            out = out * x + f.coeffs[k]
-        return f.norm * out
-    if isinstance(f, PlaneWaveGauss):
-        return f.amp_plus * np.exp(1j * f.k_wave * x) + f.amp_minus * np.exp(-1j * f.k_wave * x)
-    raise NonConvergentError(
-        f"{type(f).__name__} is not admissible in a numeric pairing; continuum states "
-        "are paired weakly through the continuum module")
-
-
-def _combined_gauss(left_conj: GeneralizedFunction, right: GeneralizedFunction,
-                    params: ModelParams) -> complex:
-    """Coefficient A of x^2 in the combined exponent (symbolic sum)."""
-    return (complex(left_conj.gauss) + complex(right.gauss)) / (2.0 * params.b0 ** 2)
+def _shared_gauss(side: list[GeneralizedFunction]) -> complex:
+    gauss = complex(side[0].gauss)
+    if any(complex(f.gauss) != gauss for f in side[1:]):
+        raise ValueError("every function on one side of a pairing block must share its Gaussian")
+    return gauss
 
 
 def _auto_strategy(a_tot: complex, order: int) -> PairingStrategy:
@@ -129,22 +112,6 @@ def _auto_strategy(a_tot: complex, order: int) -> PairingStrategy:
     angle = math.atan2(im, re)
     target = math.pi if angle >= 0.0 else -math.pi
     return RotatedContour(0.5 * (target - angle), order)
-
-
-def _quadrature_value(left_conj: GeneralizedFunction, right: GeneralizedFunction,
-                      params: ModelParams, theta: float, order: int) -> complex:
-    a_tot = _combined_gauss(left_conj, right, params)
-    a_rot = a_tot * np.exp(2j * theta)
-    if a_rot.real >= 0.0:
-        raise NonConvergentError("rotated exponent does not decay; contour inadmissible")
-    s = math.sqrt(-a_rot.real)
-    rule = gauss_hermite(order)
-    t = rule.nodes
-    x = np.exp(1j * theta) * t / s
-    # residual oscillation left after absorbing exp(-t^2): exp(i t^2 Im(a_rot)/s^2)
-    residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
-    vals = _rest(left_conj, x, params) * _rest(right, x, params) * residual
-    return complex(np.exp(1j * theta) / s * np.sum(rule.weights * vals))
 
 
 def _distributional_value(left_conj: GeneralizedFunction, right: GeneralizedFunction,
@@ -162,6 +129,62 @@ def _distributional_value(left_conj: GeneralizedFunction, right: GeneralizedFunc
     return complex(delta.norm) * (-1.0) ** m * math.factorial(m) * coeff
 
 
+def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
+                strategy: PairingStrategy | None = None) -> np.ndarray:
+    """Matrix of <lefts[i] | rights[j]>, the one quadrature kernel.
+
+    Each side shares one Gaussian exponent, so the whole block has one
+    combined exponent: one strategy, one contour angle and one Gauss-Hermite
+    rule (order 4 * highest degree + 40 unless the strategy names one), and
+    one weighted product of the stripped closed forms sampled at the shared
+    nodes.  rights may instead be a callable of real x with no Gaussian
+    factor, sampled at the real nodes; it needs a DirectGaussHermite strategy.
+    Blocks with a delta-derivative functional are paired element by element.
+    """
+    sampled = callable(rights)
+    functions = lefts if sampled else [*lefts, *rights]
+    if any(isinstance(f, CylinderState) for f in functions):
+        raise NonConvergentError(
+            "continuum states are delta-normalized distributions; use "
+            "continuum.delta_normalization_probe for their pairings")
+    lefts_conj = [conjugate_function(f) for f in lefts]
+    has_delta = any(isinstance(f, DeltaDeriv) for f in functions)
+    if isinstance(strategy, DistributionalExact) or (strategy is None and has_delta):
+        return np.array([[_distributional_value(lc, r, params) for r in rights]
+                         for lc in lefts_conj])
+    if has_delta:
+        raise NonConvergentError("delta-derivative pairings require the DistributionalExact strategy")
+
+    right_gauss = 0.0 if sampled else _shared_gauss(rights)
+    a_tot = (_shared_gauss(lefts_conj) + right_gauss) / (2.0 * params.b0 ** 2)
+    if strategy is None:
+        strategy = _auto_strategy(a_tot, 4 * max(_poly_degree(f) for f in functions) + 40)
+    if isinstance(strategy, DirectGaussHermite):
+        if a_tot.real >= 0.0:
+            raise NonConvergentError("combined Gaussian exponent does not decay on the real line")
+        theta = 0.0
+    elif isinstance(strategy, RotatedContour):
+        theta = strategy.theta
+    else:
+        raise TypeError(f"unknown strategy {strategy!r}")
+
+    a_rot = a_tot * np.exp(2j * theta)
+    if a_rot.real >= 0.0:
+        raise NonConvergentError("rotated exponent does not decay; contour inadmissible")
+    s = math.sqrt(-a_rot.real)
+    rule = gauss_hermite(strategy.order)
+    t = rule.nodes
+    x = np.exp(1j * theta) * t / s
+    # residual oscillation left after absorbing exp(-t^2): exp(i t^2 Im(a_rot)/s^2)
+    residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
+    left_rows = np.array([_stripped(f, x, params) for f in lefts_conj])
+    if sampled:
+        right_rows = np.asarray(rights(t / s), dtype=complex)[None, :]
+    else:
+        right_rows = np.array([_stripped(f, x, params) for f in rights])
+    return (left_rows * (rule.weights * residual)) @ right_rows.T * (np.exp(1j * theta) / s)
+
+
 def pair(left: GeneralizedFunction, right: GeneralizedFunction, params: ModelParams,
          strategy: PairingStrategy | None = None) -> complex:
     """<left | right> = integral conj(left(x)) right(x) dx.
@@ -169,47 +192,15 @@ def pair(left: GeneralizedFunction, right: GeneralizedFunction, params: ModelPar
     With strategy None an admissible strategy is selected from the combined
     Gaussian exponent; NonConvergentError is raised when none exists.
     """
-    if isinstance(left, CylinderState) or isinstance(right, CylinderState):
-        raise NonConvergentError(
-            "continuum states are delta-normalized distributions; use "
-            "continuum.delta_normalization_probe for their pairings")
-    left_conj = conjugate_function(left)
-    if isinstance(strategy, DistributionalExact) or (
-            strategy is None and (isinstance(left, DeltaDeriv) or isinstance(right, DeltaDeriv))):
-        return _distributional_value(left_conj, right, params)
-    if isinstance(left, DeltaDeriv) or isinstance(right, DeltaDeriv):
-        raise NonConvergentError("delta-derivative pairings require the DistributionalExact strategy")
-
-    if strategy is None:
-        strategy = _auto_strategy(_combined_gauss(left_conj, right, params),
-                                  _default_order(left, right))
-    if isinstance(strategy, DirectGaussHermite):
-        a_tot = _combined_gauss(left_conj, right, params)
-        if a_tot.real >= 0.0:
-            raise NonConvergentError("combined Gaussian exponent does not decay on the real line")
-        return _quadrature_value(left_conj, right, params, 0.0, strategy.order)
-    if isinstance(strategy, RotatedContour):
-        return _quadrature_value(left_conj, right, params, strategy.theta, strategy.order)
-    raise TypeError(f"unknown strategy {strategy!r}")
+    return complex(_pair_block([left], [right], params, strategy)[0, 0])
 
 
-def pair_with_callable(left: GeneralizedFunction, target, params: ModelParams,
-                       order: int = 200) -> complex:
-    """<left | target> for a plain callable target with Gaussian decay.
-
-    Nodes are scaled to the decay of conj(left) alone; the target must decay
-    at least as fast as the basis for the quadrature to converge.
-    """
-    left_conj = conjugate_function(left)
-    a_l = complex(left_conj.gauss) / (2.0 * params.b0 ** 2)
-    if a_l.real >= 0.0:
-        raise NonConvergentError("dual function does not decay; pairing undefined")
-    s = math.sqrt(-a_l.real)
-    rule = gauss_hermite(order)
-    x = rule.nodes / s
-    residual = np.exp(rule.nodes ** 2 * (1.0 + a_l / (s * s)))
-    vals = _rest(left_conj, x.astype(complex), params) * np.asarray(target(x), dtype=complex) * residual
-    return complex(np.sum(rule.weights * vals) / s)
+def _metric_dressed(a: GeneralizedFunction, params: ModelParams) -> GeneralizedFunction:
+    """a with the metric U = Upsilon^2 folded into its Gaussian exponent."""
+    d = derive(params)
+    if d.upsilon_coeff is None:
+        raise RegionError("metric undefined on the boundary omega = alpha + beta")
+    return dataclasses.replace(a, gauss=complex(a.gauss) - 2.0 * d.upsilon_coeff)
 
 
 def metric_pair(a: GeneralizedFunction, b: GeneralizedFunction, params: ModelParams,
@@ -220,11 +211,7 @@ def metric_pair(a: GeneralizedFunction, b: GeneralizedFunction, params: ModelPar
     corresponding left partner with b; at alpha = beta it is the ordinary
     inner product.
     """
-    d = derive(params)
-    if d.upsilon_coeff is None:
-        raise RegionError("metric undefined on the boundary omega = alpha + beta")
-    dressed = dataclasses.replace(a, gauss=complex(a.gauss) - 2.0 * d.upsilon_coeff)
-    return pair(dressed, b, params, strategy)
+    return pair(_metric_dressed(a, params), b, params, strategy)
 
 
 @dataclass(frozen=True)
@@ -243,43 +230,33 @@ class GramReport:
     max_diag_err: float
 
 
-def _block_deviations(block: np.ndarray) -> tuple[float, float]:
-    eye = np.eye(block.shape[0])
-    off = float(np.max(np.abs(block - np.diag(np.diag(block)))))
-    diag = float(np.max(np.abs(np.diag(block) - np.diag(eye))))
-    return off, diag
-
-
 def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramReport:
     """Gram matrix of the discrete states.
 
     which = 'right-left' pairs each left partner against every right state
     (the bi-orthogonality contract); 'metric' pairs right states under the
-    metric inner product (Regions I/III only, where U is positive).
+    metric inner product (Regions I/III only, where U is positive).  Raises
+    NonConvergentError when an entry is not finite.
     """
     states = discrete_states(params, n_max)
-    label = classify(params)
     if which == "metric":
-        if label not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
+        if classify(params) not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
             raise RegionError("metric gram requires Region I or III")
         rights = [s.right_fn for s in states]
-        block = np.array([[metric_pair(rm, rn, params) for rn in rights] for rm in rights])
-        off, diag = _block_deviations(block)
-        return GramReport(n_max, which, block, off, diag)
-    if which != "right-left":
+        blocks = [_pair_block([_metric_dressed(r, params) for r in rights], rights, params)]
+    elif which == "right-left":
+        blocks = []
+        for br in sorted({s.branch for s in states}, key=lambda b: (b is None, b)):
+            sub = sorted((s for s in states if s.branch == br), key=lambda s: s.n)
+            blocks.append(_pair_block([s.left_fn for s in sub], [s.right_fn for s in sub], params))
+    else:
         raise ValueError("which must be 'right-left' or 'metric'")
 
-    branches = sorted({s.branch for s in states}, key=lambda b: (b is None, b))
-    blocks = []
-    max_off = 0.0
-    max_diag = 0.0
-    for br in branches:
-        sub = sorted((s for s in states if s.branch == br), key=lambda s: s.n)
-        block = np.array([[pair(sm.left_fn, sn.right_fn, params) for sn in sub] for sm in sub])
-        off, diag = _block_deviations(block)
-        max_off = max(max_off, off)
-        max_diag = max(max_diag, diag)
-        blocks.append(block)
+    stack = np.stack(blocks)
+    if not np.all(np.isfinite(stack)):
+        raise NonConvergentError(f"gram matrix at n_max = {n_max} has non-finite entries")
+    max_off = float(np.max(np.abs(stack * (1.0 - np.eye(n_max + 1)))))
+    max_diag = float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2) - 1.0)))
     return GramReport(n_max, which, np.vstack(blocks), max_off, max_diag)
 
 
@@ -289,7 +266,8 @@ def reconstruct(params: ModelParams, target, n_max: int,
 
     target is a GeneralizedFunction or a callable of x.  Coefficients are
     c_n = <left_n | target>; returns (coefficients, sup-norm deviation of the
-    truncated reconstruction from the target on the grid).
+    truncated reconstruction from the target on the grid).  Raises
+    NonConvergentError when a coefficient or the deviation is not finite.
     """
     label = classify(params)
     if label not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
@@ -302,15 +280,19 @@ def reconstruct(params: ModelParams, target, n_max: int,
     grid = np.asarray(grid, dtype=float)
 
     if callable(target):
-        coeffs = np.array([pair_with_callable(s.left_fn, target, params, order) for s in states])
-        target_vals = np.asarray(target(grid), dtype=complex)
+        right, target_vals = target, np.asarray(target(grid), dtype=complex)
     else:
-        coeffs = np.array([pair(s.left_fn, target, params, DirectGaussHermite(order))
-                           for s in states])
-        target_vals = evaluate(target, grid, params)
+        right, target_vals = [target], evaluate(target, grid, params)
+    coeffs = _pair_block([s.left_fn for s in states], right, params, DirectGaussHermite(order))[:, 0]
 
     recon = np.zeros_like(grid, dtype=complex)
     for c, s in zip(coeffs, states):
         recon += c * evaluate(s.right_fn, grid, params)
     sup_error = float(np.max(np.abs(recon - target_vals)))
+    _require_finite(coeffs, sup_error, f"reconstruction at n_max = {n_max}")
     return coeffs, sup_error
+
+
+def _require_finite(coeffs: np.ndarray, sup_error: float, what: str) -> None:
+    if not (np.all(np.isfinite(coeffs)) and math.isfinite(sup_error)):
+        raise NonConvergentError(f"{what} has non-finite coefficients or sup-error")

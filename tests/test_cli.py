@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "swanson", *args]
@@ -29,6 +31,18 @@ def test_usage_error_exit_code():
 def test_numerical_error_exit_code():
     cp = run_cli("gram", "--omega", "1", "--alpha", "-0.125", "--beta", "-2", "--nmax", "3")
     assert cp.returncode == 1
+    assert "numerical failure" in cp.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["gram", "--omega", "1", "--alpha", "0.2", "--beta", "0.1"],
+    ["reconstruct", "--omega", "1", "--alpha", "0.2", "--beta", "0.1"],
+    ["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--sector", "minus"],
+], ids=["gram", "reconstruct", "reconstruct-sector"])
+def test_nonfinite_quadrature_exits_one(args):
+    # order 4 n_max + 40 = 440 is past where the Gauss-Hermite weights turn NaN
+    cp = run_cli(*args, "--nmax", "100")
+    assert cp.returncode == 1, cp.stdout
     assert "numerical failure" in cp.stderr
 
 

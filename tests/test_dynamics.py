@@ -12,6 +12,7 @@ from swanson import (
     discrete_states,
     evolve_expectation,
     evolve_sector,
+    gram,
     make_state,
     matrix_element,
     metric_norm,
@@ -117,6 +118,20 @@ def test_metric_norm_conserved():
     state = make_state(p, [1.0, 0.5j, 0.3])
     for t in (0.0, 2.2, 13.7):
         assert metric_norm(state, p, t) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", pts.REGION_I_POINTS + pts.REGION_III_POINTS)
+def test_metric_norm_matches_quadrature_gram(p):
+    # oracle: c^dagger G c with G the quadrature metric Gram of the basis
+    c = np.array([1.0, 0.5 - 0.2j, 0.0, 0.3j, -0.7, 0.1])
+    g = gram(p, len(c) - 1, which="metric").matrix
+    state = make_state(p, c)
+    unit = np.asarray(state.coeffs)
+    assert abs(np.conjugate(unit) @ g @ unit - 1.0) <= 1e-12
+    energies = np.array([s.energy.real for s in discrete_states(p, len(c) - 1)])
+    for t in (0.0, 2.2, 13.7):
+        ct = unit * np.exp(-1j * energies * t / p.hbar)
+        assert abs(metric_norm(state, p, t) - np.conjugate(ct) @ g @ ct) <= 1e-12
 
 
 @pytest.mark.parametrize("params", [pts.SIGMA1_REGION_I, pts.REGION_I_POINTS[0],

@@ -73,6 +73,9 @@ def test_boundary_sweep_guards():
         sweep_to_boundary_i_iii(0.75, 0.25, 0, "plus", [0.5, 10.0])
     with pytest.raises(ValueError):
         sweep_to_boundary_i_iii(0.75, 0.25, 0, "plus", [100.0, 10.0])
+    with pytest.raises(RegionError):
+        # eps(1e13) is within the classification tolerance of the boundary
+        sweep_to_boundary_i_iii(0.75, 0.25, 0, "plus", [10.0, 1e13])
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +165,15 @@ def test_flow_table_collapse_and_ordering():
     assert all(mags[i] < mags[i + 1] for i in range(len(mags) - 1))
 
 
-def test_swept_function_matches_actual_eigenstate():
-    # the G-form swept function and the eigenstate constructed from the swept
-    # parameter point are the same function up to normalization
-    from swanson import discrete_states
-    from swanson.ep_analysis import _boundary_sweep_function
-
-    alpha, beta, n = 0.75, 0.25, 2
-    for g_val in (10.0, 100.0):
-        disc = math.sqrt(4 * alpha * beta + g_val ** 2 * (alpha - beta) ** 2)
-        eps = (alpha + beta + disc) / (g_val ** 2 - 1.0)
-        params = ModelParams(alpha + beta + eps, alpha, beta)
-        swept = _boundary_sweep_function(alpha, beta, g_val, n, "plus", 1.0)
-        state = next(s for s in discrete_states(params, n) if s.n == n)
-        x = np.linspace(-2.0, 2.0, 41)
-        a_vals = evaluate(swept, x, params)
-        b_vals = evaluate(state.right_fn, x, params)
-        ratio = a_vals / b_vals
-        assert np.max(np.abs(ratio - ratio[0])) <= 1e-8 * abs(ratio[0])
+def test_boundary_sweep_alpha_less_beta_energy_limits():
+    # at alpha < beta the monomial limit is reached from Region III and the
+    # delta-derivative limit from Region I: the energies tend to
+    # +-hbar (alpha - beta)(n + 1/2) = -+0.5 (n + 1/2)
+    for n in (0, 1):
+        plus = sweep_to_boundary_i_iii(0.25, 0.75, n, "plus", GEOMETRIC_G)
+        assert np.all(np.diff(plus.distances) < 0)
+        assert plus.energies.real[-1] == pytest.approx(-0.5 * (n + 0.5), abs=2e-3)
+        minus = sweep_to_boundary_i_iii(0.25, 0.75, n, "minus", GEOMETRIC_G + [1e4])
+        assert np.all(np.diff(minus.distances) < 0)
+        assert minus.distances[-1] <= 1e-3
+        assert minus.energies.real[-1] == pytest.approx(0.5 * (n + 0.5), abs=2e-3)

@@ -15,6 +15,7 @@ from swanson import (
     RotatedContour,
     discrete_states,
     evaluate,
+    gauss_hermite,
     gram,
     metric_pair,
     pair,
@@ -119,6 +120,54 @@ def test_gram_region_ii_branches():
     assert report.matrix.shape == (18, 9)   # two stacked branch blocks
     assert report.max_offdiag <= 1e-6
     assert report.max_diag_err <= 1e-6
+
+
+@pytest.mark.parametrize("p", [pts.REGION_I_POINTS[0], pts.REGION_III_POINTS[0],
+                               pts.REGION_II_POINT, pts.REGION_IV_POINT,
+                               pts.BOUNDARY_I_III_POINT])
+def test_gram_blocks_match_elementwise_pairs(p):
+    # reference: one pair() per entry, each at its own quadrature order
+    states = discrete_states(p, 10)
+    rows = []
+    for br in sorted({s.branch for s in states}, key=lambda b: (b is None, b)):
+        sub = sorted((s for s in states if s.branch == br), key=lambda s: s.n)
+        rows += [[pair(sm.left_fn, sn.right_fn, p) for sn in sub] for sm in sub]
+    assert np.max(np.abs(gram(p, 10).matrix - np.array(rows))) <= 1e-13
+
+
+def test_gram_fetches_one_rule_per_block(monkeypatch):
+    import swanson.pairing as pairing_module
+
+    orders = []
+
+    def counting(order):
+        orders.append(order)
+        return gauss_hermite(order)
+
+    monkeypatch.setattr(pairing_module, "gauss_hermite", counting)
+    gram(pts.REGION_I_POINTS[0], 12)
+    assert orders == [4 * 12 + 40]
+    orders.clear()
+    gram(pts.REGION_II_POINT, 12)     # one block per branch
+    assert orders == [4 * 12 + 40] * 2
+
+
+def test_pair_block_rejects_mixed_exponents():
+    from swanson.pairing import _pair_block
+
+    p = pts.REGION_I_POINTS[0]
+    mixed = [GaussPoly(gauss=-1.0, coeffs=(1.0,), norm=1.0),
+             GaussPoly(gauss=-2.0, coeffs=(1.0,), norm=1.0)]
+    with pytest.raises(ValueError):
+        _pair_block(mixed, mixed[:1], p)
+    with pytest.raises(ValueError):
+        _pair_block(mixed[:1], mixed, p)
+
+
+@pytest.mark.parametrize("p", pts.REGION_I_POINTS + pts.REGION_III_POINTS)
+def test_metric_gram_is_identity(p):
+    report = gram(p, 30, which="metric")
+    assert np.max(np.abs(report.matrix - np.eye(31))) <= 1e-10
 
 
 def test_gram_metric():
