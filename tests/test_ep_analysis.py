@@ -10,7 +10,6 @@ from swanson import (
     RegionError,
     SingularParameterError,
     ep_spectrum_flow,
-    evaluate,
     pair,
     sweep_to_boundary_i_iii,
     sweep_to_ep,
