@@ -35,7 +35,7 @@ from .eigensystems import (
     evaluate,
 )
 from .pairing import _pair_block, _require_finite
-from .specfun import log_gamma, parabolic_cylinder_d
+from .specfun import _gauss_legendre, log_gamma, parabolic_cylinder_d
 
 __all__ = [
     "PoleScanReport",
@@ -209,12 +209,12 @@ def resonant_expansion(params: ModelParams, target, n_max: int, sector: str = "m
 # Windowed delta-normalization probe
 # ---------------------------------------------------------------------------
 
-def _weber_reduced(eps: float, u: np.ndarray) -> np.ndarray:
+def _weber_reduced(eps, u: np.ndarray) -> np.ndarray:
     """Gamma(nu+1) D_{-nu-1}(-sqrt(2) e^{-i pi/4} u), the side-+ family in
-    reduced coordinates u = sigma x / b0."""
-    nu = -1j * eps - 0.5
-    pref = cmath.exp(log_gamma(nu + 1.0))
-    return pref * parabolic_cylinder_d(-nu - 1.0, -math.sqrt(2.0) * ROT * u)
+    reduced coordinates u = sigma x / b0; one row per reduced energy in eps."""
+    nu = -1j * np.atleast_1d(np.asarray(eps, dtype=float)) - 0.5
+    pref = np.array([cmath.exp(log_gamma(v + 1.0)) for v in nu])
+    return pref[:, None] * parabolic_cylinder_d(-nu[:, None] - 1.0, -math.sqrt(2.0) * ROT * u)
 
 
 def _tail_coefficient_data(eps_p: float, eps0: float):
@@ -286,16 +286,17 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
 
     # energy window nodes (Gauss-Legendre over +-6 bump widths)
     lo, hi = cen - 6.0 * w, cen + 6.0 * w
-    en_nodes, en_weights = np.polynomial.legendre.leggauss(n_energy)
+    en_nodes, en_weights = _gauss_legendre(n_energy)
     eps_p = 0.5 * (hi - lo) * en_nodes + 0.5 * (hi + lo)
     ew = 0.5 * (hi - lo) * en_weights
     bump = np.exp(-((eps_p - cen) / w) ** 2 / 2.0)
 
     # interior x-quadrature
-    u_nodes, u_weights = np.polynomial.legendre.leggauss(n_inner)
+    u_nodes, u_weights = _gauss_legendre(n_inner)
     u = box * u_nodes
     uw = box * u_weights
-    f0 = _weber_reduced(eps0, u)
+    f0 = _weber_reduced(eps0, u)[0]
+    inner = np.sum(uw * np.conjugate(_weber_reduced(eps_p, u)) * f0, axis=1)
 
     inside = lo < eps0 < hi
     regular = np.zeros(len(eps_p), dtype=complex)   # smooth part of P(eps')
@@ -310,12 +311,10 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
     pieces0 = _tail_coefficient_data(eps0, eps0)
     pv_terms = [np.zeros(len(eps_p), dtype=complex) for _ in pieces0]
     for j, ep in enumerate(eps_p):
-        fp = _weber_reduced(ep, u)
-        inner = np.sum(uw * np.conjugate(fp) * f0)
         tails = _tail_coefficient_data(ep, eps0)
         corr = sum(c * g * box ** (-2.0 + s * 1j * (ep - eps0)) / (2.0 - s * 1j * (ep - eps0))
                    for c, s, g in tails)
-        regular[j] = inner + corr
+        regular[j] = inner[j] + corr
         for k, (c, s, _) in enumerate(tails):
             pv_terms[k][j] = c * box ** (s * 1j * (ep - eps0)) * 1j / s
 

@@ -19,6 +19,11 @@ from enum import Enum
 
 DEFAULT_TOL = 1e-12
 
+# coupling scales whose squares neither overflow nor lose digits to underflow;
+# outside this band classify and derive work in reduced couplings (x/scale)
+_SAFE_LO = 1e-100
+_SAFE_HI = 1e100
+
 
 class RegionLabel(Enum):
     REGION_I = "I"
@@ -108,13 +113,22 @@ def derive(params: ModelParams, tol: float = DEFAULT_TOL) -> DerivedQuantities:
     are decided with the same relative tolerance and the same comparisons as
     classify(params, tol), so m_eff is None exactly on Boundary I-III and the
     corner, and sigma is None on every Omega = 0 stratum.  The one exception
-    is a coupling scale that is itself tiny (subnormal): there hbar/gap can
-    still overflow to inf.
+    is a coupling scale beyond the float range of the result: m_eff = inf when
+    the gap is subnormal, omega_sq = inf when scale^2 overflows.  Scales
+    outside 1e+-100 are computed in reduced couplings, so the labels, sigma
+    and the coefficients are the same at every scale.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     w, a, b = params.omega, params.alpha, params.beta
     scale = max(abs(w), abs(a), abs(b))
+    if not _SAFE_LO <= scale <= _SAFE_HI and scale:
+        r = derive(ModelParams(w / scale, a / scale, b / scale, params.b0, params.hbar), tol)
+        return DerivedQuantities(
+            r.omega_cap * scale, r.omega_sq * scale * scale,
+            None if r.m_eff is None else r.m_eff / scale,
+            None if r.k_stiff is None else r.k_stiff * scale,
+            r.sigma, r.upsilon_coeff, r.tau_coeff)
     omega_sq = w * w - 4.0 * a * b
     omega_cap = cmath.sqrt(complex(omega_sq, 0.0))  # real or +i|Omega|
 
@@ -146,14 +160,16 @@ def classify(params: ModelParams, tol: float = DEFAULT_TOL) -> RegionLabel:
     tol is a relative tolerance: boundary strata are detected when the region
     indicators fall below tol * max(|omega|, |alpha|, |beta|) (squared for the
     Omega^2 indicator).  Scale-invariant under (omega, alpha, beta) -> s*(...)
-    for s > 0.
+    for s > 0, also where scale^2 would over- or underflow.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     w, a, b = params.omega, params.alpha, params.beta
     scale = max(abs(w), abs(a), abs(b))
-    if scale == 0.0:
-        return RegionLabel.CORNER_DEGENERATE
+    if not _SAFE_LO <= scale <= _SAFE_HI:
+        if scale == 0.0:
+            return RegionLabel.CORNER_DEGENERATE
+        return classify(ModelParams(w / scale, a / scale, b / scale), tol)
 
     omega_sq = w * w - 4.0 * a * b
     gap = w - a - b

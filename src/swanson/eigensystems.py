@@ -281,9 +281,8 @@ def _derivatives_on_grid(f: GeneralizedFunction, x: np.ndarray, params: ModelPar
         q2 = g / (b0 * b0)
         e = pref * np.exp(g * x ** 2 / (2.0 * b0 * b0))
         zeta = slope * x
-        d_mu = parabolic_cylinder_d(mu, zeta)
-        d_m1 = parabolic_cylinder_d(mu - 1.0, zeta)
-        d_m2 = parabolic_cylinder_d(mu - 2.0, zeta)
+        ladder = mu - np.arange(3.0).reshape((3,) + (1,) * zeta.ndim)
+        d_mu, d_m1, d_m2 = parabolic_cylinder_d(ladder, zeta)
         # D_mu' = -(zeta/2) D_mu + mu D_{mu-1}; second derivative via the same
         # ladder (never the defining equation, so residual tests stay honest)
         dp = -(0.5 * zeta) * d_mu + mu * d_m1

@@ -41,6 +41,7 @@ from .eigensystems import (
     evaluate,
 )
 from .pairing import pair
+from .specfun import _gauss_legendre
 
 __all__ = [
     "LimitSweepReport",
@@ -68,7 +69,7 @@ _QUAD_N = 400
 
 
 def _weighted_grid(b0: float) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_N)
+    nodes, weights = _gauss_legendre(_QUAD_N)
     x = 8.0 * b0 * nodes
     w = 8.0 * b0 * weights * np.exp(-(x / b0) ** 2)
     return x, w
@@ -190,6 +191,8 @@ def _ep_limit_function(p_ref: ModelParams, n: int) -> GaussPoly:
 
 def _ep_swept_params(omega: float, beta: float, eps: float, side: str,
                      b0: float, hbar: float) -> ModelParams:
+    if beta == 0.0:
+        raise RegionError("no exceptional point at beta = 0: alpha cannot move Omega^2 = omega^2")
     if side == "I":
         alpha = (omega ** 2 - eps ** 2) / (4.0 * beta)
     else:

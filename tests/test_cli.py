@@ -202,6 +202,14 @@ def test_ep_sweep_modes(tmp_path: Path):
     assert "spectrum-flow rows" in cp.stdout
 
 
+@pytest.mark.parametrize("mode", ["ep", "spectrum"])
+def test_ep_sweep_beta_zero_is_a_typed_error(mode):
+    cp = run_cli("ep-sweep", "--mode", mode, "--omega", "1", "--beta", "0", "--n", "0")
+    assert cp.returncode == 1
+    assert "numerical failure" in cp.stderr
+    assert "Traceback" not in cp.stderr
+
+
 def test_console_script_help():
     cp = run_cli("--help")
     assert cp.returncode == 0

@@ -235,3 +235,44 @@ def test_hermitian_line_gives_identity_similarity():
     for a in (0.05, 0.2, -0.4):
         d = derive(ModelParams(1.0, a, a))
         assert d.upsilon_coeff == 0.0
+
+
+def test_extreme_scales_reduce_to_the_unit_point():
+    assert classify(ModelParams(1e200, 0.0, 0.0)) is RegionLabel.REGION_I
+    for omega in (1e160, 1e-160, 1e200):
+        p = ModelParams(omega, 0.0, 0.0)
+        assert classify(p) is RegionLabel.REGION_I
+        assert derive(p).sigma == pytest.approx(1.0, rel=1e-15)
+        assert derive(p).upsilon_coeff == 0.0
+    d = derive(ModelParams(1e160, 0.0, 0.0))
+    assert d.m_eff == pytest.approx(1e-160, rel=1e-15)
+    assert d.k_stiff == pytest.approx(1e160, rel=1e-15)
+    assert d.omega_cap == pytest.approx(1e160, rel=1e-15)
+
+
+resolved_coupling = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=3.0),
+                              st.floats(min_value=-3.0, max_value=-1e-3))
+
+
+@given(w=st.floats(min_value=0.5, max_value=3.0), a=resolved_coupling, b=resolved_coupling,
+       k=st.integers(min_value=-1000, max_value=1000))
+@settings(max_examples=200, deadline=None)
+@example(w=1.0, a=0.2, b=0.1, k=1000)
+@example(w=1.0, a=-2.0, b=-0.5, k=-1000)
+@example(w=1.0, a=1.2, b=-0.1, k=-530)
+@example(w=1.0, a=-3.0, b=-2.9999999999999996, k=331)
+def test_binary_scaling_invariance(w, a, b, k):
+    scale = max(abs(w), abs(a), abs(b))
+    # away from the strata, where the rounding of w - a - b or w^2 - 4ab sets the answer
+    if abs(w - a - b) < 1e-3 * scale or abs(w * w - 4 * a * b) < 1e-3 * scale ** 2:
+        return
+    p = ModelParams(w, a, b)
+    q = ModelParams(math.ldexp(w, k), math.ldexp(a, k), math.ldexp(b, k))
+    assert classify(q) is classify(p)
+    dp, dq = derive(p), derive(q)
+    for field in ("sigma", "upsilon_coeff"):
+        vp, vq = getattr(dp, field), getattr(dq, field)
+        assert (vp is None) == (vq is None)
+        if vp is not None:
+            # (a - b)/gap: a - b may cancel, so its rounding is relative to the scale
+            assert vq == pytest.approx(vp, rel=1e-12, abs=1e-12)

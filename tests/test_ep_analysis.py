@@ -176,3 +176,13 @@ def test_boundary_sweep_alpha_less_beta_energy_limits():
         assert np.all(np.diff(minus.distances) < 0)
         assert minus.distances[-1] <= 1e-3
         assert minus.energies.real[-1] == pytest.approx(0.5 * (n + 0.5), abs=2e-3)
+
+
+def test_ep_sweeps_reject_beta_zero():
+    # Omega^2 = omega^2 at beta = 0 for every alpha: there is no point to sweep to
+    with pytest.raises(RegionError):
+        sweep_to_ep(1.0, 0.0, 0, "I", GEOMETRIC_EPS)
+    with pytest.raises(RegionError):
+        sweep_to_ep(1.0, 0.0, 0, "II", GEOMETRIC_EPS)
+    with pytest.raises(RegionError):
+        ep_spectrum_flow(1.0, 0.0, 2, [0.1, 0.01])

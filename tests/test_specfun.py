@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swanson import PoleError, gauss_hermite, hermite, log_gamma, parabolic_cylinder_d, recip_gamma
+from swanson import specfun
 from swanson.specfun import hermite_coefficients
 
 SQRT_PI = math.sqrt(math.pi)
@@ -258,3 +259,111 @@ def test_fourier_eigenfunction_property():
         for p in (0.0, 0.7, -1.9, 3.3):
             ft = np.sum(w * rest * np.exp(1j * p * t)) / math.sqrt(2 * math.pi)
             assert ft == pytest.approx((1j) ** n * phi(n, p), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Taylor march on the anti-Stokes rays
+# ---------------------------------------------------------------------------
+
+RAY_ANGLES = (0.25, 0.75, -0.25, -0.75)
+
+
+def mp_d(nu: complex, z: complex) -> complex:
+    with mpmath.workdps(30):
+        return complex(mpmath.pcfd(mpmath.mpc(nu), mpmath.mpc(z)))
+
+
+def inner_radius(nu: complex) -> float:
+    return float(specfun._MARCH_STEP * specfun._march_nodes(np.array([nu]))[0])
+
+
+def assert_ray_oracle(nu: complex, radii, rel: float = 1e-10):
+    for angle in RAY_ANGLES:
+        z = np.asarray(radii) * cmath.exp(1j * math.pi * angle)
+        vals = parabolic_cylinder_d(nu, z)
+        for zz, v in zip(z, vals):
+            ref = mp_d(nu, zz)
+            assert abs(v - ref) <= rel * abs(ref), (nu, zz, v, ref)
+
+
+@pytest.mark.parametrize("re_nu", [-0.5, -1.5, -2.5])
+@pytest.mark.parametrize("im_nu", [-20.0, -9.1, 0.0, 3.7, 15.0])
+def test_d_rays_against_mpmath(re_nu, im_nu):
+    nu = complex(re_nu, im_nu)
+    r_in = inner_radius(nu)
+    radii = [0.0, 0.9, 2.6, 4.1, 6.8, 9.7, 12.3, 15.5, 18.2, 20.0,
+             r_in * (1.0 - 1e-12), r_in]
+    assert_ray_oracle(nu, radii)
+
+
+@given(re_nu=st.floats(min_value=-6.0, max_value=3.0),
+       im_nu=st.floats(min_value=-20.0, max_value=20.0),
+       r=st.floats(min_value=0.0, max_value=20.0))
+@settings(max_examples=25, deadline=None)
+def test_d_rays_property(re_nu, im_nu, r):
+    assert_ray_oracle(complex(re_nu, im_nu), [r])
+
+
+def test_d_rays_conjugation_is_exact():
+    x = np.concatenate([np.linspace(-9.0, 9.0, 37), [0.0, 1e-3, 13.5]])
+    for nu in (-0.5 + 0.9j, -1.5 - 7.25j, 0.8 + 0.5j, -2.5 + 0.0j):
+        for slope in (cmath.exp(0.25j * math.pi), math.sqrt(2.0) * cmath.exp(0.75j * math.pi)):
+            z = slope * x
+            d = parabolic_cylinder_d(nu, z)
+            d_bar = parabolic_cylinder_d(np.conjugate(nu), np.conjugate(z))
+            assert np.array_equal(d_bar, np.conjugate(d))
+    ladder = np.array([-0.5 + 3.1j, -1.5 + 3.1j, -2.5 + 3.1j])[:, None]
+    z = math.sqrt(2.0) * cmath.exp(0.75j * math.pi) * x
+    assert np.array_equal(parabolic_cylinder_d(ladder.conj(), z.conj()),
+                          np.conjugate(parabolic_cylinder_d(ladder, z)))
+
+
+def test_d_array_orders_match_per_order_calls():
+    orders = np.array([-0.5 - 8.7j, -0.5 + 0.2j, -1.5 + 4.0j, -2.5 - 19.0j, 0.3 + 1.0j])
+    z = np.concatenate([
+        np.linspace(-14.0, 14.0, 57) * cmath.exp(-0.25j * math.pi),
+        np.linspace(0.5, 8.0, 4) * cmath.exp(0.3j),          # off the rays
+    ])
+    table = parabolic_cylinder_d(orders[:, None], z)
+    assert table.shape == (len(orders), len(z))
+    for nu, row in zip(orders, table):
+        single = parabolic_cylinder_d(nu, z)
+        assert np.all(np.abs(row - single) <= 1e-13 * np.abs(single))
+    # a scalar order against a scalar argument still returns a Python complex
+    assert isinstance(parabolic_cylinder_d(orders[0], 1.0 + 1.0j), complex)
+
+
+def test_d_rays_wrong_direction_falls_back(monkeypatch):
+    nu = -0.5 + 20.0j        # exponential core on the pi/4 ray: one direction is unstable
+    calls = []
+    dispatch = specfun._dv_dispatch
+
+    def spy(order, z):
+        calls.append(order)
+        return dispatch(order, z)
+
+    rule = specfun._march_outward
+    monkeypatch.setattr(specfun, "_dv_dispatch", spy)
+    monkeypatch.setattr(specfun, "_march_outward", lambda d_end, d_zero: ~rule(d_end, d_zero))
+    radii = [0.0, 1.3, 4.4, 7.9, 11.0]
+    assert_ray_oracle(nu, radii)
+    assert calls, "the guard should have sent the wrong-direction march to the dispatch"
+
+
+def test_continuum_state_past_the_cliff_avoids_mpmath(monkeypatch):
+    from swanson import ModelParams, continuum_state, evaluate
+    from swanson.eigensystems import _cyl_fields
+
+    def forbidden(nu, z):
+        raise AssertionError(f"mpmath called at order {nu} for {z.size} points")
+
+    p = ModelParams(1.0, -2.0, -0.5)          # |Omega| = sqrt(3), so E = 15 is past |nu| = 8
+    x = np.linspace(-6.0, 6.0, 201)
+    state = continuum_state(p, 15.0, "+", "phi")
+    monkeypatch.setattr(specfun, "_dv_mpmath", forbidden)
+    vals = evaluate(state, x, p)
+    gauss, mu, slope, pref = _cyl_fields(state)
+    assert gauss == 0.0
+    for xx, v in zip(x[::20], vals[::20]):
+        ref = pref * mp_d(mu, slope * xx)
+        assert abs(v - ref) <= 1e-10 * abs(ref)
