@@ -13,9 +13,12 @@ and of the squared frequency Omega^2 = omega^2 - 4 alpha beta, which split the
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 DEFAULT_TOL = 1e-12
 
@@ -211,25 +214,48 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
     Rows are emitted row-major with alpha/omega as the outer (slow) index.
     Omega^2/omega^2 varies continuously; the reduced mass changes sign only
     across the line alpha/omega + beta/omega = 1, where it is undefined.
+
+    Each alpha row is computed with numpy in one pass, making the
+    floating-point operations of derive and classify in their order, reduced
+    couplings above a scale of 1e100 included; so every row is bit-identical
+    to derive(ModelParams(1.0, a, b), tol) and classify(ModelParams(1.0, a, b), tol).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if half_range <= 0:
         raise ValueError("half_range must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
 
     coords = [-half_range + 2.0 * half_range * i / (n - 1) for i in range(n)]
+    b = np.array(coords)
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"grid coordinates must be finite, got half_range = {half_range}")
+    abs_b = np.abs(b)
+    L = RegionLabel
     rows = []
-    for a in coords:
-        for b in coords:
-            p = ModelParams(1.0, a, b)
-            d = derive(p, tol)
-            rows.append(
-                SurfaceRow(
-                    alpha_over_omega=a,
-                    beta_over_omega=b,
-                    omega_sq=d.omega_sq,
-                    mass=d.m_eff,
-                    region=classify(p, tol),
-                )
-            )
+    # a subnormal gap gives mass inf and scale^2 past 1e154 gives omega_sq inf, as in derive
+    with np.errstate(over="ignore", divide="ignore"):
+        for a in coords:
+            scale = np.maximum(max(1.0, abs(a)), abs_b)
+            s = np.where(scale > _SAFE_HI, scale, 1.0)  # 1.0 keeps a point unreduced, exactly
+            wr, ar, br = 1.0 / s, a / s, b / s
+            r_scale = np.maximum(np.maximum(np.abs(wr), np.abs(ar)), np.abs(br))
+            omega_sq = wr * wr - 4.0 * ar * br
+            gap = wr - ar - br
+            tol_gap = tol * r_scale
+            abs_gap = np.abs(gap)
+            on_omega = np.abs(omega_sq) <= tol_gap * r_scale
+            on_gap = abs_gap <= tol_gap
+            gap_pos, sq_pos = gap > 0, omega_sq > 0
+            region = np.where(  # the decision chain of classify
+                on_gap, np.where(on_omega, L.CORNER_DEGENERATE, L.BOUNDARY_I_III),
+                np.where(on_omega, np.where(gap_pos, L.BOUNDARY_I_II, L.BOUNDARY_III_IV),
+                         np.where(gap_pos, np.where(sq_pos, L.REGION_I, L.REGION_II),
+                                  np.where(sq_pos, L.REGION_III, L.REGION_IV))))
+            mass = (1.0 / gap / s).astype(object)
+            mass[~(abs_gap > tol_gap)] = None  # the test of derive
+            rows.extend(map(SurfaceRow, itertools.repeat(a), coords,
+                            (omega_sq * s * s).tolist(), mass.tolist(),
+                            region.tolist()))
     return rows

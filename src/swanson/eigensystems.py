@@ -20,16 +20,20 @@ direct weight.  Conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify, derive
-from .errors import DeltaDerivNotEvaluableError, RegionError, SingularParameterError
+from .errors import (DeltaDerivNotEvaluableError, NonConvergentError, RegionError,
+                     SingularParameterError)
 from .specfun import SQRT_PI, hermite, hermite_coefficients, log_gamma, parabolic_cylinder_d
 
 ROOT_I = cmath.exp(1j * math.pi / 4.0)  # branch of sqrt(i), fixed globally
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +373,27 @@ class EigenstateSpec:
         }
 
 
+@functools.lru_cache(maxsize=1024)
+def _two_n_factorial(n: int) -> tuple[float, int]:
+    """2^n n! as (m, e) with 2^n n! = m 4^e, m its top 64 bits rounded to a float.
+
+    2^n n! leaves the float range at n = 151.  For n <= 150, m 4^e equals
+    float(2^n n!), so norms there keep the digits of the float formula.
+    """
+    big = math.factorial(n) << n
+    e = max(big.bit_length() - 64, 0) // 2
+    return float(big >> 2 * e), e
+
+
 def _oscillator_norm(sigma: float, b0: float, n: int) -> float:
-    return math.sqrt(sigma / (b0 * SQRT_PI * 2.0 ** n * math.factorial(n)))
+    """sqrt(sigma / (b0 sqrt(pi) 2^n n!)); NonConvergentError outside the
+    normal float range."""
+    m, e = _two_n_factorial(n)
+    norm = math.ldexp(math.sqrt(sigma / (b0 * SQRT_PI * m)), -e)
+    if not _FLOAT_MIN <= norm <= _FLOAT_MAX:
+        raise NonConvergentError(
+            f"normalization of the n = {n} oscillator state is outside the float range")
+    return norm
 
 
 def _stripped_barrier_pair(sigma: float, b0: float, n: int) -> tuple[GaussHermite, GaussHermite]:

@@ -6,7 +6,8 @@ class SwansonError(Exception):
 
 
 class NonConvergentError(SwansonError):
-    """No admissible integration strategy exists for the requested pairing."""
+    """No admissible integration strategy exists for the requested pairing,
+    or a result lies outside the double-precision range."""
 
 
 class DeltaDerivNotEvaluableError(SwansonError):

@@ -260,9 +260,10 @@ def _dv_taylor(nu: complex, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _dv_tail_series(order, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """S(order, z) with D_order(z) ~ exp(-z^2/4) z^order S as |z| -> inf.
 
-    order is a scalar or an array shaped like z.  Terms are added until they
-    fall below tol or start to grow; returns (S, magnitude of the smallest
-    term), which bounds the truncation error.
+    order is a scalar or an array shaped like z.  Each entry adds terms until
+    one falls to tol (that term included) or they start to grow, so its sum
+    does not depend on the other entries of the call; returns (S, magnitude
+    of the smallest term), which bounds the truncation error.
     """
     inv = 1.0 / (2.0 * z * z)
     term = np.ones_like(z)
@@ -273,10 +274,12 @@ def _dv_tail_series(order, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
         term = term * (-(-order + 2 * k) * (-order + 2 * k + 1) / (k + 1.0)) * inv
         mag = np.abs(term)
         done |= mag > best          # past the smallest term: stop accumulating
-        best = np.minimum(best, mag)
-        total = np.where(done, total, total + term)
-        if np.all(best <= tol):
+        np.minimum(best, mag, out=best)
+        np.add(total, term, out=total, where=~done)
+        converged = best <= tol
+        if converged.all():
             break
+        done |= converged
     return total, best
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,6 +141,61 @@ def test_surface_grid_mass_follows_tol():
     for tol in (DEFAULT_TOL, 0.3):
         for r in surface_grid(2.0, 9, tol):
             assert (r.mass is None) == (r.region in _MASS_BOUNDARY)
+
+
+def _row_bits(a, b, omega_sq, mass, region):
+    def bits(x):
+        return None if x is None else struct.pack("<d", x)
+    return bits(a), bits(b), bits(omega_sq), bits(mass), region
+
+
+def _assert_grid_matches_scalar(half_range, n, tol):
+    rows = surface_grid(half_range, n, tol)
+    coords = [-half_range + 2.0 * half_range * i / (n - 1) for i in range(n)]
+    expected = []
+    for a in coords:
+        for b in coords:
+            p = ModelParams(1.0, a, b)
+            d = derive(p, tol)
+            expected.append(_row_bits(a, b, d.omega_sq, d.m_eff, classify(p, tol)))
+    got = [_row_bits(r.alpha_over_omega, r.beta_over_omega, r.omega_sq, r.mass, r.region)
+           for r in rows]
+    assert got == expected
+    return rows
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14, 1e-2])
+@pytest.mark.parametrize("n", [33, 201])
+def test_surface_grid_bit_identical_to_scalar(n, tol):
+    rows = _assert_grid_matches_scalar(2.0, n, tol)
+    if n == 33:
+        assert {r.region for r in rows} == set(RegionLabel)
+
+
+_half_range = st.one_of(st.floats(min_value=-3.0, max_value=300.0).map(lambda e: 10.0 ** e),
+                        st.floats(min_value=1e-3, max_value=1e300))
+
+
+@given(half_range=_half_range, n=st.integers(min_value=2, max_value=40),
+       tol=st.one_of(st.sampled_from((DEFAULT_TOL, 1e-14, 1e-2)),
+                     st.floats(min_value=1e-16, max_value=0.5)))
+@settings(max_examples=150, deadline=None)
+@example(half_range=1e300, n=40, tol=DEFAULT_TOL)
+@example(half_range=3e100, n=7, tol=DEFAULT_TOL)
+@example(half_range=1e160, n=2, tol=1e-14)
+@example(half_range=1e-3, n=40, tol=1e-2)
+def test_surface_grid_matches_scalar_property(half_range, n, tol):
+    # scales above 1e100 take the reduced-coupling branch of derive and classify
+    _assert_grid_matches_scalar(half_range, n, tol)
+
+
+@pytest.mark.parametrize("args", [
+    (2.0, 1), (2.0, 0), (0.0, 5), (-1.0, 5), (math.inf, 5), (math.nan, 5), (1e308, 5),
+    (2.0, 5, 0.0), (2.0, 5, -1e-12),
+])
+def test_surface_grid_rejects_bad_arguments(args):
+    with pytest.raises(ValueError):
+        surface_grid(*args)
 
 
 @pytest.mark.parametrize("params,label", [

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from swanson import (
     GaussMonomial,
     GaussPoly,
     ModelParams,
+    NonConvergentError,
     PlaneWaveGauss,
     RegionError,
     RegionLabel,
@@ -23,7 +26,7 @@ from swanson import (
     free_particle_states,
     pair,
 )
-from swanson.eigensystems import polynomial_pieces, taylor_coefficients
+from swanson.eigensystems import _oscillator_norm, polynomial_pieces, taylor_coefficients
 
 ALL_DISCRETE_POINTS = (
     pts.REGION_I_POINTS + pts.REGION_III_POINTS
@@ -317,6 +320,43 @@ def test_evaluate_no_overflow_window():
     s = discrete_states(p, 20)[20]
     vals = evaluate(s.right_fn, np.linspace(-10.0, 10.0, 41), p)
     assert np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("sigma,b0", [(1.0, 1.0), (0.83, 1.0), (2.7, 0.4), (0.05, 3.0)])
+def test_oscillator_norm_keeps_the_float_formula_to_n_150(sigma, b0):
+    for n in range(151):
+        direct = math.sqrt(sigma / (b0 * math.sqrt(math.pi) * 2.0 ** n * math.factorial(n)))
+        if direct > 0.0:    # 0 where b0 sqrt(pi) 2^n n! overflows: n = 150 at b0 = 3
+            assert _oscillator_norm(sigma, b0, n) == pytest.approx(direct, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [151, 160, 170])
+@pytest.mark.parametrize("params", [pts.REGION_I_POINTS[0], pts.REGION_II_POINT])
+def test_large_n_states_against_mpmath(params, n):
+    # 2^n n! overflows a float from n = 151: these states used to be all zero
+    x = np.linspace(-10.0, 10.0, 21)
+    sigma = derive(params).sigma
+    for s in (s for s in discrete_states(params, n) if s.n == n):
+        f = s.right_fn
+        vals = evaluate(f, x, params)
+        with mpmath.workdps(30):
+            norm = mpmath.sqrt(sigma / (mpmath.sqrt(mpmath.pi) * 2 ** n * mpmath.factorial(n)))
+            phase = {None: 1.0, "+": cmath.exp(0.125j * math.pi),
+                     "-": cmath.exp(-0.125j * math.pi)}[s.branch]
+            ref = np.array([complex(phase * norm * mpmath.hermite(n, mpmath.mpc(f.scale) * xx)
+                                    * mpmath.exp(mpmath.mpc(f.gauss) * xx ** 2 / 2))
+                            for xx in x])
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_unrepresentable_oscillator_norm_is_a_typed_error():
+    for params in (pts.REGION_I_POINTS[0], pts.REGION_II_POINT):
+        states = discrete_states(params, 200)
+        assert all(0.0 < abs(s.right_fn.norm) < math.inf for s in states)
+        with pytest.raises(NonConvergentError):
+            discrete_states(params, 300)
+    with pytest.raises(NonConvergentError):
+        _oscillator_norm(1.0, 1.0, 400)
 
 
 def test_delta_guards():

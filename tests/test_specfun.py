@@ -333,6 +333,27 @@ def test_d_array_orders_match_per_order_calls():
     assert isinstance(parabolic_cylinder_d(orders[0], 1.0 + 1.0j), complex)
 
 
+def test_d_tail_series_values_do_not_depend_on_the_call():
+    # on-ray points beyond R_in and off-ray points in the asymptotic zone are
+    # summed by the tail series; each entry stops at its own tolerance
+    nus, zs = [], []
+    for nu in (-0.5, -1.5 + 3.7j, -2.5 - 9.1j, 0.3 + 15.0j, 2.0 - 20.0j, -6.0 + 0.5j):
+        for r in (inner_radius(nu) + 0.01, inner_radius(nu) + 1.3, 25.0, 40.0):
+            for turn in (0.25, 0.75, -0.25, -0.75):
+                nus.append(nu)
+                zs.append(r * cmath.exp(1j * math.pi * turn))
+        for r in (12.0, 19.5, 30.0):
+            for turn in (0.0, 0.1, 0.4, 0.6, 0.9, -0.3, -0.95, 1.0):
+                nus.append(nu)
+                zs.append(r * cmath.exp(1j * math.pi * turn))
+    nus, zs = np.array(nus), np.array(zs)
+    on_ray = np.abs(np.abs(zs.real) - np.abs(zs.imag)) <= 1e-9 * np.abs(zs)
+    for part in (on_ray, ~on_ray, np.ones_like(on_ray)):
+        together = parabolic_cylinder_d(nus[part], zs[part])
+        alone = [parabolic_cylinder_d(nu, z) for nu, z in zip(nus[part], zs[part])]
+        assert together.tolist() == alone
+
+
 def test_d_rays_wrong_direction_falls_back(monkeypatch):
     nu = -0.5 + 20.0j        # exponential core on the pi/4 ray: one direction is unstable
     calls = []
