@@ -263,7 +263,8 @@ def _dv_tail_series(order, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     order is a scalar or an array shaped like z.  Each entry adds terms until
     one falls to tol (that term included) or they start to grow, so its sum
     does not depend on the other entries of the call; returns (S, magnitude
-    of the smallest term), which bounds the truncation error.
+    of the smallest term seen), which is <= tol where the entry converged and
+    bounds the truncation error elsewhere.
     """
     inv = 1.0 / (2.0 * z * z)
     term = np.ones_like(z)
@@ -271,6 +272,8 @@ def _dv_tail_series(order, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     best = np.full(z.shape, np.inf)
     done = np.zeros(z.shape, dtype=bool)
     for k in range(60):
+        # out of place: numpy rounds an in-place complex product of a
+        # one-element array differently from the same product in a longer one
         term = term * (-(-order + 2 * k) * (-order + 2 * k + 1) / (k + 1.0)) * inv
         mag = np.abs(term)
         done |= mag > best          # past the smallest term: stop accumulating
