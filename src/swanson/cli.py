@@ -26,7 +26,7 @@ from .eigensystems import (
     evaluate,
     free_particle_states,
 )
-from .errors import SwansonError
+from .errors import RegionError, SwansonError
 
 SCHEMA = 1
 
@@ -428,6 +428,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except RegionError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (SwansonError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

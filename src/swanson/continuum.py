@@ -241,11 +241,6 @@ def _tail_coefficient_data(eps_p: float, eps0: float):
     return [(c_left, -1.0, g_osc), (c_r1, -1.0, g_osc), (c_r2, +1.0, g_r2)]
 
 
-def _delta_density(eps: float) -> float:
-    total = sum(c.real for c, _, _ in _tail_coefficient_data(eps, eps))
-    return math.pi * total
-
-
 def delta_normalization_probe(params: ModelParams, e0: float, width: float,
                               center: float | None = None, box: float = 10.0,
                               n_energy: int = 48, n_inner: int = 1400,

@@ -220,22 +220,10 @@ def polynomial_pieces(f: GeneralizedFunction, params: ModelParams):
     raise TypeError(f"{type(f).__name__} has no polynomial representation")
 
 
-def _poly_mul_x(c: np.ndarray, power: int = 1) -> np.ndarray:
-    return np.concatenate([np.zeros(power, dtype=complex), c])
-
-
 def _poly_diff(c: np.ndarray) -> np.ndarray:
     if len(c) <= 1:
         return np.zeros(1, dtype=complex)
     return c[1:] * np.arange(1, len(c))
-
-
-def _poly_add(*cs: np.ndarray) -> np.ndarray:
-    n = max(len(c) for c in cs)
-    out = np.zeros(n, dtype=complex)
-    for c in cs:
-        out[: len(c)] += c
-    return out
 
 
 def taylor_coefficients(f: GeneralizedFunction, params: ModelParams, order: int) -> np.ndarray:
@@ -374,13 +362,14 @@ class EigenstateSpec:
 
 
 @functools.lru_cache(maxsize=1024)
-def _two_n_factorial(n: int) -> tuple[float, int]:
-    """2^n n! as (m, e) with 2^n n! = m 4^e, m its top 64 bits rounded to a float.
+def _factorial_split(n: int, shift: int) -> tuple[float, int]:
+    """2^shift n! as (m, e) with 2^shift n! = m 4^e, m its top 64 bits rounded to a float.
 
-    2^n n! leaves the float range at n = 151.  For n <= 150, m 4^e equals
-    float(2^n n!), so norms there keep the digits of the float formula.
+    2^n n! leaves the float range at n = 151 and n! at n = 171.  Below that,
+    m 4^e equals the float of 2^shift n! (checked to n = 600 for both shifts),
+    so the norms keep the digits of their float formulas.
     """
-    big = math.factorial(n) << n
+    big = math.factorial(n) << shift
     e = max(big.bit_length() - 64, 0) // 2
     return float(big >> 2 * e), e
 
@@ -388,11 +377,21 @@ def _two_n_factorial(n: int) -> tuple[float, int]:
 def _oscillator_norm(sigma: float, b0: float, n: int) -> float:
     """sqrt(sigma / (b0 sqrt(pi) 2^n n!)); NonConvergentError outside the
     normal float range."""
-    m, e = _two_n_factorial(n)
+    m, e = _factorial_split(n, n)
     norm = math.ldexp(math.sqrt(sigma / (b0 * SQRT_PI * m)), -e)
     if not _FLOAT_MIN <= norm <= _FLOAT_MAX:
         raise NonConvergentError(
             f"normalization of the n = {n} oscillator state is outside the float range")
+    return norm
+
+
+def _inverse_sqrt_factorial(n: int) -> float:
+    """1/sqrt(n!), the Boundary I-III norm; NonConvergentError if subnormal."""
+    m, e = _factorial_split(n, 0)
+    norm = math.ldexp(1.0 / math.sqrt(m), -e)
+    if norm < _FLOAT_MIN:
+        raise NonConvergentError(
+            f"normalization of the n = {n} Boundary I-III state is outside the float range")
     return norm
 
 
@@ -466,7 +465,7 @@ def discrete_states(params: ModelParams, n_max: int,
     # boundary I-III: monomial / delta-derivative pair under the tau weight
     ct = d.tau_coeff
     for n in range(n_max + 1):
-        rt_fact = 1.0 / math.sqrt(math.factorial(n))
+        rt_fact = _inverse_sqrt_factorial(n)
         energy = hbar * (params.alpha - params.beta) * (n + 0.5)
         mono_minus = GaussMonomial(gauss=-ct, n=n, norm=rt_fact)
         mono_plus = GaussMonomial(gauss=ct, n=n, norm=rt_fact)

@@ -37,6 +37,7 @@ from .eigensystems import (
     GaussPoly,
     PlaneWaveGauss,
     _ep_exponent,
+    _inverse_sqrt_factorial,
     discrete_states,
     evaluate,
 )
@@ -151,7 +152,7 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
             return _normalized_distance(evaluate(f, x, p), limit_vals, w)
     else:
         battery = _gaussian_battery(b0)
-        limit_fn = DeltaDeriv(gauss=-ct, n=n, norm=(-1.0) ** n / math.sqrt(math.factorial(n)))
+        limit_fn = DeltaDeriv(gauss=-ct, n=n, norm=(-1.0) ** n * _inverse_sqrt_factorial(n))
         limit_vec = _battery_direction(
             np.array([pair(t, limit_fn, params_boundary) for t in battery]))
 

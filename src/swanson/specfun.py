@@ -4,12 +4,14 @@ parabolic cylinder D, and Gauss-Hermite quadrature.
 Only what the spectral construction needs is implemented, at double precision.
 The parabolic cylinder function is the hard case: it is needed at complex
 order along rotated rays where neither a pure Taylor nor a pure asymptotic
-regime suffices.  On the anti-Stokes rays |arg z| = pi/4, 3pi/4, where every
-real-x continuum state puts its argument, it is computed by Taylor marching
-of the Weber equation, vectorised over an array of orders.  Elsewhere a
-three-way dispatch serves it: Kummer series in extended precision,
-sector-exact asymptotics, and mpmath for the remaining off-ray
-order/argument middle zone.
+regime suffices.  One algorithm serves it, vectorised over an array of
+orders: the closed form at z = 0, the asymptotic series from
+R_in = sqrt(16 (|nu| + 4)) outward, and in between a Taylor march of the Weber
+equation along the direction of z, solved as a two-point problem where the
+march fails its checks.  Orders outside -6 <= Re nu <= 8, |Im nu| <= 20 (or
+|nu| <= 40 on the anti-Stokes rays |arg z| = pi/4, 3pi/4, where every real-x
+continuum state puts its argument) raise RegionError; a value that misses its
+check raises NonConvergentError.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import NonConvergentError, PoleError, RegionError
 
 __all__ = [
     "QuadratureRule",
@@ -173,88 +175,14 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 # Weber parabolic cylinder function D_nu(z), complex order and argument
 # ---------------------------------------------------------------------------
 
-_TAYLOR_RADIUS = 6.8       # |z| below which the Kummer series is used
-_TAYLOR_ORDER_MAX = 8.0    # beyond this |nu| the Kummer series loses digits
-_ASYMPTOTIC_MARGIN = 8.0   # |z|^2 >= margin*(|order|+4) for the tail series
-_ASYMPTOTIC_TOL = 1e-10
-
-
-_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
-
-
-def _mp_to_clongdouble(x) -> np.clongdouble:
-    """mpmath mpc -> clongdouble via a double-double split of each part."""
-    re_hi = float(x.real)
-    im_hi = float(x.imag)
-    re_lo = float(x.real - re_hi)
-    im_lo = float(x.imag - im_hi)
-    return np.clongdouble(re_hi) + np.clongdouble(re_lo) \
-        + 1j * (np.clongdouble(im_hi) + np.clongdouble(im_lo))
-
-
-@functools.lru_cache(maxsize=256)
-def _dv_taylor_prefactors(nu: complex) -> tuple[np.clongdouble, np.clongdouble]:
-    """sqrt(pi)/Gamma((1-nu)/2) and sqrt(2 pi)/Gamma(-nu/2) beyond double accuracy.
-
-    The Kummer bracket can cancel by many orders of magnitude, so the scalar
-    prefactors must carry more digits than the double-precision result.
-    """
-    import mpmath
-
-    with mpmath.workdps(30):
-        c1 = mpmath.sqrt(mpmath.pi) * mpmath.rgamma((1 - mpmath.mpc(nu)) / 2)
-        c2 = mpmath.sqrt(2 * mpmath.pi) * mpmath.rgamma(-mpmath.mpc(nu) / 2)
-        return _mp_to_clongdouble(c1), _mp_to_clongdouble(c2)
-
-
-def _kummer_series(a: complex, b: complex, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M(a, b, w) by Taylor series in extended precision.
-
-    Returns (M, max_term_magnitude); the latter bounds the rounding noise
-    floor eps * max_term left in the sum.
-    """
-    wl = w.astype(np.clongdouble)
-    term = np.ones_like(wl)
-    total = np.ones_like(wl)
-    peak = np.ones(w.shape, dtype=np.longdouble)
-    aa = np.clongdouble(a)
-    bb = np.clongdouble(b)
-    for k in range(400):
-        term = term * ((aa + k) / ((bb + k) * (k + 1))) * wl
-        total = total + term
-        mag = np.abs(term)
-        peak = np.maximum(peak, mag)
-        if np.all(mag <= 1e-26 * np.abs(total)):
-            break
-    return total, peak
-
-
-def _dv_taylor(nu: complex, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kummer representation
-
-        D_nu(z) = 2^(nu/2) e^(-z^2/4) [ sqrt(pi)/Gamma((1-nu)/2) M(-nu/2, 1/2, z^2/2)
-                  - sqrt(2 pi) z /Gamma(-nu/2) M((1-nu)/2, 3/2, z^2/2) ]
-
-    assembled in extended precision.  Returns (value, ok); ok is False where
-    cancellation between the two parts (or inside the series) leaves fewer
-    than ~9 reliable digits.
-    """
-    zl = z.astype(np.clongdouble)
-    w = 0.5 * zl * zl
-    c1, c2 = _dv_taylor_prefactors(nu)
-    m1, peak1 = _kummer_series(-0.5 * nu, 0.5, w)
-    m2, peak2 = _kummer_series(0.5 * (1.0 - nu), 1.5, w)
-    part1 = c1 * m1
-    part2 = c2 * zl * m2
-    bracket = part1 - part2
-    scale = np.clongdouble(cmath.exp(0.5 * nu * math.log(2.0)))
-    val = scale * np.exp(-0.5 * w) * bracket
-    noise = _LONGDOUBLE_EPS * (
-        abs(complex(c1)) * peak1 + abs(complex(c2)) * np.abs(zl) * peak2
-        + np.abs(part1) + np.abs(part2)
-    )
-    ok = noise <= 2e-9 * np.abs(bracket)
-    return val.astype(complex), ok
+# Orders served off the anti-Stokes rays (on them, and at z = 0, |nu| <= 40).  Below
+# Re nu = -6 |D| dips so deeply inside some off-ray lines that values passing every
+# check drift past 1e-8 (1.4e-8 at Re nu = -7.5, 7e-7 at -10, 8e-6 at -12).
+_ORDER_RE_MIN = -6.0
+_ORDER_RE_MAX = 8.0
+_ORDER_IM_MAX = 20.0
+_RAY_ORDER_MAX = 40.0
+_ASYMPTOTIC_TOL = 1e-10    # tail error accepted beyond R_in, relative
 
 
 def _dv_tail_series(order, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +231,8 @@ def _dv_asymptotic(nu, z: np.ndarray,
                   + sqrt(2 pi)/Gamma(-nu) e^{+- i pi (nu+1)/2} D_{-nu-1}(-+ i z)
 
     (upper signs for Im z >= 0) maps both evaluations into that sector.
-    Returns (value, smallest tail term), the latter bounding the truncation
-    error relative to the series.
+    Returns (value, error estimate): the smallest tail term of each series,
+    relative to the value.
     """
     nu = np.broadcast_to(np.asarray(nu, dtype=complex), z.shape)
     val = np.empty_like(z)
@@ -321,71 +249,37 @@ def _dv_asymptotic(nu, z: np.ndarray,
         v2, e2 = _dv_dominant(-nf - 1.0, -1j * sgn * zf, tol)
         orders, inverse = np.unique(nf, return_inverse=True)
         c2 = SQRT_2PI * np.array([recip_gamma(-o) for o in orders])[inverse]
-        val[far] = np.exp(1j * math.pi * nf * sgn) * v1 \
-            + c2 * np.exp(1j * math.pi * 0.5 * (nf + 1.0) * sgn) * v2
-        err[far] = np.maximum(e1, e2)
+        t1 = np.exp(1j * math.pi * nf * sgn) * v1
+        t2 = c2 * np.exp(1j * math.pi * 0.5 * (nf + 1.0) * sgn) * v2
+        val[far] = t1 + t2
+        # each series' error counts with the weight of its term: where
+        # 1/Gamma(-nu) = 0 the second series does not enter the value at all
+        err[far] = (np.abs(t1) * e1 + np.abs(t2) * e2) / np.abs(val[far])
     return val, err
 
 
-def _dv_mpmath(nu: complex, z: np.ndarray) -> np.ndarray:
-    import mpmath
+# Taylor march along the direction of z.  The Weber equation
+# w'' = (z^2/4 - nu - 1/2) w has polynomial coefficients along every line
+# z = r e, so it can be integrated on the lattice z_n = n h e from either end:
+# from z = 0 (closed form) or from R_in e (tail series at full double
+# precision).  Marching toward the end where |D| is larger is stable; the other
+# end checks the march.  Where that check fails, or |D| falls by many orders
+# inside an off-ray march, the same lattice is solved as a two-point problem
+# with one value fixed at each end (Olver, J. Res. NBS 71B, 1967).  The values
+# near each lattice node come from the node's Taylor polynomial, summed by
+# Horner's rule pair by pair (Temme 2000; Gil, Segura and Temme, ACM TOMS 32,
+# 2006).  On the anti-Stokes rays |arg z| = pi/4, 3pi/4, where every real-x
+# continuum state puts its argument, e^{-z^2/4} has modulus one, so |D|
+# changes only algebraically beyond the turning points.
 
-    flat = z.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for i, zz in enumerate(flat):
-        out[i] = complex(mpmath.pcfd(mpmath.mpc(nu), mpmath.mpc(zz)))
-    return out.reshape(z.shape)
-
-
-def _dv_dispatch(nu: complex, z: np.ndarray) -> np.ndarray:
-    """D_nu(z) for one order at any arguments (1-D array): Kummer series,
-    asymptotics, or mpmath for the middle zone."""
-    out = np.empty_like(z)
-    order_scale = max(abs(nu), abs(nu + 1.0))
-    small = np.abs(z) <= _TAYLOR_RADIUS
-    if np.any(small):
-        if order_scale > _TAYLOR_ORDER_MAX:
-            out[small] = _dv_mpmath(nu, z[small])
-        else:
-            v, ok = _dv_taylor(nu, z[small])
-            if not np.all(ok):
-                v[~ok] = _dv_mpmath(nu, z[small][~ok])
-            out[small] = v
-
-    large = ~small
-    if np.any(large):
-        zl = z[large]
-        vals = np.empty_like(zl)
-        ok = np.zeros(zl.shape, dtype=bool)
-        maybe = np.abs(zl) ** 2 >= _ASYMPTOTIC_MARGIN * (order_scale + 4.0)
-        if np.any(maybe):
-            v, err = _dv_asymptotic(nu, zl[maybe])
-            o = err <= _ASYMPTOTIC_TOL
-            vals[maybe] = np.where(o, v, 0.0)
-            ok[maybe] = o
-        need_mp = ~ok
-        if np.any(need_mp):
-            vals[need_mp] = _dv_mpmath(nu, zl[need_mp])
-        out[large] = vals
-    return out
-
-
-# Taylor march on the anti-Stokes rays |arg z| = pi/4, 3pi/4.  There e^{-z^2/4}
-# has modulus one, so D_nu is algebraic beyond the turning points and the
-# Weber equation w'' = (z^2/4 - nu - 1/2) w can be integrated along the ray
-# from either end: from z = 0 (closed form) or from R_in e^{i theta} (tail
-# series at full double precision).  Marching toward the end where |D| is
-# larger is stable; the other end checks the march.  The values near each
-# lattice node come from the node's Taylor polynomial, summed by Horner's rule
-# pair by pair (Temme 2000; Gil, Segura and Temme, ACM TOMS 32, 2006).
-
-_MARCH_STEP = 0.25         # lattice spacing h along a ray
+_MARCH_STEP = 0.25         # lattice spacing h along a direction
 _MARCH_TERMS = 40          # Taylor terms kept at each lattice node
-_MARCH_ORDER_MAX = 40.0    # larger |nu| stays with the general dispatch
 _MARCH_GUARD = 1e-10       # marched vs independent far-end value, relative
-_RAY_SERIES_TOL = 1e-16    # tail terms summed at and beyond R_in
-_ENDPOINT_ACCEPT = 1e-14   # smallest tail term accepted at R_in
-_RAY_TOL = 1e-9            # relative distance from a ray still served
+_MARCH_DECLINE = 1e3       # largest fall of |D| along an accepted off-ray march
+_TWO_POINT_CHECK = 1e-9    # solved vs closed-form end values, relative
+_SERIES_TOL = 1e-16        # tail terms summed at and beyond R_in
+_ENDPOINT_ACCEPT = 1e-12   # tail error accepted at R_in, relative
+_RAY_TOL = 1e-9            # relative distance from a ray snapped onto it
 _MARCH_BATCH = 128         # marches per table, bounding its memory to ~7 MB
 _RAYS = np.array([cmath.exp(0.25j * math.pi), cmath.exp(0.75j * math.pi)])
 
@@ -418,19 +312,54 @@ def _taylor_terms(y0, y1, p0, p1, p2):
         yield d
 
 
-def _ray_march(nu: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled Taylor coefficients of D_nu about the nodes z_n = n h e_theta.
+def _two_point(t_w: np.ndarray, t_v: np.ndarray,
+               ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice (w_n, v_n), n = 0 .. N, of one march as a two-point problem.
 
-    nu and theta (ray index into _RAYS) are 1-D, one entry per march.
-    Returns (table, ok): table[k, n, c] is the coefficient of s^k of
-    D_nu(z_n + s h e_theta) for n <= n_end(nu); ok is False where an end
-    value could not be formed or the guard failed.  Each march is computed
-    elementwise, so it does not depend on the other entries.
+    t_w[:, n] and t_v[:, n] carry (w_n, v_n) forward to w_{n+1} and v_{n+1};
+    ends[0] and ends[1] are the closed-form (w, v) at z = 0 and at R_in.  One
+    of w, v is imposed at each end, solved with pivoting, and the other two
+    check the solve.  The pairs are tried in turn, w at both ends first; a pair
+    is near singular where a solution vanishing in it at both ends exists.
+    NonConvergentError where every pair misses by more than _TWO_POINT_CHECK,
+    relative to that end's (w, v).
+    """
+    n = t_w.shape[1]
+    size = 2 * n + 2
+    a = np.zeros((size, size), dtype=complex)
+    row = 2 * np.arange(n)
+    a[row, row], a[row, row + 1], a[row, row + 2] = t_w[0], t_w[1], -1.0
+    a[row + 1, row], a[row + 1, row + 1], a[row + 1, row + 3] = t_v[0], t_v[1], -1.0
+    scale = np.hypot(np.abs(ends[:, 0]), np.abs(ends[:, 1]))
+    for k0, k1 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        a[size - 2:] = 0.0
+        a[size - 2, k0] = a[size - 1, size - 2 + k1] = 1.0
+        rhs = np.zeros(size, dtype=complex)
+        rhs[size - 2:] = ends[0, k0], ends[1, k1]
+        x = np.linalg.solve(a, rhs)
+        miss = np.abs(x[[1 - k0, size - 1 - k1]] - ends[[0, 1], [1 - k0, 1 - k1]]) / scale
+        if np.all(miss <= _TWO_POINT_CHECK):
+            x[:2], x[size - 2:] = ends[0], ends[1]     # the closed forms at both ends
+            return x[0::2], x[1::2]
+    raise NonConvergentError("parabolic_cylinder_d: two-point solve missed its end values "
+                             "with every pair of end conditions")
+
+
+def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Scaled Taylor coefficients of D_nu about the nodes z_n = n h e.
+
+    nu and direction (the unit e of each march) are 1-D, one entry per march.
+    Returns table[k, n, c], the coefficient of s^k of D_nu(z_n + s h e) for
+    n <= n_end(nu).  A march that misses its far end, or off the anti-Stokes
+    rays falls in |D| by more than _MARCH_DECLINE, is replaced by the
+    two-point solve of its lattice.  Each march is computed elementwise, so it does not depend
+    on the other entries.  NonConvergentError where the tail series cannot
+    form the value at R_in.
     """
     count = len(nu)
     cols = np.arange(count)
     n_end = _march_nodes(nu)
-    step = _MARCH_STEP * _RAYS[theta]
+    step = _MARCH_STEP * direction
     z0 = np.arange(n_end.max() + 1)[:, None] * step
     s2 = step * step
     p0 = (0.25 * z0 * z0 - (nu + 0.5)) * s2
@@ -440,7 +369,9 @@ def _ray_march(nu: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     start = np.array([_dv_at_zero(complex(v)) for v in nu]).reshape(count, 2)
     z_end = n_end * step
     d_pair, err = _dv_asymptotic(np.concatenate([nu, nu + 1.0]), np.tile(z_end, 2),
-                                 _RAY_SERIES_TOL)
+                                 _SERIES_TOL)
+    if not np.all(np.maximum(err[:count], err[count:]) <= _ENDPOINT_ACCEPT):
+        raise NonConvergentError("parabolic_cylinder_d: tail series failed at R_in")
     d_end, d_next = d_pair[:count], d_pair[count:]
     with np.errstate(all="ignore"):
         end = np.stack([d_end, 0.5 * z_end * d_end - d_next], axis=1)
@@ -475,84 +406,76 @@ def _ray_march(nu: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
         far = np.where(outward, w[n_end, cols], w[0, cols])
         ref = np.where(outward, end[:, 0], start[:, 0])
-        ok = (np.abs(far - ref) <= _MARCH_GUARD * np.abs(ref)) \
-            & (np.maximum(err[:count], err[count:]) <= _ENDPOINT_ACCEPT)
+        # off the rays, where |D| falls by F the other solution grows by about F
+        # and the error by F^2, unseen at the far end if |D| rises again; on the
+        # rays the far end alone holds the march to 1e-10 (the ray tests)
+        mag = np.abs(w)
+        peak = np.where(outward, np.maximum.accumulate(mag, axis=0),
+                        np.maximum.accumulate(mag[::-1], axis=0)[::-1])
+        decline = np.max(np.where(mag > 0.0, peak / mag, 1.0), axis=0)
+        steep = (decline > _MARCH_DECLINE) & ~np.isin(direction, _RAYS)
+        ok = (np.abs(far - ref) <= _MARCH_GUARD * np.abs(ref)) & ~steep
+        for c in np.flatnonzero(~ok):
+            m = n_end[c]
+            ends = np.stack([start[c], end[c]]) * np.array([1.0, step[c]])
+            w[:m + 1, c], v[:m + 1, c] = _two_point(
+                (even + odd)[:, :m, c], (d_even + d_odd)[:, :m, c], ends)
+
         table = np.empty((_MARCH_TERMS,) + w.shape, dtype=complex)
         for k, y in enumerate(_taylor_terms(w, v, p0, p1, p2)):
             table[k] = y
-    return table, ok
+    return table
 
 
-def _dv_rays(nu: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D_nu(z) for the pairs (nu, z) on the anti-Stokes rays or at z = 0.
+def _dv_march(nu: np.ndarray, z: np.ndarray, ray: np.ndarray) -> np.ndarray:
+    """D_nu(z) for 0 < |z| < R_in(nu), Im z >= 0, one march per (order, direction).
 
-    Below R_in the march serves the pair, beyond it the tail series does (as
-    the general dispatch would, but for all orders at once).  Returns
-    (values, served); pairs off the rays, at too large an order, or whose
-    march or series failed are left to the general dispatch.  Each pair is
-    reduced to the upper half plane (Im z >= 0; at z = 0, Im nu >= 0) through
-    D_conj(nu)(conj z) = conj D_nu(z), so the symmetry holds bit for bit, and
-    each value is formed elementwise, so it does not depend on the other
-    pairs of the call beyond the last digit.
+    A point flagged in ray marches along its anti-Stokes ray, any other point
+    along its own arg z.  Each value is formed elementwise, so it does not
+    depend on the other points of the call beyond the last digit.
     """
-    flip = (z.imag < 0.0) | ((z == 0.0) & (nu.imag < 0.0))
-    zc = np.where(flip, z.conj(), z)
-    nc = np.where(flip, nu.conj(), nu)
-    r = np.abs(zc)
-    out = np.zeros_like(z)
-    served = np.abs(nc) <= _MARCH_ORDER_MAX
-
-    at_zero = served & (r == 0.0)
-    for order in np.unique(nc[at_zero]):
-        out[at_zero & (nc == order)] = _dv_at_zero(complex(order))[0]
-
-    ray = served & (r > 0.0) & (np.abs(np.abs(zc.real) - zc.imag) <= _RAY_TOL * r)
-    on = ray.copy()
-    on[ray] = r[ray] < _MARCH_STEP * _march_nodes(nc[ray])
-    beyond = ray & ~on
-    if np.any(beyond):
-        out[beyond], err = _dv_asymptotic(nc[beyond], zc[beyond], _RAY_SERIES_TOL)
-        beyond[beyond] = err <= _ASYMPTOTIC_TOL
-    idx = np.flatnonzero(on)
-    theta = (zc.real[idx] < 0.0).astype(int)
-    orders, order_idx = np.unique(nc[idx], return_inverse=True)
-    keys, march_idx = np.unique(2 * order_idx + theta, return_inverse=True)
+    out = np.empty_like(z)
+    unit = np.where(ray, _RAYS[(z.real < 0.0).astype(int)], np.exp(1j * np.angle(z)))
+    dirs, dir_idx = np.unique(unit, return_inverse=True)
+    n_dir = len(dirs)
+    orders, order_idx = np.unique(nu, return_inverse=True)
+    keys, march_idx = np.unique(n_dir * order_idx + dir_idx, return_inverse=True)
     for first in range(0, len(keys), _MARCH_BATCH):
         batch = keys[first:first + _MARCH_BATCH]
-        table, ok = _ray_march(orders[batch // 2], batch % 2)
+        table = _ray_march(orders[batch // n_dir], dirs[batch % n_dir])
         sel = np.flatnonzero((march_idx >= first) & (march_idx < first + len(batch)))
-        passed = ok[march_idx[sel] - first]
-        on[idx[sel[~passed]]] = False       # left to the general dispatch
-        sel = sel[passed]
-        zg = zc[idx[sel]]
+        zg = z[sel]
         node = np.rint(np.abs(zg) / _MARCH_STEP).astype(int)
-        s = zg / (_MARCH_STEP * _RAYS[theta[sel]]) - node
+        s = zg / (_MARCH_STEP * dirs[dir_idx[sel]]) - node
         coeffs = table.reshape(_MARCH_TERMS, -1)
         flat = node * len(batch) + march_idx[sel] - first
         val = coeffs[-1, flat]
         for k in range(_MARCH_TERMS - 2, -1, -1):
             val = val * s + coeffs[k, flat]
-        out[idx[sel]] = val
-    return np.where(flip, out.conj(), out), at_zero | on | beyond
+        out[sel] = val
+    return out
 
 
 def parabolic_cylinder_d(nu, z):
     """Weber function D_nu(z) for complex order and argument.
 
-    Arguments on the anti-Stokes rays |arg z| = pi/4, 3pi/4 (and z = 0) with
-    |z| below R_in = sqrt(16 (|nu| + 4)) are served by Taylor marching of the
-    Weber equation along the ray; this is where real-x continuum states put
-    their arguments.  Elsewhere the order/argument plane is split between a
-    Kummer-series representation (moderate |z| and order, summed in extended
-    precision), sector-exact asymptotics (large |z| relative to the order),
-    and an arbitrary-precision fallback for the remaining off-ray middle
-    zone.  Relative accuracy ~1e-8 or better on |z| <= 20, |Im nu| <= 20
-    (~1e-10 on the rays).
+    Orders in the box -6 <= Re nu <= 8, |Im nu| <= 20 are served at every z;
+    on the anti-Stokes rays |arg z| = pi/4, 3pi/4 and at z = 0, where real-x
+    continuum states put their arguments, every |nu| <= 40 is.  Any other
+    order raises RegionError before anything is computed.  z = 0 takes the
+    closed form and |z| >= R_in = sqrt(16 (|nu| + 4)) the asymptotic series;
+    in between, the Weber equation is Taylor marched along the direction of
+    z, and where the march fails its checks the same lattice is solved as a
+    two-point problem.  Relative accuracy about 1e-8 or better for |z| <= 20
+    (about 1e-10 on the rays).  NonConvergentError where the series or the
+    two-point solve misses its check, or a value leaves the float range.
 
     z and nu may be scalars or numpy arrays that broadcast against each
     other; an array of orders against a grid of arguments evaluates the
     whole family in one call.  Returns a complex scalar when both are
-    scalars, otherwise an array of the broadcast shape.
+    scalars, otherwise an array of the broadcast shape.  Each pair is reduced
+    to the upper half plane (Im z >= 0; at z = 0, Im nu >= 0) through
+    D_conj(nu)(conj z) = conj D_nu(z), so the symmetry holds bit for bit.
     """
     nu_arr = np.asarray(nu, dtype=complex)
     z_arr = np.asarray(z, dtype=complex)
@@ -560,15 +483,33 @@ def parabolic_cylinder_d(nu, z):
     nus = np.broadcast_to(nu_arr, shape).ravel()
     zs = np.broadcast_to(z_arr, shape).ravel()
 
-    out, served = _dv_rays(nus, zs)
-    rest = ~served
-    if np.any(rest):
-        rest_idx = np.flatnonzero(rest)
-        orders, inverse = np.unique(nus[rest_idx], return_inverse=True)
-        for i, order in enumerate(orders):
-            sel = rest_idx[inverse == i]
-            out[sel] = _dv_dispatch(complex(order), zs[sel])
+    flip = (zs.imag < 0.0) | ((zs == 0.0) & (nus.imag < 0.0))
+    zc = np.where(flip, zs.conj(), zs)
+    nc = np.where(flip, nus.conj(), nus)
+    r = np.abs(zc)
+    ray = np.abs(np.abs(zc.real) - zc.imag) <= _RAY_TOL * r       # z = 0 included
+    boxed = (nc.real >= _ORDER_RE_MIN) & (nc.real <= _ORDER_RE_MAX) \
+        & (np.abs(nc.imag) <= _ORDER_IM_MAX)
+    outside = ~(boxed | (ray & (np.abs(nc) <= _RAY_ORDER_MAX)))
+    if np.any(outside):
+        raise RegionError(
+            f"parabolic_cylinder_d: order {complex(nus[outside][0])} outside "
+            f"{_ORDER_RE_MIN:g} <= Re nu <= {_ORDER_RE_MAX:g}, |Im nu| <= {_ORDER_IM_MAX:g} "
+            f"(|nu| <= {_RAY_ORDER_MAX:g} on the anti-Stokes rays)")
 
+    out = np.zeros_like(zc)
+    at_zero = r == 0.0
+    for order in np.unique(nc[at_zero]):
+        out[at_zero & (nc == order)] = _dv_at_zero(complex(order))[0]
+    inner = ~at_zero
+    inner[inner] = r[inner] < _MARCH_STEP * _march_nodes(nc[inner])
+    beyond = ~(at_zero | inner)
+    if np.any(beyond):
+        out[beyond], err = _dv_asymptotic(nc[beyond], zc[beyond], _SERIES_TOL)
+        if not np.all(err <= _ASYMPTOTIC_TOL):
+            raise NonConvergentError("parabolic_cylinder_d: tail series failed beyond R_in")
+    out[inner] = _dv_march(nc[inner], zc[inner], ray[inner])
+    out = np.where(flip, out.conj(), out)
     if not np.all(np.isfinite(out)):
-        raise OverflowError("parabolic_cylinder_d overflow; argument outside the supported range")
+        raise NonConvergentError("parabolic_cylinder_d: value outside the float range")
     return complex(out[0]) if shape == () else out.reshape(shape)

@@ -29,9 +29,10 @@ def test_usage_error_exit_code():
 
 
 def test_numerical_error_exit_code():
+    # a Gram at an Omega = 0 boundary can never work: a RegionError is a usage error
     cp = run_cli("gram", "--omega", "1", "--alpha", "-0.125", "--beta", "-2", "--nmax", "3")
-    assert cp.returncode == 1
-    assert "numerical failure" in cp.stderr
+    assert cp.returncode == 2
+    assert "usage error" in cp.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -205,8 +206,8 @@ def test_ep_sweep_modes(tmp_path: Path):
 @pytest.mark.parametrize("mode", ["ep", "spectrum"])
 def test_ep_sweep_beta_zero_is_a_typed_error(mode):
     cp = run_cli("ep-sweep", "--mode", mode, "--omega", "1", "--beta", "0", "--n", "0")
-    assert cp.returncode == 1
-    assert "numerical failure" in cp.stderr
+    assert cp.returncode == 2
+    assert "usage error" in cp.stderr
     assert "Traceback" not in cp.stderr
 
 

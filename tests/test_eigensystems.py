@@ -26,7 +26,8 @@ from swanson import (
     free_particle_states,
     pair,
 )
-from swanson.eigensystems import _oscillator_norm, polynomial_pieces, taylor_coefficients
+from swanson.eigensystems import (_inverse_sqrt_factorial, _oscillator_norm, polynomial_pieces,
+                                  taylor_coefficients)
 
 ALL_DISCRETE_POINTS = (
     pts.REGION_I_POINTS + pts.REGION_III_POINTS
@@ -357,6 +358,20 @@ def test_unrepresentable_oscillator_norm_is_a_typed_error():
             discrete_states(params, 300)
     with pytest.raises(NonConvergentError):
         _oscillator_norm(1.0, 1.0, 400)
+
+
+def test_boundary_norms_past_the_factorial_float_range():
+    # n! leaves the float range at n = 171, where 1/sqrt(n!) raised a bare OverflowError
+    states = discrete_states(ModelParams(1.0, 0.6, 0.4), 171)
+    assert all(0.0 < abs(s.right_fn.norm) < math.inf and 0.0 < abs(s.left_fn.norm) < math.inf
+               for s in states)
+    for n in (0, 1, 20, 170):
+        assert _inverse_sqrt_factorial(n) == 1.0 / math.sqrt(math.factorial(n))
+    with mpmath.workdps(30):
+        ref = float(1 / mpmath.sqrt(mpmath.factorial(171)))
+    assert _inverse_sqrt_factorial(171) == pytest.approx(ref, rel=1e-15)
+    with pytest.raises(NonConvergentError):
+        discrete_states(ModelParams(1.0, 0.6, 0.4), 400)
 
 
 def test_delta_guards():

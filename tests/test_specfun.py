@@ -1,5 +1,9 @@
 import cmath
+import json
 import math
+import subprocess
+import sys
+import textwrap
 
 import mpmath
 import numpy as np
@@ -7,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swanson import PoleError, gauss_hermite, hermite, log_gamma, parabolic_cylinder_d, recip_gamma
+from swanson import (PoleError, RegionError, SwansonError, gauss_hermite, hermite, log_gamma,
+                     parabolic_cylinder_d, recip_gamma)
 from swanson import specfun
 from swanson.specfun import hermite_coefficients
 
@@ -200,19 +205,19 @@ def test_d_reductions():
 
 
 @pytest.mark.parametrize("nu,r,angle", [
-    # Kummer-series zone, all sectors
+    # below R_in: the march along arg z, all sectors
     (-0.5 + 0.0j, 0.7, 0.0),
     (-0.5 - 2.0j, 3.0, 0.25),
     (0.8 + 0.5j, 3.0, -0.75),
     (-2.3 + 4.0j, 6.5, 0.5),
     (-6.0 + 0.0j, 6.0, 0.0),          # recessive direction, deep cancellation
-    # sector-exact asymptotics, including the anti-Stokes rays
+    # beyond R_in: the tail series, including on the anti-Stokes rays
     (-0.5 - 2.0j, 12.0, 0.75),
     (-0.5 + 0.0j, 20.0, -0.75),
     (0.8 + 0.5j, 16.0, -0.25),
     (-2.3 + 4.0j, 20.0, 0.25),
     (-0.5 - 2.0j, 14.0, 1.0),
-    # order/argument middle zone (arbitrary-precision fallback path)
+    # |Im nu| = 20 below R_in, off the rays
     (-0.5 + 20.0j, 9.0, 0.5),
     (-0.5 + 20.0j, 16.0, 0.0),
 ])
@@ -334,8 +339,9 @@ def test_d_array_orders_match_per_order_calls():
 
 
 def test_d_tail_series_values_do_not_depend_on_the_call():
-    # on-ray points beyond R_in and off-ray points in the asymptotic zone are
-    # summed by the tail series; each entry stops at its own tolerance
+    # points beyond R_in are summed by the tail series, each entry stopping at
+    # its own tolerance; the off-ray points below R_in are marched, one march
+    # per order and direction
     nus, zs = [], []
     for nu in (-0.5, -1.5 + 3.7j, -2.5 - 9.1j, 0.3 + 15.0j, 2.0 - 20.0j, -6.0 + 0.5j):
         for r in (inner_radius(nu) + 0.01, inner_radius(nu) + 1.3, 25.0, 40.0):
@@ -357,34 +363,96 @@ def test_d_tail_series_values_do_not_depend_on_the_call():
 def test_d_rays_wrong_direction_falls_back(monkeypatch):
     nu = -0.5 + 20.0j        # exponential core on the pi/4 ray: one direction is unstable
     calls = []
-    dispatch = specfun._dv_dispatch
+    solve = specfun._two_point
 
-    def spy(order, z):
-        calls.append(order)
-        return dispatch(order, z)
+    def spy(t_w, t_v, ends):
+        calls.append(ends)
+        return solve(t_w, t_v, ends)
 
     rule = specfun._march_outward
-    monkeypatch.setattr(specfun, "_dv_dispatch", spy)
+    monkeypatch.setattr(specfun, "_two_point", spy)
     monkeypatch.setattr(specfun, "_march_outward", lambda d_end, d_zero: ~rule(d_end, d_zero))
     radii = [0.0, 1.3, 4.4, 7.9, 11.0]
     assert_ray_oracle(nu, radii)
-    assert calls, "the guard should have sent the wrong-direction march to the dispatch"
+    assert calls, "the guard should have sent the wrong-direction march to the two-point solve"
 
 
-def test_continuum_state_past_the_cliff_avoids_mpmath(monkeypatch):
-    from swanson import ModelParams, continuum_state, evaluate
+def test_continuum_state_past_the_cliff_avoids_mpmath():
+    # the library computes every Weber value itself: with mpmath unimportable,
+    # continuum states past |nu| = 8, the delta probe and off-ray values come out
+    script = textwrap.dedent("""
+        import json, sys
+        sys.modules["mpmath"] = None
+        import numpy as np
+        from swanson import (ModelParams, continuum_state, delta_normalization_probe, evaluate,
+                             parabolic_cylinder_d)
+        p = ModelParams(1.0, -2.0, -0.5)        # |Omega| = sqrt(3): E = 15 is |nu| > 8
+        vals = evaluate(continuum_state(p, 15.0, "+", "phi"), np.linspace(-6.0, 6.0, 11), p)
+        probe = delta_normalization_probe(p, 0.0, 0.2 * 3.0 ** 0.5)
+        off = parabolic_cylinder_d(np.array([-0.5 + 1.5j, -5.5 - 12.0j, 6.0 + 19.0j]),
+                                   np.array([3.0 + 1.0j, -5.0 + 9.0j, 0.5 - 14.0j]))
+        print(json.dumps([[v.real, v.imag] for v in [*vals, probe, *off]]))
+    """)
+    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    got = [complex(*pair) for pair in json.loads(cp.stdout)]
+
+    from swanson import ModelParams, continuum_state
     from swanson.eigensystems import _cyl_fields
-
-    def forbidden(nu, z):
-        raise AssertionError(f"mpmath called at order {nu} for {z.size} points")
-
-    p = ModelParams(1.0, -2.0, -0.5)          # |Omega| = sqrt(3), so E = 15 is past |nu| = 8
-    x = np.linspace(-6.0, 6.0, 201)
-    state = continuum_state(p, 15.0, "+", "phi")
-    monkeypatch.setattr(specfun, "_dv_mpmath", forbidden)
-    vals = evaluate(state, x, p)
-    gauss, mu, slope, pref = _cyl_fields(state)
+    p = ModelParams(1.0, -2.0, -0.5)
+    gauss, mu, slope, pref = _cyl_fields(continuum_state(p, 15.0, "+", "phi"))
     assert gauss == 0.0
-    for xx, v in zip(x[::20], vals[::20]):
+    for xx, v in zip(np.linspace(-6.0, 6.0, 11), got[:11]):
         ref = pref * mp_d(mu, slope * xx)
         assert abs(v - ref) <= 1e-10 * abs(ref)
+    assert abs(got[11] - 1.0) <= 0.05
+    for nu, z, v in zip((-0.5 + 1.5j, -5.5 - 12.0j, 6.0 + 19.0j),
+                        (3.0 + 1.0j, -5.0 + 9.0j, 0.5 - 14.0j), got[12:]):
+        ref = mp_d(nu, z)
+        assert abs(v - ref) <= 1e-8 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# the order box: every direction, typed errors outside
+# ---------------------------------------------------------------------------
+
+@given(re_nu=st.floats(min_value=-6.0, max_value=8.0),
+       im_nu=st.floats(min_value=-20.0, max_value=20.0),
+       r=st.floats(min_value=0.0, max_value=20.0),
+       angle=st.floats(min_value=-math.pi, max_value=math.pi))
+@settings(max_examples=500, deadline=None)
+def test_d_box_property(re_nu, im_nu, r, angle):
+    nu = complex(re_nu, im_nu)
+    z = r * cmath.exp(1j * angle)
+    val = parabolic_cylinder_d(nu, z)
+    ref = mp_d(nu, z)
+    # relative to |D|; at a zero of D (D_2(1) = 0) to 1e-6 |D'| instead
+    slope = 0.5 * z * ref - mp_d(nu + 1.0, z)
+    assert abs(val - ref) <= 1e-8 * (abs(ref) + 1e-6 * abs(slope)), (nu, z, val, ref)
+
+
+def test_d_far_order_is_a_typed_error():
+    # far outside the box, a tail series whose smallest term (5.1e-11) passed a
+    # 1e-10 acceptance gave 4.65e-84-1.00e-84i here, against mpmath's
+    # 2.53e-85-5.31e-85i: a relative error of 7.5
+    with pytest.raises(SwansonError):
+        parabolic_cylinder_d(-36.7121 + 11.6326j, 18.4456 + 0.4277j)
+
+
+def test_d_orders_outside_the_box_raise_before_any_march(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Weber work started for an order outside the box")
+
+    for name in ("_ray_march", "_dv_asymptotic", "_dv_at_zero"):
+        monkeypatch.setattr(specfun, name, forbidden)
+    ray = cmath.exp(0.25j * math.pi)
+    for nu, z in [(-6.5, 3.0), (8.5 + 1.0j, 3.0 + 1.0j), (-1.0 + 20.5j, 2.0j),
+                  (-1.0 - 20.5j, 25.0), (-0.5 + 30.0j, 4.0 + 1.0j),     # off the rays
+                  (-0.5 + 40.5j, 3.0 * ray), (41.0, 0.0)]:              # |nu| > 40 on them
+        with pytest.raises(RegionError):
+            parabolic_cylinder_d(nu, z)
+    # one point outside the box rejects the whole call
+    with pytest.raises(RegionError):
+        parabolic_cylinder_d(np.array([-0.5, -13.0]), np.array([0.0, 2.0]))
+    with pytest.raises(RegionError):
+        parabolic_cylinder_d(np.array([-0.5 + 30.0j]), np.array([3.0 * ray, 3.0 + 1.0j]))
