@@ -37,8 +37,6 @@ from .eigensystems import (
     CylinderState,
     DeltaDeriv,
     EigenstateSpec,
-    GaussHermite,
-    GaussMonomial,
     GaussPoly,
     PlaneWaveGauss,
     apply_hamiltonian,

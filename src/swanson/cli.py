@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     except RegionError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (SwansonError, OverflowError) as exc:
+    except SwansonError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -28,9 +28,10 @@ from .core import ModelParams, RegionLabel, classify, derive
 from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     CylinderState,
-    GaussHermite,
+    GaussPoly,
     GeneralizedFunction,
     _stripped_barrier_pair,
+    _superpose,
     conjugate_function,
     evaluate,
 )
@@ -144,7 +145,7 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
 # Resonant (Gamow-type) expansions
 # ---------------------------------------------------------------------------
 
-def stripped_discrete_function(params: ModelParams, n: int, branch: str) -> GaussHermite:
+def stripped_discrete_function(params: ModelParams, n: int, branch: str) -> GaussPoly:
     """The similarity-stripped discrete state phi_n^(+-) of the barrier regions."""
     _require_barrier(params)
     plus, minus = _stripped_barrier_pair(derive(params).sigma, params.b0, n)
@@ -196,10 +197,8 @@ def resonant_expansion(params: ModelParams, target, n_max: int, sector: str = "m
     target_vals = np.zeros_like(grid, dtype=complex)
     for c, f in pieces:
         target_vals += c * evaluate(f, grid, params)
-    recon = np.zeros_like(grid, dtype=complex)
-    for n in range(n_max + 1):
-        recon += coeffs[n] * evaluate(stripped_discrete_function(params, n, basis_branch),
-                                      grid, params)
+    basis = [stripped_discrete_function(params, n, basis_branch) for n in range(n_max + 1)]
+    recon = evaluate(_superpose(coeffs, basis), grid, params)
     sup_error = float(np.max(np.abs(recon - target_vals)))
     _require_finite(coeffs, sup_error, f"resonant expansion at n_max = {n_max}")
     return coeffs, sup_error

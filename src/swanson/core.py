@@ -52,7 +52,8 @@ class ModelParams:
 
     omega, alpha, beta share units of angular frequency; b0 and hbar set the
     length and action scales (both default to 1 so reduced-unit formulas can be
-    read off directly).
+    read off directly) and must lie in [1e-100, 1e100], where their squares
+    and products stay in the float range.
     """
 
     omega: float
@@ -66,10 +67,11 @@ class ModelParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        if self.b0 <= 0:
-            raise ValueError("b0 must be positive")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        for name in ("b0", "hbar"):
+            v = getattr(self, name)
+            if not _SAFE_LO <= v <= _SAFE_HI:
+                raise ValueError(
+                    f"{name} must lie in [{_SAFE_LO:g}, {_SAFE_HI:g}], got {v}")
 
     def swapped(self) -> "ModelParams":
         """Parameters of the Hermitian conjugate, H_c(omega, alpha, beta) = H(omega, beta, alpha)."""

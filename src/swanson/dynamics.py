@@ -14,7 +14,6 @@ plus-branch modes decay.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,10 +21,11 @@ from enum import Enum
 import numpy as np
 
 from .core import ModelParams, RegionLabel, classify, derive
-from .errors import RegionError
+from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     GaussPoly,
     GeneralizedFunction,
+    _superpose,
     discrete_states,
     evaluate,
 )
@@ -199,8 +199,9 @@ def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,
              + sum_n e^{-|Omega|(n+1/2) t} c_n^+ phi~_n^+(x)
 
     (each mode carries exp(i E_n t / hbar), so in Region IV the roles swap
-    with the relabeled energies).  Raises OverflowError when a growth factor
-    leaves the representable range, reporting its log-magnitude.
+    with the relabeled energies).  Each sector is one GaussPoly evaluated once.
+    Raises NonConvergentError when a growth factor leaves the representable
+    range, reporting its log-magnitude.
     """
     label = classify(params)
     if label not in (RegionLabel.REGION_II, RegionLabel.REGION_IV):
@@ -211,18 +212,19 @@ def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,
     if n_max < 0:
         raise ValueError("at least one coefficient is required")
     states = discrete_states(params, n_max)
-    by_key = {(s.n, s.branch): s for s in states}
     grid = np.asarray(grid, dtype=float)
     out = np.zeros(len(grid), dtype=complex)
     for coeffs, branch in ((cm, "-"), (cp, "+")):
-        for n, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            s = by_key[(n, branch)]
-            log_factor = 1j * complex(s.energy) * t / params.hbar
-            if log_factor.real > 700.0:
-                raise OverflowError(
-                    f"sector growth factor overflows: log magnitude {log_factor.real:.1f} "
-                    f"for mode n={n} branch {branch}")
-            out += c * cmath.exp(log_factor) * evaluate(s.right_fn, grid, params)
+        if not np.any(coeffs):
+            continue
+        sector = [s for s in states if s.branch == branch][: len(coeffs)]
+        energies = np.array([s.energy for s in sector])
+        log_factors = np.where(coeffs == 0, 0.0, 1j * energies * t / params.hbar)
+        first = int(np.argmax(log_factors.real > 700.0))
+        if log_factors[first].real > 700.0:
+            raise NonConvergentError(
+                f"sector growth factor overflows: log magnitude {log_factors[first].real:.1f} "
+                f"for mode n={first} branch {branch}")
+        total = _superpose(coeffs * np.exp(log_factors), [s.right_fn for s in sector])
+        out += evaluate(total, grid, params)
     return out

@@ -1,18 +1,21 @@
 """Generalized eigenfunctions and spectra of the oscillator pair (H, H_c).
 
-Every discrete state is a closed form of Gaussian x (Hermite / monomial /
-polynomial / plane-wave / delta-derivative) type.  Right-states diagonalize
-H^x and carry the inverse similarity weight exp(+c x^2/(2 b0^2)); their left
+Every discrete state is a Gaussian times a polynomial (GaussPoly), a Gaussian
+plane wave or a delta-derivative functional.  Right-states diagonalize H^x
+and carry the inverse similarity weight exp(+c x^2/(2 b0^2)); their left
 partners diagonalize the adjoint H_c^x = H(omega, beta, alpha) and carry the
 direct weight.  Conventions:
 
-* Regions I/III use the real Gaussian width sigma with normalization
-  sqrt(sigma/(b0 sqrt(pi) 2^n n!)), which makes the bilinear pairing of left
-  and right states exactly delta_mn (quadrature-checked in the test suite).
+* Regions I/III use the real Gaussian width sigma, the normalized Hermite
+  polynomial h_n = H_n / sqrt(2^n n!) of sigma x / b0 and the prefactor
+  sqrt(sigma/(b0 sqrt(pi))) for every n, which makes the bilinear pairing of
+  left and right states exactly delta_mn (quadrature-checked in the test
+  suite).
 * Regions II/IV rotate the Hermite argument by exp(i pi/4) (branch of sqrt(i)
-  fixed globally); the '+' branch is the family whose stripped part carries
-  the Gaussian exp(-i sigma^2 x^2/(2 b0^2)) and it has eigenvalue
-  +i hbar |Omega| (n + 1/2) in Region II, the sign-swapped value in Region IV.
+  fixed globally) and multiply the prefactor by sqrt(e^{i pi/4}); the '+'
+  branch is the family whose stripped part carries the Gaussian
+  exp(-i sigma^2 x^2/(2 b0^2)) and it has eigenvalue +i hbar |Omega| (n + 1/2)
+  in Region II, the sign-swapped value in Region IV.
 * The boundary I-III states are monomial ('+' branch) and delta-derivative
   ('-' branch) functionals dressed by the tau similarity weight.
 """
@@ -20,6 +23,7 @@ direct weight.  Conventions:
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 import sys
@@ -30,10 +34,9 @@ import numpy as np
 from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify, derive
 from .errors import (DeltaDerivNotEvaluableError, NonConvergentError, RegionError,
                      SingularParameterError)
-from .specfun import SQRT_PI, hermite, hermite_coefficients, log_gamma, parabolic_cylinder_d
+from .specfun import SQRT_PI, hermite_rows, log_gamma, parabolic_cylinder_d
 
 ROOT_I = cmath.exp(1j * math.pi / 4.0)  # branch of sqrt(i), fixed globally
-_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -41,35 +44,19 @@ _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GaussHermite:
-    """norm * exp(gauss x^2/(2 b0^2)) * H_n(scale x / b0)."""
-
-    gauss: complex
-    scale: complex
-    n: int
-    norm: complex
-
-
-@dataclass(frozen=True)
-class GaussMonomial:
-    """norm * exp(gauss x^2/(2 b0^2)) * x^n."""
-
-    gauss: complex
-    n: int
-    norm: complex
-
-
-@dataclass(frozen=True)
 class GaussPoly:
-    """norm * exp(gauss x^2/(2 b0^2)) * sum_k coeffs[k] x^k.
+    """norm * exp(gauss x^2/(2 b0^2)) * sum_k coeffs[k] p_k(x).
 
-    Covers the two-term exceptional-point eigenfunctions (c0 + c1 x) that the
-    single-monomial variant cannot represent.
+    With scale None the basis is the monomials p_k = x^k (Boundary I-III
+    states, exceptional-point pairs c0 + c1 x); with a number it is the
+    normalized Hermite polynomials p_k = h_k(scale x / b0) = H_k / sqrt(2^k k!)
+    (Region I-IV states and their superpositions).
     """
 
     gauss: complex
     coeffs: tuple
     norm: complex
+    scale: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -116,20 +103,16 @@ class CylinderState:
     norm: complex
 
 
-GeneralizedFunction = (
-    GaussHermite | GaussMonomial | GaussPoly | DeltaDeriv | PlaneWaveGauss | CylinderState
-)
+GeneralizedFunction = GaussPoly | DeltaDeriv | PlaneWaveGauss | CylinderState
 
 
 def conjugate_function(f: GeneralizedFunction) -> GeneralizedFunction:
     """The functional x -> conj(f(x)) as a closed form of the same family."""
     c = np.conjugate
-    if isinstance(f, GaussHermite):
-        return GaussHermite(c(f.gauss), c(f.scale), f.n, c(f.norm))
-    if isinstance(f, GaussMonomial):
-        return GaussMonomial(c(f.gauss), f.n, c(f.norm))
     if isinstance(f, GaussPoly):
-        return GaussPoly(c(f.gauss), tuple(complex(c(v)) for v in f.coeffs), c(f.norm))
+        # the basis polynomials have real coefficients: conj p_k(x) is p_k at conj(scale)
+        return GaussPoly(c(f.gauss), tuple(c(np.asarray(f.coeffs, dtype=complex)).tolist()),
+                         c(f.norm), None if f.scale is None else c(f.scale))
     if isinstance(f, DeltaDeriv):
         return DeltaDeriv(c(f.gauss), f.n, c(f.norm))
     if isinstance(f, PlaneWaveGauss):
@@ -150,24 +133,54 @@ def _cyl_fields(f: CylinderState) -> tuple[complex, complex, complex, complex]:
     return g, -nu - 1.0, slope, prefactor
 
 
-def _stripped(f: GeneralizedFunction, x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """f(x) with its Gaussian factor exp(gauss x^2/(2 b0^2)) removed.
+def _coefficient_matrix(fs: list[GaussPoly]) -> np.ndarray:
+    """norm * coeffs of each function, zero-padded to the highest degree, one row each."""
+    out = np.zeros((len(fs), max(len(f.coeffs) for f in fs)), dtype=complex)
+    for row, f in zip(out, fs):
+        row[: len(f.coeffs)] = f.norm * np.asarray(f.coeffs, dtype=complex)
+    return out
 
-    Defined for the polynomial and plane-wave variants; the pairing kernel
-    samples it at shared nodes and evaluate multiplies it by the Gaussian.
+
+def _basis_rows(scale, x: np.ndarray, params: ModelParams, degree: int) -> np.ndarray:
+    """p_0(x) ... p_degree(x) of the GaussPoly basis with this scale, one row per degree."""
+    if scale is None:
+        return x ** np.arange(degree + 1).reshape((-1,) + (1,) * x.ndim)
+    return hermite_rows(degree, scale * x / params.b0)
+
+
+def _basis_derivative(coeffs: np.ndarray, scale, params: ModelParams) -> np.ndarray:
+    """Coefficients of d/dx sum_k coeffs[k] p_k(x) in the same basis.
+
+    x^k' = k x^(k-1); h_k(lam x)' = lam sqrt(2k) h_(k-1)(lam x), a row shift.
     """
-    if isinstance(f, GaussHermite):
-        return f.norm * hermite(f.n, f.scale * x / params.b0)
-    if isinstance(f, GaussMonomial):
-        return f.norm * x ** f.n
-    if isinstance(f, GaussPoly):
-        out = np.zeros_like(x)
-        for k in range(len(f.coeffs) - 1, -1, -1):
-            out = out * x + f.coeffs[k]
-        return f.norm * out
-    if isinstance(f, PlaneWaveGauss):
-        return f.amp_plus * np.exp(1j * f.k_wave * x) + f.amp_minus * np.exp(-1j * f.k_wave * x)
-    raise TypeError(f"{type(f).__name__} has no stripped closed form")
+    k = np.arange(1.0, len(coeffs))
+    if scale is None:
+        return coeffs[1:] * k
+    return coeffs[1:] * np.sqrt(2.0 * k) * (scale / params.b0)
+
+
+def _superpose(weights, fs: list[GaussPoly]) -> GaussPoly:
+    """sum_i weights[i] fs[i] as one GaussPoly; the fs share their Gaussian and basis."""
+    coeffs = np.asarray(weights, dtype=complex) @ _coefficient_matrix(fs)
+    return GaussPoly(fs[0].gauss, tuple(coeffs.tolist()), 1.0, fs[0].scale)
+
+
+def _stripped(fs: list[GeneralizedFunction], x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """f(x) with its Gaussian factor exp(gauss x^2/(2 b0^2)) removed, one row per f in fs.
+
+    Defined for GaussPoly and PlaneWaveGauss.  GaussPoly functions sharing one
+    basis are one coefficient matrix times one set of basis rows; the pairing
+    kernel samples a whole side this way and evaluate multiplies by the
+    Gaussian.
+    """
+    if all(isinstance(f, GaussPoly) and f.scale == fs[0].scale for f in fs):
+        coeffs = _coefficient_matrix(fs)
+        rows = _basis_rows(fs[0].scale, x, params, coeffs.shape[1] - 1)
+        return np.tensordot(coeffs, rows, axes=1)
+    return np.array([
+        _stripped([f], x, params)[0] if isinstance(f, GaussPoly)
+        else f.amp_plus * np.exp(1j * f.k_wave * x) + f.amp_minus * np.exp(-1j * f.k_wave * x)
+        for f in fs])
 
 
 def evaluate(f: GeneralizedFunction, x, params: ModelParams):
@@ -186,7 +199,7 @@ def evaluate(f: GeneralizedFunction, x, params: ModelParams):
         val = pref * np.exp(g * x_arr ** 2 / (2.0 * b0 * b0)) \
             * parabolic_cylinder_d(mu, slope * x_arr)
     else:
-        val = _stripped(f, x_arr, params) * np.exp(f.gauss * x_arr ** 2 / (2.0 * b0 * b0))
+        val = _stripped([f], x_arr, params)[0] * np.exp(f.gauss * x_arr ** 2 / (2.0 * b0 * b0))
     return complex(val[0]) if scalar else val
 
 
@@ -201,16 +214,15 @@ def polynomial_pieces(f: GeneralizedFunction, params: ModelParams):
     cylinder variants are not polynomial and raise TypeError.
     """
     b0sq2 = 2.0 * params.b0 ** 2
-    if isinstance(f, GaussHermite):
-        h = hermite_coefficients(f.n).astype(complex)
-        coeffs = f.norm * h * (f.scale / params.b0) ** np.arange(f.n + 1)
-        return [(f.gauss / b0sq2, 0.0 + 0.0j, coeffs)]
-    if isinstance(f, GaussMonomial):
-        coeffs = np.zeros(f.n + 1, dtype=complex)
-        coeffs[f.n] = f.norm
-        return [(f.gauss / b0sq2, 0.0 + 0.0j, coeffs)]
     if isinstance(f, GaussPoly):
-        return [(f.gauss / b0sq2, 0.0 + 0.0j, f.norm * np.asarray(f.coeffs, dtype=complex))]
+        coeffs = _coefficient_matrix([f])[0]
+        if f.scale is not None:
+            # h_k = H_k / sqrt(2^k k!); x^j of H_k(lam x) carries lam^j
+            k = np.arange(len(coeffs))
+            inv_norms = np.cumprod(np.concatenate(([1.0], 1.0 / np.sqrt(2.0 * k[1:]))))
+            coeffs = np.polynomial.hermite.herm2poly(coeffs * inv_norms) \
+                * (f.scale / params.b0) ** k
+        return [(f.gauss / b0sq2, 0.0 + 0.0j, coeffs)]
     if isinstance(f, PlaneWaveGauss):
         a = f.gauss / b0sq2
         return [
@@ -218,12 +230,6 @@ def polynomial_pieces(f: GeneralizedFunction, params: ModelParams):
             (a, -1j * f.k_wave, np.array([f.amp_minus], dtype=complex)),
         ]
     raise TypeError(f"{type(f).__name__} has no polynomial representation")
-
-
-def _poly_diff(c: np.ndarray) -> np.ndarray:
-    if len(c) <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
 
 
 def taylor_coefficients(f: GeneralizedFunction, params: ModelParams, order: int) -> np.ndarray:
@@ -253,53 +259,40 @@ def _h_coefficients(params: ModelParams) -> tuple[float, float, float]:
 
 
 def _derivatives_on_grid(f: GeneralizedFunction, x: np.ndarray, params: ModelParams):
-    """(f, f', f'') on the grid, by exact differentiation of the closed form."""
+    """(f, f', f'') on the grid, by exact differentiation of the closed form.
+
+    Every smooth variant is exp(g x^2/(2 b0^2)) u(x); u, u' and u'' come from
+    the closed form of u, never from the defining equation, so residual tests
+    stay honest.
+    """
     b0 = params.b0
-    if isinstance(f, GaussHermite):
-        lam = f.scale / b0
-        q1 = f.gauss * x / (b0 * b0)          # q'(x) for q = gauss x^2/(2 b0^2)
-        q2 = f.gauss / (b0 * b0)
-        e = f.norm * np.exp(f.gauss * x ** 2 / (2.0 * b0 * b0))
-        h0 = hermite(f.n, lam * x)
-        h1 = 2.0 * f.n * lam * (hermite(f.n - 1, lam * x) if f.n >= 1 else 0.0)
-        h2 = 4.0 * f.n * (f.n - 1) * lam ** 2 * (hermite(f.n - 2, lam * x) if f.n >= 2 else 0.0)
-        val = e * h0
-        d1 = e * (h1 + q1 * h0)
-        d2 = e * (h2 + 2.0 * q1 * h1 + (q2 + q1 ** 2) * h0)
-        return val, d1, d2
     if isinstance(f, CylinderState):
         g, mu, slope, pref = _cyl_fields(f)
-        q1 = g * x / (b0 * b0)
-        q2 = g / (b0 * b0)
-        e = pref * np.exp(g * x ** 2 / (2.0 * b0 * b0))
         zeta = slope * x
         ladder = mu - np.arange(3.0).reshape((3,) + (1,) * zeta.ndim)
         d_mu, d_m1, d_m2 = parabolic_cylinder_d(ladder, zeta)
-        # D_mu' = -(zeta/2) D_mu + mu D_{mu-1}; second derivative via the same
-        # ladder (never the defining equation, so residual tests stay honest)
-        dp = -(0.5 * zeta) * d_mu + mu * d_m1
-        dpp = (0.25 * zeta ** 2 - 0.5) * d_mu - zeta * mu * d_m1 + mu * (mu - 1.0) * d_m2
-        val = e * d_mu
-        d1 = e * (q1 * d_mu + slope * dp)
-        d2 = e * ((q2 + q1 ** 2) * d_mu + 2.0 * q1 * slope * dp + slope ** 2 * dpp)
-        return val, d1, d2
-    # polynomial-representable variants
-    pieces = polynomial_pieces(f, params)
-    val = np.zeros_like(x, dtype=complex)
-    d1 = np.zeros_like(x, dtype=complex)
-    d2 = np.zeros_like(x, dtype=complex)
-    for a, b, coeffs in pieces:
-        e = np.exp(a * x ** 2 + b * x)
-        q1 = 2.0 * a * x + b
-        p0 = np.polyval(coeffs[::-1], x)
-        pc1 = _poly_diff(coeffs)
-        pc2 = _poly_diff(pc1)
-        p1 = np.polyval(pc1[::-1], x)
-        p2 = np.polyval(pc2[::-1], x)
-        val += e * p0
-        d1 += e * (p1 + q1 * p0)
-        d2 += e * (p2 + 2.0 * q1 * p1 + (2.0 * a + q1 ** 2) * p0)
-    return val, d1, d2
+        # D_mu' = -(zeta/2) D_mu + mu D_{mu-1}; second derivative via the same ladder
+        u = pref * d_mu
+        u1 = pref * slope * (-(0.5 * zeta) * d_mu + mu * d_m1)
+        u2 = pref * slope ** 2 * ((0.25 * zeta ** 2 - 0.5) * d_mu - zeta * mu * d_m1
+                                  + mu * (mu - 1.0) * d_m2)
+    elif isinstance(f, GaussPoly):
+        g = f.gauss
+        c0 = _coefficient_matrix([f])[0]
+        c1 = _basis_derivative(c0, f.scale, params)
+        c2 = _basis_derivative(c1, f.scale, params)
+        rows = _basis_rows(f.scale, x, params, len(c0) - 1)
+        u, u1, u2 = (np.tensordot(c, rows[: len(c)], axes=1) for c in (c0, c1, c2))
+    elif isinstance(f, PlaneWaveGauss):
+        g = f.gauss
+        waves = ((f.amp_plus, 1j * f.k_wave), (f.amp_minus, -1j * f.k_wave))
+        u, u1, u2 = (sum(amp * b ** j * np.exp(b * x) for amp, b in waves) for j in range(3))
+    else:
+        raise TypeError(f"{type(f).__name__} has no pointwise derivatives")
+    q1 = g * x / (b0 * b0)          # q'(x) for q = g x^2/(2 b0^2)
+    q2 = g / (b0 * b0)
+    e = np.exp(g * x ** 2 / (2.0 * b0 * b0))
+    return e * u, e * (u1 + q1 * u), e * (u2 + 2.0 * q1 * u1 + (q2 + q1 ** 2) * u)
 
 
 def apply_hamiltonian(params: ModelParams, f: GeneralizedFunction, grid) -> np.ndarray:
@@ -351,61 +344,56 @@ class EigenstateSpec:
         return complex(np.conjugate(self.energy))
 
     def to_dict(self) -> dict:
+        # variant names the right state's family: its class, or a GaussPoly's basis
+        f, variant = self.right_fn, type(self.right_fn).__name__
+        if isinstance(f, GaussPoly) and f.scale is not None:
+            variant = "GaussHermite"
+        elif isinstance(f, GaussPoly) and self.region is RegionLabel.BOUNDARY_I_III:
+            variant = "GaussMonomial"
         return {
             "region": self.region.value,
             "n": self.n,
             "branch": self.branch,
             "energy_re": complex(self.energy).real,
             "energy_im": complex(self.energy).imag,
-            "variant": type(self.right_fn).__name__,
+            "variant": variant,
         }
 
 
 @functools.lru_cache(maxsize=1024)
-def _factorial_split(n: int, shift: int) -> tuple[float, int]:
-    """2^shift n! as (m, e) with 2^shift n! = m 4^e, m its top 64 bits rounded to a float.
-
-    2^n n! leaves the float range at n = 151 and n! at n = 171.  Below that,
-    m 4^e equals the float of 2^shift n! (checked to n = 600 for both shifts),
-    so the norms keep the digits of their float formulas.
-    """
-    big = math.factorial(n) << shift
-    e = max(big.bit_length() - 64, 0) // 2
-    return float(big >> 2 * e), e
-
-
-def _oscillator_norm(sigma: float, b0: float, n: int) -> float:
-    """sqrt(sigma / (b0 sqrt(pi) 2^n n!)); NonConvergentError outside the
-    normal float range."""
-    m, e = _factorial_split(n, n)
-    norm = math.ldexp(math.sqrt(sigma / (b0 * SQRT_PI * m)), -e)
-    if not _FLOAT_MIN <= norm <= _FLOAT_MAX:
-        raise NonConvergentError(
-            f"normalization of the n = {n} oscillator state is outside the float range")
-    return norm
-
-
 def _inverse_sqrt_factorial(n: int) -> float:
-    """1/sqrt(n!), the Boundary I-III norm; NonConvergentError if subnormal."""
-    m, e = _factorial_split(n, 0)
-    norm = math.ldexp(1.0 / math.sqrt(m), -e)
-    if norm < _FLOAT_MIN:
+    """1/sqrt(n!), the Boundary I-III norm; NonConvergentError if subnormal.
+
+    n! = m 4^e with m its top 64 bits rounded to a float, so the norm keeps its
+    digits past n = 170, where n! leaves the float range, and equals the float
+    formula 1/sqrt(n!) below.
+    """
+    big = math.factorial(n)
+    e = max(big.bit_length() - 64, 0) // 2
+    norm = math.ldexp(1.0 / math.sqrt(float(big >> 2 * e)), -e)
+    if norm < sys.float_info.min:
         raise NonConvergentError(
             f"normalization of the n = {n} Boundary I-III state is outside the float range")
     return norm
 
 
-def _stripped_barrier_pair(sigma: float, b0: float, n: int) -> tuple[GaussHermite, GaussHermite]:
+def _unit(n: int) -> tuple:
+    """Coefficients of the single basis polynomial p_n."""
+    return (0.0,) * n + (1.0,)
+
+
+def _stripped_barrier_pair(sigma: float, b0: float, n: int) -> tuple[GaussPoly, GaussPoly]:
     """The similarity-stripped Region II/IV states (phi_n^+, phi_n^-).
 
-    The '+' state carries exp(-i sigma^2 x^2/(2 b0^2)) and the norm
-    sqrt(e^{i pi/4} sigma / (b0 sqrt(pi) 2^n n!)); the '-' state is its
-    complex conjugate.
+    The '+' state carries exp(-i sigma^2 x^2/(2 b0^2)), h_n(e^{i pi/4} sigma x / b0)
+    and the prefactor sqrt(e^{i pi/4} sigma / (b0 sqrt(pi))); the '-' state is
+    its complex conjugate.
     """
-    norm_plus = cmath.sqrt(ROOT_I) * _oscillator_norm(sigma, b0, n)
-    plus = GaussHermite(gauss=-1j * sigma ** 2, scale=ROOT_I * sigma, n=n, norm=norm_plus)
-    minus = GaussHermite(gauss=1j * sigma ** 2, scale=ROOT_I.conjugate() * sigma, n=n,
-                         norm=norm_plus.conjugate())
+    norm_plus = cmath.sqrt(ROOT_I) * math.sqrt(sigma / (b0 * SQRT_PI))
+    plus = GaussPoly(gauss=-1j * sigma ** 2, coeffs=_unit(n), norm=norm_plus,
+                     scale=ROOT_I * sigma)
+    minus = GaussPoly(gauss=1j * sigma ** 2, coeffs=_unit(n), norm=norm_plus.conjugate(),
+                      scale=ROOT_I.conjugate() * sigma)
     return plus, minus
 
 
@@ -433,33 +421,24 @@ def discrete_states(params: ModelParams, n_max: int,
 
     states: list[EigenstateSpec] = []
 
-    if label in (RegionLabel.REGION_I, RegionLabel.REGION_III):
+    if label is not RegionLabel.BOUNDARY_I_III:
+        # Regions I-IV: the stripped states dressed by the similarity weight
         sigma, cu = d.sigma, d.upsilon_coeff
-        omega_cap = d.omega_cap.real
-        sign = 1.0 if label is RegionLabel.REGION_I else -1.0
+        sign = 1.0 if label in (RegionLabel.REGION_I, RegionLabel.REGION_II) else -1.0
+        real_norm = math.sqrt(sigma / (b0 * SQRT_PI))
         for n in range(n_max + 1):
-            norm = _oscillator_norm(sigma, b0, n)
-            right = GaussHermite(gauss=cu - sigma ** 2, scale=sigma, n=n, norm=norm)
-            left = GaussHermite(gauss=-cu - sigma ** 2, scale=sigma, n=n, norm=norm)
-            energy = sign * hbar * omega_cap * (n + 0.5)
-            states.append(EigenstateSpec(label, n, None, energy, right, left))
-        return states
-
-    if label in (RegionLabel.REGION_II, RegionLabel.REGION_IV):
-        sigma, cu = d.sigma, d.upsilon_coeff
-        abs_omega = abs(d.omega_cap)
-        sign = 1.0 if label is RegionLabel.REGION_II else -1.0
-        for n in range(n_max + 1):
-            plus_strip, minus_strip = _stripped_barrier_pair(sigma, b0, n)
-            e_plus = sign * 1j * hbar * abs_omega * (n + 0.5)
-            states.append(EigenstateSpec(
-                label, n, "+", e_plus,
-                right_fn=GaussHermite(cu + plus_strip.gauss, plus_strip.scale, n, plus_strip.norm),
-                left_fn=GaussHermite(-cu + minus_strip.gauss, minus_strip.scale, n, minus_strip.norm)))
-            states.append(EigenstateSpec(
-                label, n, "-", -e_plus,
-                right_fn=GaussHermite(cu + minus_strip.gauss, minus_strip.scale, n, minus_strip.norm),
-                left_fn=GaussHermite(-cu + plus_strip.gauss, plus_strip.scale, n, plus_strip.norm)))
+            if label in (RegionLabel.REGION_I, RegionLabel.REGION_III):
+                phi = GaussPoly(gauss=-sigma ** 2, coeffs=_unit(n), norm=real_norm, scale=sigma)
+                families = [(None, sign * hbar * d.omega_cap.real * (n + 0.5), phi, phi)]
+            else:
+                plus, minus = _stripped_barrier_pair(sigma, b0, n)
+                e_plus = sign * 1j * hbar * abs(d.omega_cap) * (n + 0.5)
+                families = [("+", e_plus, plus, minus), ("-", -e_plus, minus, plus)]
+            for branch, energy, right, left in families:
+                states.append(EigenstateSpec(
+                    label, n, branch, energy,
+                    right_fn=dataclasses.replace(right, gauss=cu + right.gauss),
+                    left_fn=dataclasses.replace(left, gauss=-cu + left.gauss)))
         return states
 
     # boundary I-III: monomial / delta-derivative pair under the tau weight
@@ -467,8 +446,8 @@ def discrete_states(params: ModelParams, n_max: int,
     for n in range(n_max + 1):
         rt_fact = _inverse_sqrt_factorial(n)
         energy = hbar * (params.alpha - params.beta) * (n + 0.5)
-        mono_minus = GaussMonomial(gauss=-ct, n=n, norm=rt_fact)
-        mono_plus = GaussMonomial(gauss=ct, n=n, norm=rt_fact)
+        mono_minus = GaussPoly(gauss=-ct, coeffs=_unit(n), norm=rt_fact)
+        mono_plus = GaussPoly(gauss=ct, coeffs=_unit(n), norm=rt_fact)
         delta_minus = DeltaDeriv(gauss=-ct, n=n, norm=(-1.0) ** n * rt_fact)
         delta_plus = DeltaDeriv(gauss=ct, n=n, norm=(-1.0) ** n * rt_fact)
         states.append(EigenstateSpec(label, n, "+", energy,

@@ -33,11 +33,11 @@ from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify
 from .errors import RegionError, SingularParameterError
 from .eigensystems import (
     DeltaDeriv,
-    GaussMonomial,
     GaussPoly,
     PlaneWaveGauss,
     _ep_exponent,
     _inverse_sqrt_factorial,
+    _unit,
     discrete_states,
     evaluate,
 )
@@ -146,7 +146,7 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
     ct = (alpha + beta) / (alpha - beta)
     if branch_target == "plus":
         x, w = _weighted_grid(b0)
-        limit_vals = evaluate(GaussMonomial(gauss=-ct, n=n, norm=1.0), x, params_boundary)
+        limit_vals = evaluate(GaussPoly(gauss=-ct, coeffs=_unit(n), norm=1.0), x, params_boundary)
 
         def distance(f, p):
             return _normalized_distance(evaluate(f, x, p), limit_vals, w)

@@ -20,7 +20,10 @@ before any number is evaluated.
 Pairings are computed a family at a time by one kernel: every pair of a Gram
 block, a reconstruction or a resonant-expansion column shares one combined
 exponent, so the block takes one strategy, one contour angle, one rule and
-one weighted matrix product; a single pairing is the 1 x 1 case.
+one weighted matrix product; a single pairing is the 1 x 1 case.  A side of
+GaussPoly states with one basis is its coefficient matrix times the basis
+rows (normalized Hermite polynomials or monomials) sampled once at the
+nodes, so no state re-runs a recurrence.
 """
 
 from __future__ import annotations
@@ -36,11 +39,10 @@ from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     CylinderState,
     DeltaDeriv,
-    GaussHermite,
-    GaussMonomial,
     GaussPoly,
     GeneralizedFunction,
     _stripped,
+    _superpose,
     conjugate_function,
     discrete_states,
     evaluate,
@@ -81,16 +83,6 @@ class DistributionalExact:
 
 
 PairingStrategy = DirectGaussHermite | RotatedContour | DistributionalExact
-
-
-def _poly_degree(f: GeneralizedFunction) -> int:
-    if isinstance(f, GaussHermite):
-        return f.n
-    if isinstance(f, GaussMonomial):
-        return f.n
-    if isinstance(f, GaussPoly):
-        return len(f.coeffs) - 1
-    return 0
 
 
 def _shared_gauss(side: list[GeneralizedFunction]) -> complex:
@@ -137,8 +129,10 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     combined exponent: one strategy, one contour angle and one Gauss-Hermite
     rule (order 4 * highest degree + 40 unless the strategy names one), and
     one weighted product of the stripped closed forms sampled at the shared
-    nodes.  rights may instead be a callable of real x with no Gaussian
-    factor, sampled at the real nodes; it needs a DirectGaussHermite strategy.
+    nodes; a side of GaussPoly functions with one basis is its coefficient
+    matrix times one set of basis rows.  rights may instead be a callable of
+    real x with no Gaussian factor, sampled at the real nodes; it needs a
+    DirectGaussHermite strategy.
     Blocks with a delta-derivative functional are paired element by element.
     """
     sampled = callable(rights)
@@ -158,7 +152,9 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     right_gauss = 0.0 if sampled else _shared_gauss(rights)
     a_tot = (_shared_gauss(lefts_conj) + right_gauss) / (2.0 * params.b0 ** 2)
     if strategy is None:
-        strategy = _auto_strategy(a_tot, 4 * max(_poly_degree(f) for f in functions) + 40)
+        degree = max((len(f.coeffs) - 1 for f in functions if isinstance(f, GaussPoly)),
+                     default=0)
+        strategy = _auto_strategy(a_tot, 4 * degree + 40)
     if isinstance(strategy, DirectGaussHermite):
         if a_tot.real >= 0.0:
             raise NonConvergentError("combined Gaussian exponent does not decay on the real line")
@@ -177,11 +173,11 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     x = np.exp(1j * theta) * t / s
     # residual oscillation left after absorbing exp(-t^2): exp(i t^2 Im(a_rot)/s^2)
     residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
-    left_rows = np.array([_stripped(f, x, params) for f in lefts_conj])
+    left_rows = _stripped(lefts_conj, x, params)
     if sampled:
         right_rows = np.asarray(rights(t / s), dtype=complex)[None, :]
     else:
-        right_rows = np.array([_stripped(f, x, params) for f in rights])
+        right_rows = _stripped(rights, x, params)
     return (left_rows * (rule.weights * residual)) @ right_rows.T * (np.exp(1j * theta) / s)
 
 
@@ -285,9 +281,7 @@ def reconstruct(params: ModelParams, target, n_max: int,
         right, target_vals = [target], evaluate(target, grid, params)
     coeffs = _pair_block([s.left_fn for s in states], right, params, DirectGaussHermite(order))[:, 0]
 
-    recon = np.zeros_like(grid, dtype=complex)
-    for c, s in zip(coeffs, states):
-        recon += c * evaluate(s.right_fn, grid, params)
+    recon = evaluate(_superpose(coeffs, [s.right_fn for s in states]), grid, params)
     sup_error = float(np.max(np.abs(recon - target_vals)))
     _require_finite(coeffs, sup_error, f"reconstruction at n_max = {n_max}")
     return coeffs, sup_error

@@ -29,6 +29,7 @@ __all__ = [
     "QuadratureRule",
     "hermite",
     "hermite_coefficients",
+    "hermite_rows",
     "log_gamma",
     "recip_gamma",
     "gauss_hermite",
@@ -59,6 +60,26 @@ def hermite(n: int, z):
     for k in range(1, n):
         h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
     return h if h.ndim else complex(h)
+
+
+def hermite_rows(n: int, z) -> np.ndarray:
+    """h_0(z) ... h_n(z) with h_k = H_k / sqrt(2^k k!), one row per degree.
+
+    One pass of the normalized recurrence
+    h_{k+1} = sqrt(2/(k+1)) z h_k - sqrt(k/(k+1)) h_{k-1} serves every degree
+    at every point of z.  For real x, |h_k(x)| e^{-x^2/2} < 1.09 (Cramer's
+    bound), so the rows stay in the float range where H_k(x) leaves it.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    z = np.asarray(z, dtype=complex)
+    rows = np.empty((n + 1,) + z.shape, dtype=complex)
+    rows[0] = 1.0
+    if n >= 1:
+        rows[1] = math.sqrt(2.0) * z
+    for k in range(1, n):
+        rows[k + 1] = math.sqrt(2.0 / (k + 1)) * z * rows[k] - math.sqrt(k / (k + 1)) * rows[k - 1]
+    return rows
 
 
 def hermite_coefficients(n: int) -> np.ndarray:
@@ -368,13 +389,16 @@ def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
 
     start = np.array([_dv_at_zero(complex(v)) for v in nu]).reshape(count, 2)
     z_end = n_end * step
-    d_pair, err = _dv_asymptotic(np.concatenate([nu, nu + 1.0]), np.tile(z_end, 2),
+    # D' = nu D_{nu-1} - (z/2) D, not (z/2) D - D_{nu+1}: near nu = 0 the float
+    # nu + 1 drops the low digits of nu, to which the weight 1/Gamma(-nu-1) of
+    # the growing part of D_{nu+1} is proportional (nu = 1e-12 missed by 7e-5)
+    d_pair, err = _dv_asymptotic(np.concatenate([nu, nu - 1.0]), np.tile(z_end, 2),
                                  _SERIES_TOL)
     if not np.all(np.maximum(err[:count], err[count:]) <= _ENDPOINT_ACCEPT):
         raise NonConvergentError("parabolic_cylinder_d: tail series failed at R_in")
-    d_end, d_next = d_pair[:count], d_pair[count:]
+    d_end, d_prev = d_pair[:count], d_pair[count:]
     with np.errstate(all="ignore"):
-        end = np.stack([d_end, 0.5 * z_end * d_end - d_next], axis=1)
+        end = np.stack([d_end, nu * d_prev - 0.5 * z_end * d_end], axis=1)
         outward = _march_outward(d_end, start[:, 0])
         sigma = np.where(outward, 1.0, -1.0)
 

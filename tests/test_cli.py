@@ -47,6 +47,47 @@ def test_nonfinite_quadrature_exits_one(args):
     assert "numerical failure" in cp.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["states", "--omega", "1", "--alpha", "-0.125", "--beta", "-2"],
+    ["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5"],
+    ["poles", "--omega", "1", "--alpha", "0.2", "--beta", "0.1"],
+    ["evolve", "--omega", "1", "--alpha", "-0.125", "--beta", "-2"],
+], ids=["states-boundary-I-II", "reconstruct-region-II-no-sector", "poles-region-I",
+        "evolve-boundary-I-II"])
+def test_point_a_command_cannot_serve_exits_two(args):
+    cp = run_cli(*args, "-o", "/dev/null")
+    assert cp.returncode == 2, cp.stdout
+    assert "usage error" in cp.stderr
+    assert "Traceback" not in cp.stderr
+
+
+def test_sector_growth_overflow_exits_one():
+    cp = run_cli("evolve", "--omega", "1", "--alpha", "-2", "--beta", "-0.5",
+                 "--minus-coeffs", "1", "--time", "1000", "-o", "/dev/null")
+    assert cp.returncode == 1
+    assert "numerical failure" in cp.stderr
+    assert "log magnitude" in cp.stderr
+
+
+@pytest.mark.parametrize("scale", [["--b0", "1e-170"], ["--hbar", "1e101"]])
+def test_length_and_action_scales_outside_the_band_exit_two(scale):
+    # b0 = 1e-170 used to end in a ZeroDivisionError traceback from derive
+    cp = run_cli("derive", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", *scale)
+    assert cp.returncode == 2
+    assert "usage error" in cp.stderr and "must lie in" in cp.stderr
+    assert "Traceback" not in cp.stderr
+
+
+def test_states_boundary_i_iii_variants():
+    # the two Boundary I-III branches: monomial right states and delta-derivative ones
+    cp = run_cli("states", "--omega", "1", "--alpha", "0.6", "--beta", "0.4", "--nmax", "1")
+    assert cp.returncode == 0
+    rows = [line.split(",") for line in cp.stdout.splitlines()[1:5]]
+    assert [(r[0], r[1], r[4]) for r in rows] == [
+        ("0", "+", "GaussMonomial"), ("0", "-", "DeltaDeriv"),
+        ("1", "+", "GaussMonomial"), ("1", "-", "DeltaDeriv")]
+
+
 def test_unknown_subcommand():
     cp = run_cli("frobnicate")
     assert cp.returncode == 2
@@ -225,7 +266,7 @@ OPERATION_COVERAGE = {
     "core.derive": "test_derive_json_schema",
     "core.classify": "test_classify_stdout",
     "core.surface_grid": "test_surface_csv_header_and_determinism",
-    "specfun.hermite": "test_states_discrete_json (state evaluation)",
+    "specfun.hermite_rows": "test_states_discrete_json (state evaluation)",
     "specfun.log_gamma": "test_poles_csv_and_probe",
     "specfun.parabolic_cylinder_d": "test_states_continuum_csv",
     "specfun.gauss_hermite": "test_gram_json_report",

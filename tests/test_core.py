@@ -279,6 +279,13 @@ def test_surface_mass_sign_flip_on_line_only():
 def test_validation_errors():
     with pytest.raises(ValueError):
         ModelParams(1.0, 0.0, 0.0, b0=-1.0)
+    # outside [1e-100, 1e100] derive divided by zero (b0 = 1e-170: b0^2 underflows)
+    for scales in ({"b0": 1e-170}, {"b0": 1e101}, {"hbar": 1e-101}, {"hbar": 1e150},
+                   {"b0": 0.0}, {"hbar": -1.0}):
+        with pytest.raises(ValueError, match="must lie in"):
+            ModelParams(1.0, 0.2, 0.1, **scales)
+    for edge in (1e-100, 1e100):
+        derive(ModelParams(1.0, 0.2, 0.1, b0=edge, hbar=edge))
     with pytest.raises(ValueError):
         ModelParams(float("inf"), 0.0, 0.0)
     with pytest.raises(ValueError):

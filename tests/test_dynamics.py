@@ -5,6 +5,7 @@ import pytest
 
 import conftest as pts
 from swanson import (
+    NonConvergentError,
     ObservableKind,
     RegionError,
     apply_observable,
@@ -186,7 +187,7 @@ def test_decay_rate_from_log_slope():
 
 def test_sector_overflow_flag():
     p = pts.REGION_II_POINT
-    with pytest.raises(OverflowError, match="log magnitude"):
+    with pytest.raises(NonConvergentError, match="log magnitude"):
         evolve_sector(p, [1.0], [], 1e4, np.array([0.0]))
 
 

@@ -9,8 +9,6 @@ import conftest as pts
 from swanson import (
     DeltaDeriv,
     DeltaDerivNotEvaluableError,
-    GaussHermite,
-    GaussMonomial,
     GaussPoly,
     ModelParams,
     NonConvergentError,
@@ -26,8 +24,8 @@ from swanson import (
     free_particle_states,
     pair,
 )
-from swanson.eigensystems import (_inverse_sqrt_factorial, _oscillator_norm, polynomial_pieces,
-                                  taylor_coefficients)
+from swanson.eigensystems import _inverse_sqrt_factorial, polynomial_pieces, taylor_coefficients
+from swanson.specfun import hermite
 
 ALL_DISCRETE_POINTS = (
     pts.REGION_I_POINTS + pts.REGION_III_POINTS
@@ -80,7 +78,8 @@ def test_hermitian_ground_state():
     p = ModelParams(1.0, 0.0, 0.0)
     s = discrete_states(p, 0)[0]
     assert s.energy == pytest.approx(0.5)
-    assert isinstance(s.right_fn, GaussHermite)
+    assert s.to_dict()["variant"] == "GaussHermite"
+    assert s.right_fn.coeffs == (1.0,)                # h_0 of the Hermite basis
     assert s.right_fn.gauss == pytest.approx(-1.0)    # pure exp(-x^2/(2 b0^2))
     assert s.right_fn.scale == pytest.approx(1.0)
 
@@ -95,7 +94,8 @@ def test_boundary_monomial_witness():
     s = next(s for s in discrete_states(pts.BOUNDARY_I_III_POINT, 2)
              if s.n == 2 and s.branch == "+")
     assert s.energy == pytest.approx(1.25)
-    assert isinstance(s.right_fn, GaussMonomial)
+    assert s.to_dict()["variant"] == "GaussMonomial"
+    assert s.right_fn.scale is None and s.right_fn.coeffs == (0.0, 0.0, 1.0)    # x^2
     assert s.right_fn.norm == pytest.approx(1.0 / math.sqrt(2.0))
     assert s.right_fn.gauss == pytest.approx(-2.0)    # -tau coefficient = -(a+b)/(a-b)
 
@@ -223,8 +223,11 @@ def test_boundary_anti_pseudo_hermitian_spectra():
     # the adjoint's spectrum is the negative of the spectrum, family by family
     p = pts.BOUNDARY_I_III_POINT
     states = discrete_states(p, 8)
-    right_monomials = {s.n: s.energy for s in states if isinstance(s.right_fn, GaussMonomial)}
-    left_monomials = {s.n: s.left_energy for s in states if isinstance(s.left_fn, GaussMonomial)}
+    right_monomials = {s.n: s.energy for s in states if isinstance(s.right_fn, GaussPoly)}
+    left_monomials = {s.n: s.left_energy for s in states if isinstance(s.left_fn, GaussPoly)}
+    assert all(f.scale is None for s in states for f in (s.right_fn, s.left_fn)
+               if isinstance(f, GaussPoly))
+    assert len(right_monomials) == len(left_monomials) == 9
     for n in right_monomials:
         assert left_monomials[n] == pytest.approx(-right_monomials[n])
 
@@ -325,10 +328,17 @@ def test_evaluate_no_overflow_window():
 
 @pytest.mark.parametrize("sigma,b0", [(1.0, 1.0), (0.83, 1.0), (2.7, 0.4), (0.05, 3.0)])
 def test_oscillator_norm_keeps_the_float_formula_to_n_150(sigma, b0):
-    for n in range(151):
+    # at alpha = beta = a the similarity weight is 1 and sigma^4 = (1 + 2a) / (1 - 2a)
+    a = (sigma ** 4 - 1.0) / (2.0 * (sigma ** 4 + 1.0))
+    params = ModelParams(1.0, a, a, b0)
+    sigma = derive(params).sigma
+    x = np.linspace(-3.0, 3.0, 13) * b0 / sigma
+    for s in discrete_states(params, 150):
+        n, f = s.n, s.right_fn
         direct = math.sqrt(sigma / (b0 * math.sqrt(math.pi) * 2.0 ** n * math.factorial(n)))
         if direct > 0.0:    # 0 where b0 sqrt(pi) 2^n n! overflows: n = 150 at b0 = 3
-            assert _oscillator_norm(sigma, b0, n) == pytest.approx(direct, rel=1e-14, abs=0.0)
+            ref = direct * hermite(n, sigma * x / b0) * np.exp(f.gauss * x ** 2 / (2 * b0 ** 2))
+            assert np.max(np.abs(evaluate(f, x, params) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [151, 160, 170])
@@ -350,14 +360,36 @@ def test_large_n_states_against_mpmath(params, n):
         assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_unrepresentable_oscillator_norm_is_a_typed_error():
+def _mpmath_state(f, n, x, b0=1.0):
+    """A normalized-Hermite GaussPoly state h_n at 40 digits."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(f.scale) * mpmath.mpf(x) / b0
+        h = mpmath.hermite(n, z) / mpmath.sqrt(2 ** n * mpmath.factorial(n))
+        gauss = mpmath.exp(mpmath.mpc(f.gauss) * x ** 2 / (2 * b0 ** 2))
+        return complex(mpmath.mpc(f.norm) * h * gauss)
+
+
+@pytest.mark.parametrize("x", [25.0, 30.0])
+def test_n_200_state_far_out_against_mpmath(x):
+    # H_200(sigma x) leaves the float range here, and evaluate used to return NaN
+    params = ModelParams(1.0, 0.2, 0.1)
+    f = discrete_states(params, 200)[200].right_fn
+    ref = _mpmath_state(f, 200, x)
+    assert 0.0 < abs(ref) < math.inf
+    assert abs(evaluate(f, x, params) - ref) <= 1e-13 * abs(ref)
+
+
+def test_states_to_n_300_are_finite_and_match_mpmath():
+    # the norm with 2^n n! fell below the float range near n = 268 and raised a typed error
+    x = np.array([-4.0, 0.3, 7.5, 12.0])
     for params in (pts.REGION_I_POINTS[0], pts.REGION_II_POINT):
-        states = discrete_states(params, 200)
+        states = discrete_states(params, 300)
         assert all(0.0 < abs(s.right_fn.norm) < math.inf for s in states)
-        with pytest.raises(NonConvergentError):
-            discrete_states(params, 300)
-    with pytest.raises(NonConvergentError):
-        _oscillator_norm(1.0, 1.0, 400)
+        for s in (s for s in states if s.n in (268, 300)):
+            vals = evaluate(s.right_fn, x, params)
+            ref = np.array([_mpmath_state(s.right_fn, s.n, xx, params.b0) for xx in x])
+            assert np.all(np.isfinite(vals))
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_boundary_norms_past_the_factorial_float_range():

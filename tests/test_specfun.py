@@ -8,13 +8,13 @@ import textwrap
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swanson import (PoleError, RegionError, SwansonError, gauss_hermite, hermite, log_gamma,
                      parabolic_cylinder_d, recip_gamma)
 from swanson import specfun
-from swanson.specfun import hermite_coefficients
+from swanson.specfun import hermite_coefficients, hermite_rows
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -53,6 +53,16 @@ def test_hermite_generating_function_oracle():
 @settings(max_examples=80, deadline=None)
 def test_hermite_conjugation(n, z):
     assert hermite(n, np.conjugate(z)) == pytest.approx(np.conjugate(hermite(n, z)))
+
+
+def test_hermite_rows_are_the_normalized_hermite_polynomials():
+    z = np.array([0.3 - 1.2j, 2.5 + 0.1j, -4.0, 0.0])
+    rows = hermite_rows(40, z)
+    assert rows.shape == (41, 4)
+    for k in range(41):
+        expect = hermite(k, z) / math.sqrt(2.0 ** k * math.factorial(k))
+        assert np.max(np.abs(rows[k] - expect)) <= 1e-13 * np.max(np.abs(expect))
+    assert hermite_rows(0, 1.5).shape == (1,)
 
 
 def test_hermite_coefficient_expansion():
@@ -421,6 +431,7 @@ def test_continuum_state_past_the_cliff_avoids_mpmath():
        r=st.floats(min_value=0.0, max_value=20.0),
        angle=st.floats(min_value=-math.pi, max_value=math.pi))
 @settings(max_examples=500, deadline=None)
+@example(re_nu=1e-12, im_nu=0.0, r=1.0, angle=3.0)     # the march end lost nu to nu + 1
 def test_d_box_property(re_nu, im_nu, r, angle):
     nu = complex(re_nu, im_nu)
     z = r * cmath.exp(1j * angle)
