@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,13 +27,15 @@ from .eigensystems import (
     evaluate,
     free_particle_states,
 )
-from .errors import RegionError, SwansonError
+from .errors import NonConvergentError, RegionError, SwansonError
 
 SCHEMA = 1
 
 
-def _fmt(value) -> str:
+def _fmt(value, field: str) -> str:
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonConvergentError(f"non-finite value {value!r} in column {field!r}")
         return "%.17g" % value
     return str(value)
 
@@ -59,12 +62,33 @@ def _write_text(path: str | None, text: str, what: str) -> None:
 def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_fmt(v, field) for field, v in zip(header, row)))
     return "\n".join(lines) + "\n"
 
 
+def _nonfinite_field(obj, path: str = "") -> str | None:
+    """Path of the first NaN or infinite float in a JSON-able object, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = ((f"{path}.{key}" if path else key, value) for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    for sub, value in items:
+        found = _nonfinite_field(value, sub)
+        if found is not None:
+            return found
+    return None
+
+
 def _json_text(obj: dict) -> str:
-    return json.dumps({"schema": SCHEMA, **obj}, indent=2) + "\n"
+    try:
+        return json.dumps({"schema": SCHEMA, **obj}, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonConvergentError(
+            f"non-finite value in field {_nonfinite_field(obj)!r}") from None
 
 
 def _params(args) -> ModelParams:
@@ -279,16 +303,14 @@ def _cmd_evolve(args) -> int:
     state = dynamics.make_state(p, coeffs)
     kind = dynamics.ObservableKind(args.kind)
     times = np.linspace(0.0, args.t_max, args.t_steps)
-    rows = []
-    for t in times:
-        v = dynamics.evolve_expectation(state, kind, p, float(t))
-        rows.append((float(t), float(v.real), float(v.imag)))
-    body = _csv(["t", "re_value", "im_value"], rows)
-    _write_text(args.output, body, "expectation time series")
+    values = dynamics.evolve_expectation(state, kind, p, times)
+    body = _csv(["t", "re_value", "im_value"],
+                zip(times.tolist(), values.real.tolist(), values.imag.tolist()))
     meta = _json_text({"kind": args.kind, "t_max": args.t_max, "t_steps": args.t_steps,
                        "metric_norm": dynamics.metric_norm(state, p),
                        "params": {"omega": p.omega, "alpha": p.alpha, "beta": p.beta,
                                   "b0": p.b0, "hbar": p.hbar}})
+    _write_text(args.output, body, "expectation time series")
     print(meta, end="")
     return 0
 

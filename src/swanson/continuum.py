@@ -162,15 +162,15 @@ def _as_combination(target) -> list[tuple[complex, GeneralizedFunction]]:
     return [(1.0 + 0.0j, target)]
 
 
-def resonant_expansion(params: ModelParams, target, n_max: int, sector: str = "minus",
-                       grid=None) -> tuple[np.ndarray, float]:
+def resonant_expansion(params: ModelParams, target, n_max: int,
+                       sector: str = "minus") -> tuple[np.ndarray, float]:
     """Expand a barrier-sector function over the resonant discrete family.
 
     sector 'minus' expands over phi_n^- with coefficients <phi_n^+ | target>
     (rotated-contour pairings against the opposite branch); 'plus' is the
     mirror.  target is a stripped GeneralizedFunction or a list of
     (coefficient, function) pairs.  Returns (coefficients, sup-norm residual
-    of the truncated reconstruction on the grid).  Targets outside the
+    of the truncated reconstruction on 201 points over +-6 b0).  Targets outside the
     sector's decay class make the coefficient integrals divergent, which
     raises NonConvergentError.
     """
@@ -180,9 +180,7 @@ def resonant_expansion(params: ModelParams, target, n_max: int, sector: str = "m
     pieces = _as_combination(target)
     basis_branch = "-" if sector == "minus" else "+"
     dual_branch = "+" if sector == "minus" else "-"
-    if grid is None:
-        grid = np.linspace(-6.0 * params.b0, 6.0 * params.b0, 201)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(-6.0 * params.b0, 6.0 * params.b0, 201)
 
     duals = [stripped_discrete_function(params, n, dual_branch) for n in range(n_max + 1)]
     coeffs = np.zeros(n_max + 1, dtype=complex)
@@ -193,6 +191,8 @@ def resonant_expansion(params: ModelParams, target, n_max: int, sector: str = "m
             raise NonConvergentError(
                 f"sector mismatch: coefficients <phi_n^{dual_branch}|target> diverge "
                 f"({exc})") from exc
+    what = f"resonant expansion at n_max = {n_max}"
+    _require_finite(coeffs, what)
 
     target_vals = np.zeros_like(grid, dtype=complex)
     for c, f in pieces:
@@ -200,7 +200,7 @@ def resonant_expansion(params: ModelParams, target, n_max: int, sector: str = "m
     basis = [stripped_discrete_function(params, n, basis_branch) for n in range(n_max + 1)]
     recon = evaluate(_superpose(coeffs, basis), grid, params)
     sup_error = float(np.max(np.abs(recon - target_vals)))
-    _require_finite(coeffs, sup_error, f"resonant expansion at n_max = {n_max}")
+    _require_finite(sup_error, what)
     return coeffs, sup_error
 
 

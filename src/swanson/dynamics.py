@@ -1,10 +1,10 @@
 """Metric-weighted observables and time evolution.
 
-In the real-spectrum regions the ladder matrix elements of X, P, X^2, P^2
-between dressed states carry the Gaussian-width scaling (b0/sigma resp.
-hbar sigma/b0 per ladder step); the sigma = 1 case reproduces the textbook
-oscillator constants.  Expectation values evolve by the bi-orthogonal double
-sum with phases exp(i (E_m - E_n) t / hbar).
+In the real-spectrum regions the metric-dressed right states form an
+orthonormal ladder: X = b0/(sigma sqrt 2) (a + a^dagger) and
+P = i hbar sigma/(sqrt 2 b0) (a^dagger - a) in the annihilation operator a.
+Expectation values evolve by the bi-orthogonal double sum with phases
+exp(i (E_m - E_n) t / hbar).
 
 In the barrier regions wave functions split into decaying ('+' branch) and
 growing ('-' branch) resonant sectors evolving with rates |Omega| (n + 1/2);
@@ -25,6 +25,7 @@ from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     GaussPoly,
     GeneralizedFunction,
+    _ladder_energy,
     _superpose,
     discrete_states,
     evaluate,
@@ -65,65 +66,66 @@ def _require_real_spectrum(params: ModelParams) -> RegionLabel:
     return label
 
 
+def _finite(values, what: str, dtype=complex) -> np.ndarray:
+    """values as an array; ValueError if any entry is NaN or infinite."""
+    arr = np.asarray(values, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
 def make_state(params: ModelParams, coeffs) -> StateVector:
     """Normalize coefficients to unit metric norm <I|I>_U = sum |c_n|^2 = 1.
 
     The metric-dressed right states are exactly their left partners, so the
-    metric Gram of the basis is the identity by construction.
+    metric Gram of the basis is the identity by construction.  The
+    coefficients are divided by their largest part before they are squared,
+    so neither huge nor tiny inputs leave the float range.
     """
     label = _require_real_spectrum(params)
-    c = np.asarray(coeffs, dtype=complex)
-    norm_sq = float(np.sum(np.abs(c) ** 2))
-    if norm_sq <= 0:
+    # real and imaginary parts side by side: neither |c| nor a complex divide can overflow
+    parts = np.ascontiguousarray(coeffs, dtype=complex).view(float)
+    peak = np.abs(parts).max(initial=0.0)
+    if not math.isfinite(peak):
+        raise ValueError("state coefficients must be finite")
+    if peak == 0.0:
         raise ValueError("state has non-positive metric norm")
-    return StateVector(label, tuple(c / math.sqrt(norm_sq)), True)
+    parts = parts / peak
+    return StateVector(label, tuple(parts.view(complex) / math.sqrt(parts @ parts)), True)
+
+
+def _ladder_matrix(kind: ObservableKind, params: ModelParams, size: int,
+                   first: int = 0) -> np.ndarray:
+    """<phi~_m | U O | phi~_n> for first <= m, n < first + size (Regions I/III).
+
+    a = diag(sqrt(k), +1) spans one more level on each side of the window, so
+    X X and P P keep the a a^dagger terms of their edge entries when cut.
+    """
+    if not isinstance(kind, ObservableKind):
+        raise TypeError(f"unknown observable {kind!r}")
+    sigma, lo = derive(params).sigma, max(first - 1, 0)
+    a = np.diag(np.sqrt(np.arange(lo + 1.0, first + size + 1.0)), 1)
+    if kind in (ObservableKind.X, ObservableKind.X2):
+        op = params.b0 / (sigma * math.sqrt(2.0)) * (a + a.T)
+    else:
+        op = 1j * params.hbar * sigma / (math.sqrt(2.0) * params.b0) * (a.T - a)
+    if kind in (ObservableKind.X2, ObservableKind.P2):
+        op = op @ op
+    return op[first - lo:, first - lo:][:size, :size]
 
 
 def matrix_element(kind: ObservableKind, m: int, n: int, params: ModelParams) -> complex:
-    """<phi~_m | U O | phi~_n> by the ladder closed forms (Regions I and III).
+    """<phi~_m | U O | phi~_n>, read from the ladder matrix (Regions I and III).
 
-    X couples |m-n| = 1, P likewise with an i hbar weight; X^2 and P^2 couple
-    |m-n| in {0, 2}.  Validated against the sandwich quadrature oracle in the
-    test suite.
+    X and P couple |m-n| = 1, X^2 and P^2 couple |m-n| in {0, 2}; every other
+    element is an exact zero.  Validated against the sandwich quadrature
+    oracle in the test suite.
     """
     _require_real_spectrum(params)
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
-    d = derive(params)
-    sigma, b0, hbar = d.sigma, params.b0, params.hbar
-    x_unit = b0 / (sigma * math.sqrt(2.0))
-    p_unit = hbar * sigma / (math.sqrt(2.0) * b0)
-    if kind is ObservableKind.X:
-        if m == n + 1:
-            return x_unit * math.sqrt(n + 1.0)
-        if m == n - 1:
-            return x_unit * math.sqrt(n)
-        return 0.0 + 0.0j
-    if kind is ObservableKind.P:
-        if m == n + 1:
-            return 1j * p_unit * math.sqrt(n + 1.0)
-        if m == n - 1:
-            return -1j * p_unit * math.sqrt(n)
-        return 0.0 + 0.0j
-    if kind is ObservableKind.X2:
-        unit = (b0 / sigma) ** 2 / 2.0
-        if m == n + 2:
-            return unit * math.sqrt((n + 1.0) * (n + 2.0))
-        if m == n:
-            return unit * (2.0 * n + 1.0)
-        if m == n - 2:
-            return unit * math.sqrt(n * (n - 1.0))
-        return 0.0 + 0.0j
-    if kind is ObservableKind.P2:
-        unit = -(hbar * sigma / b0) ** 2 / 2.0
-        if m == n + 2:
-            return unit * math.sqrt((n + 1.0) * (n + 2.0))
-        if m == n:
-            return -unit * (2.0 * n + 1.0)
-        if m == n - 2:
-            return unit * math.sqrt(n * (n - 1.0))
-        return 0.0 + 0.0j
-    raise TypeError(f"unknown observable {kind!r}")
+    first = min(m, n)
+    return complex(_ladder_matrix(kind, params, abs(m - n) + 1, first)[m - first, n - first])
 
 
 def apply_observable(params: ModelParams, f: GeneralizedFunction,
@@ -168,17 +170,19 @@ def apply_observable(params: ModelParams, f: GeneralizedFunction,
 
 
 def evolve_expectation(state: StateVector, kind: ObservableKind, params: ModelParams,
-                       t: float) -> complex:
-    """<I(t) | O |I(t)>_U = sum c_n conj(c_m) e^{i (E_m - E_n) t/hbar} O_mn."""
-    _require_real_spectrum(params)
-    c = np.asarray(state.coeffs, dtype=complex)
-    n_states = len(c)
-    energies = np.array([s.energy for s in discrete_states(params, n_states - 1)]).real
-    amp = c * np.exp(-1j * energies * t / params.hbar)   # coefficients at time t
-    mat = np.array([[matrix_element(kind, m, n, params) for n in range(n_states)]
-                    for m in range(n_states)])
+                       t: float | np.ndarray) -> complex | np.ndarray:
+    """<I(t) | O |I(t)>_U = sum c_n conj(c_m) e^{i (E_m - E_n) t/hbar} O_mn.
+
+    t is a float (gives a complex) or an array of times (gives one value each).
+    """
+    label = _require_real_spectrum(params)
+    c = _finite(state.coeffs, "state coefficients")
+    times = _finite(t, "times", float)
+    energies = _ladder_energy(label, derive(params), params.hbar, np.arange(len(c)))
+    amp = c * np.exp(-1j * np.multiply.outer(times, energies) / params.hbar)  # a row per time
     # conj(amp_m) amp_n carries the printed e^{i(E_m - E_n) t/hbar} phases
-    return complex(np.conjugate(amp) @ mat @ amp)
+    values = np.sum((np.conjugate(amp) @ _ladder_matrix(kind, params, len(c))) * amp, axis=-1)
+    return complex(values) if times.ndim == 0 else values
 
 
 def metric_norm(state: StateVector, params: ModelParams, t: float = 0.0) -> float:
@@ -200,14 +204,16 @@ def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,
 
     (each mode carries exp(i E_n t / hbar), so in Region IV the roles swap
     with the relabeled energies).  Each sector is one GaussPoly evaluated once.
-    Raises NonConvergentError when a growth factor leaves the representable
+    Non-finite coefficients or a non-finite time raise ValueError; raises
+    NonConvergentError when a growth factor leaves the representable
     range, reporting its log-magnitude.
     """
     label = classify(params)
     if label not in (RegionLabel.REGION_II, RegionLabel.REGION_IV):
         raise RegionError(f"sector evolution requires Region II or IV, got {label.pretty()}")
-    cm = np.asarray(minus_coeffs, dtype=complex)
-    cp = np.asarray(plus_coeffs, dtype=complex)
+    cm = _finite(minus_coeffs, "minus-sector coefficients")
+    cp = _finite(plus_coeffs, "plus-sector coefficients")
+    t = float(_finite(t, "time", float))
     n_max = max(len(cm), len(cp)) - 1
     if n_max < 0:
         raise ValueError("at least one coefficient is required")

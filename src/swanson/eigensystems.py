@@ -183,10 +183,47 @@ def _stripped(fs: list[GeneralizedFunction], x: np.ndarray, params: ModelParams)
         for f in fs])
 
 
+_RESCALE = 2.0 ** 500                       # row size at which _log_stripped rescales
+_LOG_TINY = math.log(sys.float_info.min)    # exponents below this underflow the Gaussian
+
+
+def _log_stripped(f: GaussPoly, x: np.ndarray,
+                  params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(log|s|, s/|s|) of the stripped part s of f at points where s overflows.
+
+    The basis recurrence (p_{k+1} = x p_k for monomials, the normalized
+    Hermite step otherwise) is summed against the coefficients as it climbs,
+    and the rows and the sum are divided by 2^500 wherever a row passes it, so
+    s itself is never formed.
+    """
+    coeffs = _coefficient_matrix([f])[0]
+    z = x if f.scale is None else f.scale * x / params.b0
+    prev, cur = np.zeros_like(z), np.ones_like(z)
+    total, rescales = coeffs[0] * cur, np.zeros(z.shape)
+    for k in range(1, len(coeffs)):
+        if f.scale is None:
+            prev, cur = cur, z * cur
+        else:
+            prev, cur = cur, math.sqrt(2.0 / k) * z * cur - math.sqrt((k - 1) / k) * prev
+        total = total + coeffs[k] * cur
+        big = np.abs(cur) > _RESCALE
+        for arr in (prev, cur, total):
+            arr[big] /= _RESCALE
+        rescales[big] += 1.0
+    mag = np.abs(total)
+    return np.log(mag) + rescales * math.log(_RESCALE), total / mag
+
+
 def evaluate(f: GeneralizedFunction, x, params: ModelParams):
     """Pointwise value of a generalized function; x may be scalar or array,
     real or complex (closed forms are entire, so complex x means analytic
-    continuation, which the contour-rotated pairings rely on)."""
+    continuation, which the contour-rotated pairings rely on).
+
+    Where the stripped part times the Gaussian factor under- or overflows
+    (far out, or at high degree), the exponents are added before
+    exponentiating; a value outside the float range even then raises
+    NonConvergentError.
+    """
     if isinstance(f, DeltaDeriv):
         raise DeltaDerivNotEvaluableError(
             "delta-derivative functionals have no pointwise values; use the pairing module")
@@ -198,8 +235,22 @@ def evaluate(f: GeneralizedFunction, x, params: ModelParams):
         g, mu, slope, pref = _cyl_fields(f)
         val = pref * np.exp(g * x_arr ** 2 / (2.0 * b0 * b0)) \
             * parabolic_cylinder_d(mu, slope * x_arr)
-    else:
-        val = _stripped([f], x_arr, params)[0] * np.exp(f.gauss * x_arr ** 2 / (2.0 * b0 * b0))
+        return complex(val[0]) if scalar else val
+    expo = f.gauss * x_arr ** 2 / (2.0 * b0 * b0)
+    with np.errstate(all="ignore"):
+        stripped = _stripped([f], x_arr, params)[0]
+        val = stripped * np.exp(expo)
+        if np.isfinite(val).all() and expo.real.min(initial=0.0) >= _LOG_TINY:
+            return complex(val[0]) if scalar else val
+        redo = ~np.isfinite(val) | ((expo.real < _LOG_TINY) & (stripped != 0))
+        val[redo] = np.exp(np.log(stripped[redo]) + expo[redo])
+        huge = ~np.isfinite(stripped)   # the polynomial part itself overflowed
+        if huge.any() and isinstance(f, GaussPoly):
+            log_mag, phase = _log_stripped(f, x_arr[huge], params)
+            val[huge] = phase * np.exp(log_mag + expo[huge])
+    if not np.isfinite(val).all():
+        where = x_arr[~np.isfinite(val)][0]
+        raise NonConvergentError(f"{type(f).__name__} value outside the float range at x = {where}")
     return complex(val[0]) if scalar else val
 
 
@@ -397,6 +448,14 @@ def _stripped_barrier_pair(sigma: float, b0: float, n: int) -> tuple[GaussPoly, 
     return plus, minus
 
 
+def _ladder_energy(label: RegionLabel, d, hbar: float, n):
+    """E_n of Regions I-IV ('+' branch in II/IV) for an index or an array of them."""
+    sign = 1.0 if label in (RegionLabel.REGION_I, RegionLabel.REGION_II) else -1.0
+    if label in (RegionLabel.REGION_I, RegionLabel.REGION_III):
+        return sign * hbar * d.omega_cap.real * (n + 0.5)
+    return sign * 1j * hbar * abs(d.omega_cap) * (n + 0.5)
+
+
 def discrete_states(params: ModelParams, n_max: int,
                     tol: float = DEFAULT_TOL) -> list[EigenstateSpec]:
     """All discrete generalized eigenstates with index n <= n_max.
@@ -424,16 +483,15 @@ def discrete_states(params: ModelParams, n_max: int,
     if label is not RegionLabel.BOUNDARY_I_III:
         # Regions I-IV: the stripped states dressed by the similarity weight
         sigma, cu = d.sigma, d.upsilon_coeff
-        sign = 1.0 if label in (RegionLabel.REGION_I, RegionLabel.REGION_II) else -1.0
         real_norm = math.sqrt(sigma / (b0 * SQRT_PI))
         for n in range(n_max + 1):
+            e_n = _ladder_energy(label, d, hbar, n)
             if label in (RegionLabel.REGION_I, RegionLabel.REGION_III):
                 phi = GaussPoly(gauss=-sigma ** 2, coeffs=_unit(n), norm=real_norm, scale=sigma)
-                families = [(None, sign * hbar * d.omega_cap.real * (n + 0.5), phi, phi)]
+                families = [(None, e_n, phi, phi)]
             else:
                 plus, minus = _stripped_barrier_pair(sigma, b0, n)
-                e_plus = sign * 1j * hbar * abs(d.omega_cap) * (n + 0.5)
-                families = [("+", e_plus, plus, minus), ("-", -e_plus, minus, plus)]
+                families = [("+", e_n, plus, minus), ("-", -e_n, minus, plus)]
             for branch, energy, right, left in families:
                 states.append(EigenstateSpec(
                     label, n, branch, energy,

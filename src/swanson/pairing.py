@@ -256,37 +256,37 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     return GramReport(n_max, which, np.vstack(blocks), max_off, max_diag)
 
 
-def reconstruct(params: ModelParams, target, n_max: int,
-                grid=None, order: int | None = None) -> tuple[np.ndarray, float]:
+def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, float]:
     """Expand a decaying target over the Region I/III right-state basis.
 
     target is a GeneralizedFunction or a callable of x.  Coefficients are
-    c_n = <left_n | target>; returns (coefficients, sup-norm deviation of the
-    truncated reconstruction from the target on the grid).  Raises
-    NonConvergentError when a coefficient or the deviation is not finite.
+    c_n = <left_n | target>, paired on a Gauss-Hermite rule of order
+    max(4 n_max + 40, 160); returns (coefficients, sup-norm deviation of the
+    truncated reconstruction from the target on 201 points over +-5 b0).
+    Raises NonConvergentError when a coefficient or the deviation is not
+    finite.
     """
     label = classify(params)
     if label not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
         raise RegionError("reconstruction over the discrete basis requires Region I or III")
     states = discrete_states(params, n_max)
-    if order is None:
-        order = max(4 * n_max + 40, 160)
-    if grid is None:
-        grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)
 
     if callable(target):
         right, target_vals = target, np.asarray(target(grid), dtype=complex)
     else:
         right, target_vals = [target], evaluate(target, grid, params)
+    order = max(4 * n_max + 40, 160)
     coeffs = _pair_block([s.left_fn for s in states], right, params, DirectGaussHermite(order))[:, 0]
+    what = f"reconstruction at n_max = {n_max}"
+    _require_finite(coeffs, what)
 
     recon = evaluate(_superpose(coeffs, [s.right_fn for s in states]), grid, params)
     sup_error = float(np.max(np.abs(recon - target_vals)))
-    _require_finite(coeffs, sup_error, f"reconstruction at n_max = {n_max}")
+    _require_finite(sup_error, what)
     return coeffs, sup_error
 
 
-def _require_finite(coeffs: np.ndarray, sup_error: float, what: str) -> None:
-    if not (np.all(np.isfinite(coeffs)) and math.isfinite(sup_error)):
+def _require_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
         raise NonConvergentError(f"{what} has non-finite coefficients or sup-error")

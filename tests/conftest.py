@@ -1,9 +1,17 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swanson import ModelParams
+
+# the command-line tests start `python -m swanson` in subprocesses: let them
+# import the same source tree as this process, installed or not
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 # sigma = 1 witness points: sqrt(omega^2 - 4 a b) = omega - a - b by construction
 SIGMA1_REGION_I = ModelParams(1.0, 0.3, 0.1 - math.sqrt(0.52))

@@ -69,6 +69,38 @@ def test_sector_growth_overflow_exits_one():
     assert "log magnitude" in cp.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--coeffs", "nan,1"],
+    ["--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--coeffs", "inf,1"],
+    ["--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--t-max", "inf"],
+    ["--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--t-max", "nan"],
+    ["--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--plus-coeffs", "nan"],
+    ["--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--time", "nan"],
+], ids=["coeffs-nan", "coeffs-inf", "t-max-inf", "t-max-nan", "plus-coeffs-nan", "time-nan"])
+def test_nonfinite_evolve_inputs_exit_two(tmp_path: Path, args):
+    # these printed NaN rows and exited 0
+    out = tmp_path / "evolve.csv"
+    cp = run_cli("evolve", *args, "-o", str(out))
+    assert cp.returncode == 2, cp.stdout
+    assert "usage error" in cp.stderr and "must be finite" in cp.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,field", [
+    (["derive", "--omega", "1e200", "--alpha", "0", "--beta", "0"], "omega_sq"),
+    (["derive", "--omega", "5e-324", "--alpha", "0", "--beta", "0"], "m_eff"),
+    (["surface", "--range", "1e300", "--n", "3", "--format", "json"], "rows[0].omega_sq"),
+    (["surface", "--range", "1e300", "--n", "3"], "omega_sq"),
+], ids=["derive-omega-sq", "derive-m-eff", "surface-json", "surface-csv"])
+def test_nonfinite_output_exits_one(tmp_path: Path, args, field):
+    # these wrote the non-JSON tokens Infinity/-Infinity (or inf in CSV) and exited 0
+    out = tmp_path / "out.txt"
+    cp = run_cli(*args, "-o", str(out))
+    assert cp.returncode == 1, cp.stdout
+    assert "numerical failure" in cp.stderr and repr(field) in cp.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [["--b0", "1e-170"], ["--hbar", "1e101"]])
 def test_length_and_action_scales_outside_the_band_exit_two(scale):
     # b0 = 1e-170 used to end in a ZeroDivisionError traceback from derive
@@ -217,6 +249,18 @@ def test_evolve_expectation_series(tmp_path: Path):
     assert meta["schema"] == 1
 
 
+def test_evolve_series_is_one_library_call(tmp_path: Path, monkeypatch, capsys):
+    from swanson import cli, dynamics
+
+    calls = []
+    real = dynamics.evolve_expectation
+    monkeypatch.setattr(dynamics, "evolve_expectation",
+                        lambda *args: calls.append(args) or real(*args))
+    assert cli.main(["evolve", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
+                     "--t-steps", "11", "-o", str(tmp_path / "evolve.csv")]) == 0
+    assert len(calls) == 1 and calls[0][3].shape == (11,)
+
+
 def test_evolve_sector_profile(tmp_path: Path):
     out = tmp_path / "sector.csv"
     cp = run_cli("evolve", "--omega", "1", "--alpha", "-2", "--beta", "-0.5",
@@ -283,7 +327,7 @@ OPERATION_COVERAGE = {
     "continuum.pole_scan": "test_poles_csv_and_probe",
     "continuum.resonant_expansion": "test_reconstruct_resonant_sector",
     "continuum.delta_normalization_probe": "test_poles_csv_and_probe",
-    "dynamics.matrix_element": "test_evolve_expectation_series",
+    "dynamics.matrix_element": "test_evolve_expectation_series (the shared ladder matrix)",
     "dynamics.evolve_expectation": "test_evolve_expectation_series",
     "dynamics.evolve_sector": "test_evolve_sector_profile",
     "ep_analysis.sweep_to_boundary_i_iii": "test_ep_sweep_modes",

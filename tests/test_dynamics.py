@@ -5,6 +5,7 @@ import pytest
 
 import conftest as pts
 from swanson import (
+    ModelParams,
     NonConvergentError,
     ObservableKind,
     RegionError,
@@ -145,6 +146,79 @@ def test_heisenberg_identity(params):
             - evolve_expectation(state, ObservableKind.X, params, -h)) / (2.0 * h)
     p_over_m = evolve_expectation(state, ObservableKind.P, params, 0.0) / derive(params).m_eff
     assert dxdt == pytest.approx(p_over_m, abs=1e-6)
+
+
+@pytest.mark.parametrize("params", [pts.REGION_I_POINTS[0], pts.REGION_III_POINTS[0],
+                                    ModelParams(2.0, 0.5, 0.2, b0=0.7, hbar=1.9)])
+def test_array_of_times_matches_scalar_calls(params):
+    rng = np.random.default_rng(8)
+    state = make_state(params, rng.normal(size=9) + 1j * rng.normal(size=9))
+    times = np.linspace(0.0, 10.0, 101)
+    for kind in ObservableKind:
+        series = evolve_expectation(state, kind, params, times)
+        scalar = np.array([evolve_expectation(state, kind, params, float(t)) for t in times])
+        assert series.shape == times.shape
+        assert np.max(np.abs(series - scalar)) <= 1e-13 * np.max(np.abs(scalar))
+    grid = evolve_expectation(state, ObservableKind.X, params, times.reshape(101, 1))
+    assert grid.shape == (101, 1)
+
+
+def test_evolve_expectation_builds_no_states(monkeypatch):
+    # one ladder matrix per call: no eigenstate objects, no per-element calls
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evolve_expectation must not call this")
+
+    import swanson.dynamics as dynamics
+    import swanson.eigensystems as eigensystems
+
+    p = pts.REGION_I_POINTS[0]
+    state = make_state(p, [1.0, 0.5j, 0.3])
+    for module, name in ((dynamics, "discrete_states"), (eigensystems, "discrete_states"),
+                         (dynamics, "matrix_element")):
+        monkeypatch.setattr(module, name, forbidden)
+    for kind in ObservableKind:
+        evolve_expectation(state, kind, p, 1.5)
+        evolve_expectation(state, kind, p, np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_top_level_keeps_its_a_adagger_term(size):
+    # <N-1| X^2 |N-1> = u^2 (2N - 1) in an N-level state: the cut keeps a a^dagger
+    p = pts.REGION_I_POINTS[1]
+    unit = (p.b0 / derive(p).sigma) ** 2 / 2.0
+    state = make_state(p, [0.0] * (size - 1) + [1.0])
+    assert evolve_expectation(state, ObservableKind.X2, p, 0.7) == pytest.approx(
+        unit * (2 * size - 1), rel=1e-14)
+    assert matrix_element(ObservableKind.X2, size - 1, size - 1, p) == pytest.approx(
+        unit * (2 * size - 1), rel=1e-14)
+
+
+@pytest.mark.parametrize("coeffs", [[1e200, 1e200], [1e-200, 1e-200], [5e-324],
+                                    [1e308 + 1e308j, -1e308]])
+def test_make_state_scales_before_squaring(coeffs):
+    # [1e200, 1e200] gave all-zero coefficients, [1e-200, 1e-200] raised
+    p = pts.REGION_I_POINTS[0]
+    state = make_state(p, coeffs)
+    c = np.asarray(state.coeffs)
+    assert np.all(np.isfinite(c)) and np.all(c != 0)
+    assert metric_norm(state, p) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_nonfinite_dynamics_inputs_are_rejected(grid_6b0):
+    p, p2 = pts.REGION_I_POINTS[0], pts.REGION_II_POINT
+    state = make_state(p, [1.0, 1.0])
+    for bad in ([math.nan, 1.0], [1.0, math.inf], [complex(0.0, -math.inf)]):
+        with pytest.raises(ValueError, match="finite"):
+            make_state(p, bad)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_sector(p2, [], bad, 0.5, grid_6b0)
+    for t in (math.nan, math.inf, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_expectation(state, ObservableKind.X, p, t)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_sector(p2, [1.0], [], math.nan, grid_6b0)
+    with pytest.raises(ValueError, match="non-positive"):
+        make_state(p, [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,36 @@ def test_n_200_state_far_out_against_mpmath(x):
     assert abs(evaluate(f, x, params) - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("x", [35.0, 38.0])
+def test_n_200_state_past_the_gaussian_underflow_against_mpmath(x):
+    # e^{gauss x^2/2} underflows before it meets h_200 ~ e^380: the plain product read 0
+    params = ModelParams(1.0, 0.2, 0.1)
+    f = discrete_states(params, 200)[200].right_fn
+    ref = _mpmath_state(f, 200, x)
+    assert 0.0 < abs(ref) < 1e-160
+    assert abs(evaluate(f, x, params) - ref) <= 1e-12 * abs(ref)
+
+
+def test_n_300_monomial_state_past_the_power_overflow_against_mpmath():
+    # x^300 overflows at x = 12 and the plain product read NaN; true value 1.4637e-140
+    params = pts.BOUNDARY_I_III_POINT
+    states = discrete_states(params, 300)
+    f = next(s.right_fn for s in states if s.n == 300 and s.branch == "+")
+    x = np.array([5.0, 12.0, 12.5])
+    with mpmath.workdps(40):
+        ref = np.array([complex(mpmath.mpf(f.norm) * mpmath.mpf(xx) ** 300
+                                * mpmath.exp(mpmath.mpf(f.gauss.real) * xx ** 2 / 2)) for xx in x])
+    vals = evaluate(f, x, params)
+    assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_value_outside_the_float_range_is_a_typed_error():
+    growing = GaussPoly(gauss=1.0, coeffs=(1.0,), norm=1.0)
+    assert evaluate(growing, 30.0, pts.REGION_I_POINTS[0]) == pytest.approx(math.exp(450.0))
+    with pytest.raises(NonConvergentError, match="float range"):
+        evaluate(growing, np.array([0.0, 40.0]), pts.REGION_I_POINTS[0])
+
+
 def test_states_to_n_300_are_finite_and_match_mpmath():
     # the norm with 2^n n! fell below the float range near n = 268 and raised a typed error
     x = np.array([-4.0, 0.3, 7.5, 12.0])
