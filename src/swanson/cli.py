@@ -106,7 +106,46 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
 def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", default=None,
                         help="output file (relative paths resolve against $SWANSON_OUTDIR)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_format(parser: argparse.ArgumentParser, default: str | None = "csv") -> None:
+    parser.add_argument("--format", choices=("csv", "json"), default=default)
+
+
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
+def _count(value: int, flag: str) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _select_mode(args, modes: dict[str, dict]) -> None:
+    """Pick the mode of a command that has several, and fill in its flags.
+
+    modes maps each mode to the flags it reads (dest -> default; their parser
+    default is None).  Every mode but the first is keyed by the flag that
+    chooses it; with none of those given, the first is taken.  A flag that
+    the chosen mode does not read is a usage error.
+    """
+    plain, *triggered = modes
+    chosen = next((mode for mode in triggered if getattr(args, mode) is not None), plain)
+    for mode, flags in modes.items():
+        for dest in flags:
+            if dest not in modes[chosen] and getattr(args, dest) is not None:
+                raise ValueError(f"{_flag(dest)} needs {_flag(mode)}" if chosen == plain
+                                 else f"{_flag(dest)} is not used with {_flag(chosen)}")
+    for dest, default in modes[chosen].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def _complex_list(text: str) -> list[complex]:
@@ -171,10 +210,26 @@ def _cmd_surface(args) -> int:
 
 
 def _grid(args) -> np.ndarray:
-    return np.linspace(-args.grid_max, args.grid_max, args.grid_points)
+    grid_max = _finite(args.grid_max, "--grid-max")
+    return np.linspace(-grid_max, grid_max, _count(args.grid_points, "--grid-points"))
+
+
+# the flags each mode of `states` and `poles` reads, with their defaults
+_STATES_MODES = {
+    "discrete": {"nmax": 5, "format": "csv"},
+    "continuum_energy": {"continuum_energy": None, "side": "+", "kind": "phi",
+                         "grid_max": 6.0, "grid_points": 201},
+    "ep": {"ep": None},
+    "free_energy": {"free_energy": None, "amp_plus": 1.0, "amp_minus": 0.0},
+}
+_POLES_MODES = {
+    "scan": {"nscan": 3, "samples": 200, "format": "csv", "output": None},
+    "probe_width": {"probe_width": None, "probe_e0": 0.0},
+}
 
 
 def _cmd_states(args) -> int:
+    _select_mode(args, _STATES_MODES)
     p = _params(args)
     if args.continuum_energy is not None:
         state = continuum.continuum_state(p, args.continuum_energy, args.side, args.kind)
@@ -251,7 +306,9 @@ def _cmd_reconstruct(args) -> int:
                               p, int(idx), "-" if args.sector == "minus" else "+")))
         coeffs, sup_error = continuum.resonant_expansion(p, modes, args.nmax, args.sector)
     else:
-        center, width = args.center, args.width
+        center, width = _finite(args.center, "--center"), _finite(args.width, "--width")
+        if width <= 0.0:
+            raise ValueError(f"--width must be positive, got {width!r}")
 
         def target(x):
             return np.exp(-((x - center) / width) ** 2)
@@ -265,6 +322,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_poles(args) -> int:
+    _select_mode(args, _POLES_MODES)
     p = _params(args)
     if args.probe_width is not None:
         value = continuum.delta_normalization_probe(p, args.probe_e0, args.probe_width)
@@ -302,7 +360,7 @@ def _cmd_evolve(args) -> int:
     coeffs = _complex_list(args.coeffs)
     state = dynamics.make_state(p, coeffs)
     kind = dynamics.ObservableKind(args.kind)
-    times = np.linspace(0.0, args.t_max, args.t_steps)
+    times = np.linspace(0.0, _finite(args.t_max, "--t-max"), _count(args.t_steps, "--t-steps"))
     values = dynamics.evolve_expectation(state, kind, p, times)
     body = _csv(["t", "re_value", "im_value"],
                 zip(times.tolist(), values.real.tolist(), values.imag.tolist()))
@@ -367,21 +425,23 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--range", type=float, default=2.0)
     c.add_argument("--n", type=int, default=101)
     _add_output(c)
+    _add_format(c)
     c.set_defaults(func=_cmd_surface)
 
     c = sub.add_parser("states", help="discrete, continuum, EP, or free-particle states")
     _add_params(c)
-    c.add_argument("--nmax", type=int, default=5)
-    c.add_argument("--continuum-energy", type=float, default=None)
-    c.add_argument("--side", choices=("+", "-"), default="+")
-    c.add_argument("--kind", choices=("phi", "eta", "phi_tilde", "psi_bar"), default="phi")
-    c.add_argument("--ep", type=float, nargs=4, metavar=("C0", "C1", "D0", "D1"), default=None)
-    c.add_argument("--free-energy", type=float, default=None)
-    c.add_argument("--amp-plus", type=float, default=1.0)
-    c.add_argument("--amp-minus", type=float, default=0.0)
-    c.add_argument("--grid-max", type=float, default=6.0)
-    c.add_argument("--grid-points", type=int, default=201)
+    c.add_argument("--nmax", type=int)
+    c.add_argument("--continuum-energy", type=float)
+    c.add_argument("--side", choices=("+", "-"))
+    c.add_argument("--kind", choices=("phi", "eta", "phi_tilde", "psi_bar"))
+    c.add_argument("--ep", type=float, nargs=4, metavar=("C0", "C1", "D0", "D1"))
+    c.add_argument("--free-energy", type=float)
+    c.add_argument("--amp-plus", type=float)
+    c.add_argument("--amp-minus", type=float)
+    c.add_argument("--grid-max", type=float)
+    c.add_argument("--grid-points", type=int)
     _add_output(c)
+    _add_format(c, default=None)
     c.set_defaults(func=_cmd_states)
 
     c = sub.add_parser("gram", help="bi-orthogonality or metric gram matrix")
@@ -389,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--nmax", type=int, default=8)
     c.add_argument("--which", choices=("right-left", "metric"), default="right-left")
     _add_output(c)
+    _add_format(c)
     c.set_defaults(func=_cmd_gram)
 
     c = sub.add_parser("reconstruct", help="basis expansion of a test function")
@@ -405,11 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("poles", help="gamma-pole scan (and delta-normalization probe)")
     _add_params(c)
-    c.add_argument("--nscan", type=int, default=3)
-    c.add_argument("--samples", type=int, default=200)
-    c.add_argument("--probe-e0", type=float, default=0.0)
-    c.add_argument("--probe-width", type=float, default=None)
+    c.add_argument("--nscan", type=int)
+    c.add_argument("--samples", type=int)
+    c.add_argument("--probe-e0", type=float)
+    c.add_argument("--probe-width", type=float)
     _add_output(c)
+    _add_format(c, default=None)
     c.set_defaults(func=_cmd_poles)
 
     c = sub.add_parser("evolve", help="expectation-value or resonant-sector time evolution")

@@ -135,7 +135,7 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
     # staggered grid avoids landing exactly on the poles at y = n + 1/2
     y = (np.arange(count) + 0.5) / samples_per_unit
     # on the resonant half-line nu + 1 = 1/2 - y regardless of region
-    logmag = np.array([log_gamma(0.5 - yy).real for yy in y]) / math.log(10.0)
+    logmag = log_gamma(0.5 - y).real / math.log(10.0)
     interior = (logmag[1:-1] > logmag[:-2]) & (logmag[1:-1] > logmag[2:])
     return PoleScanReport(energies_imag=y, log_gamma_magnitude=logmag,
                           detected_poles=y[1:-1][interior])
@@ -212,38 +212,41 @@ def _weber_reduced(eps, u: np.ndarray) -> np.ndarray:
     """Gamma(nu+1) D_{-nu-1}(-sqrt(2) e^{-i pi/4} u), the side-+ family in
     reduced coordinates u = sigma x / b0; one row per reduced energy in eps."""
     nu = -1j * np.atleast_1d(np.asarray(eps, dtype=float)) - 0.5
-    pref = np.array([cmath.exp(log_gamma(v + 1.0)) for v in nu])
+    pref = np.exp(log_gamma(nu + 1.0))
     return pref[:, None] * parabolic_cylinder_d(-nu[:, None] - 1.0, -math.sqrt(2.0) * ROT * u)
 
 
-def _tail_coefficient_data(eps_p: float, eps0: float):
-    """Asymptotic tail data of conj(f_eps_p) f_eps0.
+def _tail_coefficient_data(eps_p: np.ndarray, eps0: float):
+    """Asymptotic tail data of conj(f_eps_p) f_eps0, for an array of energies eps_p.
 
     Each tail piece behaves like C * u^(-1 + s i Delta) * (1 + g / u^2) for
     u -> +infinity (after folding the left tail onto positive u); returns a
-    list of (C, s, g) with Delta = eps_p - eps0.
+    list of (C, s, g) with Delta = eps_p - eps0, C and g arrays shaped like eps_p.
     """
     delta = eps_p - eps0
     mu_p_bar = -1j * eps_p - 0.5          # conj of the order i eps' - 1/2
     mu0 = 1j * eps0 - 0.5
-    gbar = cmath.exp(log_gamma(0.5 + 1j * eps_p))   # conj Gamma(nu'+1), real energies
+    gbar = np.exp(log_gamma(0.5 + 1j * eps_p))     # conj Gamma(nu'+1), real energies
     g0 = cmath.exp(log_gamma(0.5 - 1j * eps0))
     two_minus = 2.0 ** (0.5 * (-1.0 - 1j * delta))
     two_plus = 2.0 ** (0.5 * (-1.0 + 1j * delta))
     quarter = math.pi * (eps_p + eps0) / 4.0
 
-    c_left = gbar * g0 * math.exp(quarter) * two_minus
-    c_r1 = gbar * g0 * math.exp(-3.0 * quarter) * two_minus
-    c_r2 = 2.0 * math.pi * math.exp(-quarter) * two_plus
+    c_left = gbar * g0 * np.exp(quarter) * two_minus
+    c_r1 = gbar * g0 * np.exp(-3.0 * quarter) * two_minus
+    c_r2 = 2.0 * math.pi * np.exp(-quarter) * two_plus
     g_osc = 0.25j * (mu_p_bar * (mu_p_bar - 1.0) - mu0 * (mu0 - 1.0))
     g_r2 = 0.25j * ((mu0 + 1.0) * (mu0 + 2.0) - (mu_p_bar + 1.0) * (mu_p_bar + 2.0))
     return [(c_left, -1.0, g_osc), (c_r1, -1.0, g_osc), (c_r2, +1.0, g_r2)]
 
 
+_PROBE_BOX = 10.0          # interior |u| <= box by quadrature, the tails beyond in closed form
+_PROBE_ENERGIES = 48       # Gauss-Legendre nodes over the window center +- 6 widths
+_PROBE_INNER = 1400        # Gauss-Legendre nodes over the interior
+
+
 def delta_normalization_probe(params: ModelParams, e0: float, width: float,
-                              center: float | None = None, box: float = 10.0,
-                              n_energy: int = 48, n_inner: int = 1400,
-                              check_box: bool = False) -> complex:
+                              center: float | None = None, check_box: bool = False) -> complex:
     """Windowed test of the continuum delta-normalization.
 
     Smears the dual pairings <psi_bar^{E'} | phi_tilde^{E0}> against a
@@ -253,12 +256,17 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
     centered off its support, with deviations shrinking as the window
     narrows.
 
-    The x-integral is split at |u| = box (reduced units): the interior by
-    quadrature, the oscillatory tails by their closed-form Mellin kernels
-    (principal value plus delta part), which is exact in the smeared limit.
-    check_box=True re-runs with a larger interior box and raises
-    NonConvergentError if the two disagree by more than 2e-2.
+    The energy window is center +- 6 widths on 48 nodes.  The x-integral is
+    split at |u| = 10 (reduced units): the interior by 1400-node quadrature,
+    the tails by their closed-form Mellin kernels (principal value plus delta
+    part), exact in the smeared limit.  check_box=True re-runs at 1.5 times
+    the box and the interior nodes and raises NonConvergentError if the two
+    disagree by more than 2e-2.  ValueError for a non-finite e0, width or
+    center, and for E0 on an edge of the window, where the value diverges.
     """
+    for name, value in (("e0", e0), ("width", width), ("center", center)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"delta_normalization_probe: {name} must be finite, got {value!r}")
     label = _require_barrier(params)
     d = derive(params)
     scale = params.hbar * abs(d.omega_cap)
@@ -269,21 +277,26 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
     cen = eps0 if center is None else _reduced_energy(params, center, label)
 
     if check_box:
-        a = delta_normalization_probe(params, e0, width, center, box, n_energy, n_inner)
-        b = delta_normalization_probe(params, e0, width, center, 1.5 * box, n_energy,
-                                      int(1.5 * n_inner))
+        a, b = (_probe_value(eps0, w, cen, f * _PROBE_BOX, int(f * _PROBE_INNER)) for f in (1, 1.5))
         if abs(a - b) > 2e-2:
             raise NonConvergentError(
                 f"truncation box too small: probe values {a:.4f} vs {b:.4f} at boxes "
-                f"{box} and {1.5 * box}")
+                f"{_PROBE_BOX} and {1.5 * _PROBE_BOX}")
         return b
+    return _probe_value(eps0, w, cen, _PROBE_BOX, _PROBE_INNER)
 
+
+def _probe_value(eps0: float, w: float, cen: float, box: float, n_inner: int) -> complex:
+    """The probe in reduced energies, with the interior |u| <= box on n_inner nodes."""
     # energy window nodes (Gauss-Legendre over +-6 bump widths)
     lo, hi = cen - 6.0 * w, cen + 6.0 * w
-    en_nodes, en_weights = _gauss_legendre(n_energy)
+    if eps0 in (lo, hi):
+        raise ValueError("delta_normalization_probe: e0 on an edge of the window center +- 6 width")
+    en_nodes, en_weights = _gauss_legendre(_PROBE_ENERGIES)
     eps_p = 0.5 * (hi - lo) * en_nodes + 0.5 * (hi + lo)
     ew = 0.5 * (hi - lo) * en_weights
     bump = np.exp(-((eps_p - cen) / w) ** 2 / 2.0)
+    bump0 = math.exp(-((eps0 - cen) / w) ** 2 / 2.0)
 
     # interior x-quadrature
     u_nodes, u_weights = _gauss_legendre(n_inner)
@@ -292,37 +305,23 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
     f0 = _weber_reduced(eps0, u)[0]
     inner = np.sum(uw * np.conjugate(_weber_reduced(eps_p, u)) * f0, axis=1)
 
-    inside = lo < eps0 < hi
-    regular = np.zeros(len(eps_p), dtype=complex)   # smooth part of P(eps')
-    value = 0.0 + 0.0j
+    delta = eps_p - eps0
+    tails = _tail_coefficient_data(eps_p, eps0)
+    tails0 = [c[0] for c, _, _ in _tail_coefficient_data(np.array([eps0]), eps0)]
 
     # delta part: integral bump * C_p(eps') * pi * delta(eps' - eps0)
-    if inside or abs(eps0 - cen) <= 6.0 * w:
-        value += math.pi * sum(c.real + 0j for c, _, _ in _tail_coefficient_data(eps0, eps0)) \
-            * math.exp(-((eps0 - cen) / w) ** 2 / 2.0)
+    value = math.pi * sum(c.real for c in tails0) * bump0 if abs(eps0 - cen) <= 6.0 * w else 0.0
 
-    # assemble smooth parts per energy node
-    pieces0 = _tail_coefficient_data(eps0, eps0)
-    pv_terms = [np.zeros(len(eps_p), dtype=complex) for _ in pieces0]
-    for j, ep in enumerate(eps_p):
-        tails = _tail_coefficient_data(ep, eps0)
-        corr = sum(c * g * box ** (-2.0 + s * 1j * (ep - eps0)) / (2.0 - s * 1j * (ep - eps0))
-                   for c, s, g in tails)
-        regular[j] = inner[j] + corr
-        for k, (c, s, _) in enumerate(tails):
-            pv_terms[k][j] = c * box ** (s * 1j * (ep - eps0)) * 1j / s
+    # smooth part: the interior plus the tails' 1/u^2 terms beyond the box
+    corr = sum(c * g * box ** (-2.0 + s * 1j * delta) / (2.0 - s * 1j * delta)
+               for c, s, g in tails)
+    value += np.sum(ew * bump * (inner + corr))
 
-    value += np.sum(ew * bump * regular)
-
-    # principal-value kernels: integral bump * F_k(eps') / (eps' - eps0)
-    delta_arr = eps_p - eps0
-    for k, (c0k, s, _) in enumerate(pieces0):
-        f_vals = bump * pv_terms[k]
-        if inside:
-            f_at = math.exp(-((eps0 - cen) / w) ** 2 / 2.0) * (c0k * 1j / s)
-            value += np.sum(ew * (f_vals - f_at) / delta_arr)
-            value += f_at * math.log((hi - eps0) / (eps0 - lo))
-        else:
-            value += np.sum(ew * f_vals / delta_arr)
+    # principal-value kernels: integral bump * F_k(eps') / (eps' - eps0), with
+    # F_k(eps0) subtracted and its log integral added back, exact on either side
+    for (c, s, _), c0 in zip(tails, tails0):
+        f_at = bump0 * c0 * 1j / s
+        value += np.sum(ew * (bump * c * box ** (s * 1j * delta) * 1j / s - f_at) / delta)
+        value += f_at * math.log(abs((hi - eps0) / (eps0 - lo)))
 
     return complex(value / DELTA_DENSITY_AT_ZERO)

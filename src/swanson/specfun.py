@@ -117,46 +117,51 @@ _LANCZOS_C = (
 )
 
 
-def _log_gamma_lanczos(z: complex) -> complex:
-    # valid for Re z >= 0.5
+def _log_gamma_lanczos(z: np.ndarray) -> np.ndarray:
+    # valid for Re z >= 0.5, elementwise
     zm1 = z - 1.0
     s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[k] / (zm1 + k)
+        s = s + _LANCZOS_C[k] / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(s)
+    return 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * np.log(t) - t + np.log(s)
 
 
-def log_gamma(z) -> complex:
-    """Principal-branch log Gamma(z) for complex z.
+def _gamma_argument(z) -> tuple[np.ndarray, np.ndarray]:
+    """z as a flat array (a scalar too: 0-d arithmetic rounds differently), shifts to Re >= 0.5."""
+    flat = np.asarray(z, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("gamma function arguments must be finite")
+    return flat, np.maximum(np.ceil(0.5 - flat.real), 0.0)
+
+
+def log_gamma(z):
+    """Principal-branch log Gamma(z) for complex z, elementwise over an array.
 
     The branch is the standard analytic continuation satisfying
-    log_gamma(z) = log_gamma(z+1) - Log(z); raises PoleError at
-    z = 0, -1, -2, ...
+    log_gamma(z) = log_gamma(z+1) - Log(z); raises PoleError if any entry is
+    one of z = 0, -1, -2, ...
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise PoleError(f"log_gamma pole at z = {z.real:g}")
-    if z.real >= 0.5:
-        return _log_gamma_lanczos(z)
+    flat, shift = _gamma_argument(z)
+    pole = (flat.imag == 0.0) & (flat.real <= 0.0) & (flat.real == np.round(flat.real))
+    if np.any(pole):
+        raise PoleError(f"log_gamma pole at z = {flat.real[pole][0]:g}")
     # shift into the Lanczos half-plane; this recursion defines the branch
-    shift = int(math.ceil(0.5 - z.real))
-    acc = 0.0 + 0.0j
-    for k in range(shift):
-        acc += cmath.log(z + k)
-    return _log_gamma_lanczos(z + shift) - acc
+    acc = np.zeros_like(flat)
+    for k in range(int(shift.max(initial=0.0))):
+        acc = np.where(k < shift, acc + np.log(flat + k), acc)
+    out = (_log_gamma_lanczos(flat + shift) - acc).reshape(np.shape(z))
+    return out if out.ndim else complex(out)
 
 
-def recip_gamma(z) -> complex:
-    """1/Gamma(z); entire, exactly zero at non-positive integers."""
-    z = complex(z)
-    if z.real >= 0.5:
-        return cmath.exp(-_log_gamma_lanczos(z))
-    shift = int(math.ceil(0.5 - z.real))
-    prod = 1.0 + 0.0j
-    for k in range(shift):
-        prod *= z + k
-    return prod * cmath.exp(-_log_gamma_lanczos(z + shift))
+def recip_gamma(z):
+    """1/Gamma(z) for a scalar or an array; entire, exactly zero at non-positive integers."""
+    flat, shift = _gamma_argument(z)
+    prod = np.ones_like(flat)
+    for k in range(int(shift.max(initial=0.0))):
+        prod = np.where(k < shift, prod * (flat + k), prod)
+    out = (prod * np.exp(-_log_gamma_lanczos(flat + shift))).reshape(np.shape(z))
+    return out if out.ndim else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +273,7 @@ def _dv_asymptotic(nu, z: np.ndarray,
         sgn = np.where(np.angle(zf) >= 0.0, 1.0, -1.0)
         v1, e1 = _dv_dominant(nf, -zf, tol)
         v2, e2 = _dv_dominant(-nf - 1.0, -1j * sgn * zf, tol)
-        orders, inverse = np.unique(nf, return_inverse=True)
-        c2 = SQRT_2PI * np.array([recip_gamma(-o) for o in orders])[inverse]
+        c2 = SQRT_2PI * recip_gamma(-nf)
         t1 = np.exp(1j * math.pi * nf * sgn) * v1
         t2 = c2 * np.exp(1j * math.pi * 0.5 * (nf + 1.0) * sgn) * v2
         val[far] = t1 + t2
@@ -310,9 +314,9 @@ def _march_nodes(nu: np.ndarray) -> np.ndarray:
     return np.ceil(np.sqrt(16.0 * (np.abs(nu) + 4.0)) / _MARCH_STEP).astype(int)
 
 
-def _dv_at_zero(nu: complex) -> tuple[complex, complex]:
-    """D_nu(0) and D_nu'(0) in closed form."""
-    c = SQRT_PI * cmath.exp(0.5 * nu * math.log(2.0))
+def _dv_at_zero(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D_nu(0) and D_nu'(0) in closed form, for an array of orders."""
+    c = SQRT_PI * np.exp(0.5 * nu * math.log(2.0))
     return c * recip_gamma(0.5 * (1.0 - nu)), -c * math.sqrt(2.0) * recip_gamma(-0.5 * nu)
 
 
@@ -387,7 +391,7 @@ def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
     p1 = 0.5 * z0 * step * s2
     p2 = 0.25 * s2 * s2
 
-    start = np.array([_dv_at_zero(complex(v)) for v in nu]).reshape(count, 2)
+    start = np.stack(_dv_at_zero(nu), axis=1)
     z_end = n_end * step
     # D' = nu D_{nu-1} - (z/2) D, not (z/2) D - D_{nu+1}: near nu = 0 the float
     # nu + 1 drops the low digits of nu, to which the weight 1/Gamma(-nu-1) of
@@ -523,8 +527,8 @@ def parabolic_cylinder_d(nu, z):
 
     out = np.zeros_like(zc)
     at_zero = r == 0.0
-    for order in np.unique(nc[at_zero]):
-        out[at_zero & (nc == order)] = _dv_at_zero(complex(order))[0]
+    if np.any(at_zero):
+        out[at_zero] = _dv_at_zero(nc[at_zero])[0]
     inner = ~at_zero
     inner[inner] = r[inner] < _MARCH_STEP * _march_nodes(nc[inner])
     beyond = ~(at_zero | inner)

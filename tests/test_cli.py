@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,74 @@ def test_nonfinite_evolve_inputs_exit_two(tmp_path: Path, args):
     assert cp.returncode == 2, cp.stdout
     assert "usage error" in cp.stderr and "must be finite" in cp.stderr
     assert not out.exists()
+
+
+BARRIER = ["--omega", "1", "--alpha", "-2", "--beta", "-0.5"]
+OSCILLATOR = ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"]
+
+
+@pytest.mark.parametrize("args,name", [
+    (["--probe-width", "inf"], "width"),
+    (["--probe-width", "nan"], "width"),
+    (["--probe-width", "0.346", "--probe-e0", "nan"], "e0"),
+    (["--probe-width", "0.346", "--probe-e0", "inf"], "e0"),
+], ids=["width-inf", "width-nan", "e0-nan", "e0-inf"])
+def test_nonfinite_probe_inputs_exit_two(args, name):
+    # these exited 2 with "cannot convert float NaN to integer" (e0 = inf after a warning)
+    cp = run_cli("poles", *BARRIER, *args)
+    assert cp.returncode == 2, cp.stdout
+    assert "usage error" in cp.stderr and f"{name} must be finite" in cp.stderr
+    assert "Warning" not in cp.stderr
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["evolve", *BARRIER, "--grid-max", "inf"], "--grid-max"),
+    (["evolve", *BARRIER, "--grid-max", "nan"], "--grid-max"),
+    (["states", *BARRIER, "--continuum-energy", "1", "--grid-max", "inf"], "--grid-max"),
+    (["states", *BARRIER, "--continuum-energy", "1", "--grid-max", "nan"], "--grid-max"),
+    (["evolve", *OSCILLATOR, "--t-max", "inf"], "--t-max"),
+    (["evolve", *BARRIER, "--grid-points", "0"], "--grid-points"),
+    (["states", *BARRIER, "--continuum-energy", "1", "--grid-points", "0"], "--grid-points"),
+    (["evolve", *OSCILLATOR, "--t-steps", "0"], "--t-steps"),
+    (["reconstruct", *OSCILLATOR, "--width", "0"], "--width"),
+], ids=["evolve-grid-inf", "evolve-grid-nan", "states-grid-inf", "states-grid-nan", "t-max-inf",
+        "evolve-grid-points-0", "states-grid-points-0", "t-steps-0", "reconstruct-width-0"])
+def test_grids_and_targets_are_checked_before_the_library(tmp_path: Path, args, flag):
+    # non-finite grids exited 1 after a screen of RuntimeWarnings, empty ones
+    # exited 0 with a header-only file, and a zero width divided by zero
+    out = tmp_path / "out.csv"
+    cp = run_cli(*args, "-o", str(out))
+    assert cp.returncode == 2, cp.stdout
+    assert "usage error" in cp.stderr and flag in cp.stderr
+    assert "Warning" not in cp.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["reconstruct", *OSCILLATOR, "--format", "json"], "unrecognized arguments"),
+    (["evolve", *OSCILLATOR, "--format", "json"], "unrecognized arguments"),
+    (["ep-sweep", "--mode", "spectrum", "--format", "json"], "unrecognized arguments"),
+    (["states", *BARRIER, "--continuum-energy", "1", "--format", "json"],
+     "--format is not used with --continuum-energy"),
+    (["states", "--omega", "1", "--alpha", "-0.125", "--beta", "-2", "--ep", "1", "0", "1", "0",
+      "--format", "csv"], "--format is not used with --ep"),
+    (["states", "--omega", "1", "--alpha", "-0.125", "--beta", "-2", "--free-energy", "1",
+      "--format", "json"], "--format is not used with --free-energy"),
+    (["states", *BARRIER, "--nmax", "2", "--grid-points", "11"], "--grid-points needs"),
+    (["poles", *BARRIER, "--probe-width", "0.346", "--format", "json"],
+     "--format is not used with --probe-width"),
+    (["poles", *BARRIER, "--probe-width", "0.346", "-o", "probe.csv"],
+     "--output is not used with --probe-width"),
+    (["poles", *BARRIER, "--probe-e0", "1"], "--probe-e0 needs --probe-width"),
+], ids=["reconstruct-format", "evolve-format", "ep-sweep-format", "states-continuum-format",
+        "states-ep-format", "states-free-format", "states-discrete-grid", "probe-format",
+        "probe-output", "probe-e0-alone"])
+def test_a_flag_the_mode_does_not_use_is_a_usage_error(tmp_path: Path, args, message):
+    # each of these exited 0 and ignored the flag
+    cp = run_cli(*args, env={**os.environ, "SWANSON_OUTDIR": str(tmp_path)})
+    assert cp.returncode == 2, cp.stdout
+    assert message in cp.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args,field", [

@@ -127,6 +127,22 @@ def test_pole_positions_b0_invariant():
         assert abs(pole - (n + 0.5)) <= 0.005
 
 
+def test_pole_scan_calls_log_gamma_once(monkeypatch):
+    from swanson import continuum
+
+    calls = []
+
+    def spy(z):
+        calls.append(np.size(z))
+        return rule(z)
+
+    rule = continuum.log_gamma
+    monkeypatch.setattr(continuum, "log_gamma", spy)
+    report = pole_scan(pts.REGION_II_POINT, 3, 200)
+    assert calls == [800]
+    assert len(report.detected_poles) == 4
+
+
 def test_pole_scan_guards():
     with pytest.raises(RegionError):
         pole_scan(pts.REGION_I_POINTS[0], 2)
@@ -249,6 +265,22 @@ def test_probe_nonzero_reference_energy_density_profile():
     for eps in (0.25, 0.5, 1.0):
         value = delta_normalization_probe(p, eps * OMEGA_SCALE, 0.2 * OMEGA_SCALE)
         assert abs(value - math.exp(-math.pi * eps / 2.0)) <= 0.02
+
+
+@pytest.mark.parametrize("args,name", [
+    ((math.inf, 0.2), "e0"), ((math.nan, 0.2), "e0"), ((0.0, math.inf), "width"),
+    ((0.0, math.nan), "width"), ((0.0, 0.2, math.nan), "center"), ((0.0, 0.2, -math.inf), "center"),
+])
+def test_probe_rejects_nonfinite_inputs(args, name):
+    # these failed with "cannot convert float NaN to integer" from inside log_gamma
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        delta_normalization_probe(pts.REGION_II_POINT, *[a * OMEGA_SCALE for a in args])
+
+
+def test_probe_on_a_window_edge_is_a_usage_error():
+    # the windowed principal value diverges logarithmically when E0 is an edge
+    with pytest.raises(ValueError, match="edge of the window"):
+        delta_normalization_probe(ModelParams(1.0, -1.0, -0.5), 0.0, 1.0, center=6.0)
 
 
 def test_norm_constant_scaling():

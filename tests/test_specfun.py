@@ -123,6 +123,44 @@ def test_recip_gamma():
         assert recip_gamma(float(n)) == 0.0
 
 
+def _gamma_batch() -> np.ndarray:
+    # shifts 0 .. 12 into the Lanczos half-plane, with and without imaginary parts
+    re = np.linspace(-11.4, 9.6, 43)
+    z = (re[:, None] + 1j * np.array([0.0, 0.7, -3.1, 24.0])[None, :]).ravel()
+    return np.concatenate([z, [-0.3, -2.5, -7.2, -11.2, 0.5, 1.0]])
+
+
+def test_gamma_array_calls_equal_scalar_calls_bit_for_bit():
+    z = _gamma_batch()
+    shifts = np.maximum(np.ceil(0.5 - z.real), 0.0)
+    assert set(shifts) == set(range(13))
+    lg = log_gamma(z)
+    assert lg.shape == z.shape
+    assert np.array_equal(lg, [log_gamma(complex(v)) for v in z])
+    assert isinstance(log_gamma(complex(z[0])), complex)
+    assert np.array_equal(log_gamma(z.reshape(2, -1)), lg.reshape(2, -1))
+
+    z = np.concatenate([z, [0.0, -1.0, -7.0]])
+    rg = recip_gamma(z)
+    assert np.array_equal(rg, [recip_gamma(complex(v)) for v in z])
+    assert np.all(rg[-3:] == 0.0) and np.all(rg[:-3] != 0.0)
+    # any sub-batch gives the same bits as the whole
+    for start, stop in ((0, 1), (5, 22), (100, 178)):
+        assert np.array_equal(log_gamma(z[start:stop]), lg[start:stop])
+        assert np.array_equal(recip_gamma(z[start:stop]), rg[start:stop])
+
+
+def test_gamma_array_errors():
+    with pytest.raises(PoleError):
+        log_gamma(np.array([0.5 + 1.0j, 2.5, -3.0]))
+    for bad in (math.inf, -math.inf, complex(1.0, math.nan), np.array([0.5, 1.0 - math.inf * 1j]),
+                np.array([math.nan, 2.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            log_gamma(bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            recip_gamma(bad)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature
 # ---------------------------------------------------------------------------
@@ -448,6 +486,28 @@ def test_d_far_order_is_a_typed_error():
     # 2.53e-85-5.31e-85i: a relative error of 7.5
     with pytest.raises(SwansonError):
         parabolic_cylinder_d(-36.7121 + 11.6326j, 18.4456 + 0.4277j)
+
+
+def test_d_gamma_calls_do_not_grow_with_the_orders(monkeypatch):
+    # the closed form at z = 0, the march start and the connection formula
+    # each take 1/Gamma for a whole array of orders in one call
+    calls = []
+
+    def spy(z):
+        calls.append(np.size(z))
+        return rule(z)
+
+    rule = specfun.recip_gamma
+    monkeypatch.setattr(specfun, "recip_gamma", spy)
+    ray = cmath.exp(0.75j * math.pi)
+    z = np.array([0.0, 3.0 * ray, 25.0 * ray])
+    counts = []
+    for n in (4, 48):
+        calls.clear()
+        nu = np.linspace(-2.0, 3.0, n) + 1j * np.linspace(-5.0, 5.0, n)
+        parabolic_cylinder_d(nu[:, None], z[None, :])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_d_orders_outside_the_box_raise_before_any_march(monkeypatch):
