@@ -128,21 +128,27 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _select_mode(args, modes: dict[str, dict]) -> None:
+def _select_mode(args, modes: dict[str, dict], chosen: str | None = None,
+                 where: str = "") -> None:
     """Pick the mode of a command that has several, and fill in its flags.
 
     modes maps each mode to the flags it reads (dest -> default; their parser
-    default is None).  Every mode but the first is keyed by the flag that
-    chooses it; with none of those given, the first is taken.  A flag that
-    the chosen mode does not read is a usage error.
+    default is None).  A caller that picks the mode itself passes it as chosen,
+    with where naming the choice ("in Region II").  Otherwise every mode but
+    the first is keyed by the flag that chooses it; with none of those given,
+    the first is taken.  A flag that the chosen mode does not read is a usage
+    error.
     """
     plain, *triggered = modes
-    chosen = next((mode for mode in triggered if getattr(args, mode) is not None), plain)
+    by_flag = chosen is None
+    if by_flag:
+        chosen = next((mode for mode in triggered if getattr(args, mode) is not None), plain)
+        where = f"with {_flag(chosen)}"
     for mode, flags in modes.items():
         for dest in flags:
             if dest not in modes[chosen] and getattr(args, dest) is not None:
-                raise ValueError(f"{_flag(dest)} needs {_flag(mode)}" if chosen == plain
-                                 else f"{_flag(dest)} is not used with {_flag(chosen)}")
+                raise ValueError(f"{_flag(dest)} needs {_flag(mode)}" if by_flag and chosen == plain
+                                 else f"{_flag(dest)} is not used {where}")
     for dest, default in modes[chosen].items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -214,7 +220,7 @@ def _grid(args) -> np.ndarray:
     return np.linspace(-grid_max, grid_max, _count(args.grid_points, "--grid-points"))
 
 
-# the flags each mode of `states` and `poles` reads, with their defaults
+# the flags each mode of a command reads, with their defaults
 _STATES_MODES = {
     "discrete": {"nmax": 5, "format": "csv"},
     "continuum_energy": {"continuum_energy": None, "side": "+", "kind": "phi",
@@ -225,6 +231,20 @@ _STATES_MODES = {
 _POLES_MODES = {
     "scan": {"nscan": 3, "samples": 200, "format": "csv", "output": None},
     "probe_width": {"probe_width": None, "probe_e0": 0.0},
+}
+_RECONSTRUCT_MODES = {
+    "oscillator": {"center": 0.5, "width": 1.0},
+    "sector": {"sector": None, "modes": "0:1"},
+}
+_EVOLVE_MODES = {      # the region picks the mode
+    "expectation": {"coeffs": "1,1", "kind": "X", "t_max": 10.0, "t_steps": 101},
+    "sector": {"minus_coeffs": "", "plus_coeffs": "1", "time": 0.0,
+               "grid_max": 6.0, "grid_points": 201},
+}
+_EP_SWEEP_MODES = {    # --mode picks the mode
+    "boundary": {"alpha": 0.75, "n": 0, "branch": "plus", "g_values": "10,100,1000"},
+    "ep": {"omega": 1.0, "n": 0, "side": "I", "eps_values": "0.1,0.01,0.001"},
+    "spectrum": {"omega": 1.0, "nmax": 3, "eps_values": "0.1,0.01,0.001"},
 }
 
 
@@ -295,6 +315,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    _select_mode(args, _RECONSTRUCT_MODES)
     p = _params(args)
     label = core.classify(p)
     if args.sector is not None:
@@ -347,7 +368,10 @@ def _cmd_poles(args) -> int:
 def _cmd_evolve(args) -> int:
     p = _params(args)
     label = core.classify(p)
-    if label in (core.RegionLabel.REGION_II, core.RegionLabel.REGION_IV):
+    barrier = label in (core.RegionLabel.REGION_II, core.RegionLabel.REGION_IV)
+    _select_mode(args, _EVOLVE_MODES, "sector" if barrier else "expectation",
+                 f"in {label.pretty()}")
+    if barrier:
         x = _grid(args)
         vals = dynamics.evolve_sector(p, _complex_list(args.minus_coeffs),
                                       _complex_list(args.plus_coeffs), args.time, x)
@@ -374,6 +398,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_ep_sweep(args) -> int:
+    _select_mode(args, _EP_SWEEP_MODES, args.mode, f"with --mode {args.mode}")
     if args.mode == "boundary":
         report = ep_analysis.sweep_to_boundary_i_iii(
             args.alpha, args.beta, args.n, args.branch, _float_list(args.g_values),
@@ -455,12 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("reconstruct", help="basis expansion of a test function")
     _add_params(c)
     c.add_argument("--nmax", type=int, default=20)
-    c.add_argument("--center", type=float, default=0.5)
-    c.add_argument("--width", type=float, default=1.0)
-    c.add_argument("--sector", choices=("minus", "plus"), default=None,
+    c.add_argument("--center", type=float)
+    c.add_argument("--width", type=float)
+    c.add_argument("--sector", choices=("minus", "plus"),
                    help="barrier-region resonant expansion instead of the oscillator basis")
-    c.add_argument("--modes", default="0:1",
-                   help="barrier target as comma-separated n:coefficient pairs")
+    c.add_argument("--modes", help="barrier target as comma-separated n:coefficient pairs")
     _add_output(c)
     c.set_defaults(func=_cmd_reconstruct)
 
@@ -476,31 +500,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("evolve", help="expectation-value or resonant-sector time evolution")
     _add_params(c)
-    c.add_argument("--coeffs", default="1,1", help="state coefficients (Regions I/III)")
-    c.add_argument("--kind", choices=[k.value for k in dynamics.ObservableKind], default="X")
-    c.add_argument("--t-max", type=float, default=10.0)
-    c.add_argument("--t-steps", type=int, default=101)
-    c.add_argument("--minus-coeffs", default="", help="growing-sector coefficients (II/IV)")
-    c.add_argument("--plus-coeffs", default="1", help="decaying-sector coefficients (II/IV)")
-    c.add_argument("--time", type=float, default=0.0)
-    c.add_argument("--grid-max", type=float, default=6.0)
-    c.add_argument("--grid-points", type=int, default=201)
+    c.add_argument("--coeffs", help="state coefficients (Regions I/III)")
+    c.add_argument("--kind", choices=[k.value for k in dynamics.ObservableKind])
+    c.add_argument("--t-max", type=float)
+    c.add_argument("--t-steps", type=int)
+    c.add_argument("--minus-coeffs", help="growing-sector coefficients (II/IV)")
+    c.add_argument("--plus-coeffs", help="decaying-sector coefficients (II/IV)")
+    c.add_argument("--time", type=float)
+    c.add_argument("--grid-max", type=float)
+    c.add_argument("--grid-points", type=int)
     _add_output(c)
     c.set_defaults(func=_cmd_evolve)
 
     c = sub.add_parser("ep-sweep", help="limit sweeps onto the boundary strata")
     c.add_argument("--mode", choices=("boundary", "ep", "spectrum"), required=True)
-    c.add_argument("--omega", type=float, default=1.0)
-    c.add_argument("--alpha", type=float, default=0.75)
+    c.add_argument("--omega", type=float)
+    c.add_argument("--alpha", type=float)
     c.add_argument("--beta", type=float, default=0.25)
     c.add_argument("--b0", type=float, default=1.0)
     c.add_argument("--hbar", type=float, default=1.0)
-    c.add_argument("--n", type=int, default=0)
-    c.add_argument("--nmax", type=int, default=3)
-    c.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    c.add_argument("--side", choices=("I", "II"), default="I")
-    c.add_argument("--g-values", default="10,100,1000")
-    c.add_argument("--eps-values", default="0.1,0.01,0.001")
+    c.add_argument("--n", type=int)
+    c.add_argument("--nmax", type=int)
+    c.add_argument("--branch", choices=("plus", "minus"))
+    c.add_argument("--side", choices=("I", "II"))
+    c.add_argument("--g-values")
+    c.add_argument("--eps-values")
     _add_output(c)
     c.set_defaults(func=_cmd_ep_sweep)
 

@@ -127,13 +127,17 @@ class PoleScanReport:
 
 
 def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> PoleScanReport:
-    """Scan the gamma-prefactor magnitude over |Im E|/(hbar |Omega|) in (0, n_scan+1]."""
+    """Scan the gamma-prefactor magnitude over |Im E|/(hbar |Omega|) in (0, n_scan+1].
+
+    The samples are y = (k + 1/2)/s for an even count s per unit, and
+    y = (k + 3/4)/s for an odd one: 4k + 3 = 2s(2n + 1) has no solution, so no
+    sample lands on a pole y = n + 1/2.
+    """
     _require_barrier(params)
     if n_scan < 0 or samples_per_unit < 2:
         raise ValueError("need n_scan >= 0 and samples_per_unit >= 2")
     count = samples_per_unit * (n_scan + 1)
-    # staggered grid avoids landing exactly on the poles at y = n + 1/2
-    y = (np.arange(count) + 0.5) / samples_per_unit
+    y = (np.arange(count) + 0.5 + 0.25 * (samples_per_unit % 2)) / samples_per_unit
     # on the resonant half-line nu + 1 = 1/2 - y regardless of region
     logmag = log_gamma(0.5 - y).real / math.log(10.0)
     interior = (logmag[1:-1] > logmag[:-2]) & (logmag[1:-1] > logmag[2:])

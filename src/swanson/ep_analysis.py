@@ -29,19 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify
+from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify, derive
 from .errors import RegionError, SingularParameterError
 from .eigensystems import (
-    DeltaDeriv,
-    GaussPoly,
     PlaneWaveGauss,
     _ep_exponent,
-    _inverse_sqrt_factorial,
-    _unit,
+    _ladder_energy,
     discrete_states,
+    ep_states,
     evaluate,
 )
-from .pairing import pair
+from .dynamics import _finite
+from .pairing import _pair_block
 from .specfun import _gauss_legendre
 
 __all__ = [
@@ -76,7 +75,7 @@ def _weighted_grid(b0: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _normalized_distance(fv: np.ndarray, gv: np.ndarray, w: np.ndarray) -> float:
+def _normalized_distance(fv: np.ndarray, gv: np.ndarray, w: np.ndarray | float) -> float:
     nf = math.sqrt(float(np.real(np.sum(w * np.abs(fv) ** 2))))
     ng = math.sqrt(float(np.real(np.sum(w * np.abs(gv) ** 2))))
     if nf == 0.0 or ng == 0.0:
@@ -106,17 +105,42 @@ def _gaussian_battery(b0: float) -> list[PlaneWaveGauss]:
     return battery
 
 
-def _battery_direction(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValueError("battery pairing vector vanished")
-    return vec / norm
+def _distance_to(limit, params: ModelParams, battery: bool):
+    """distance(f, p) of a swept function f at p to the limit function at params.
+
+    Weighted-L2, or with battery the same distance between the vectors of
+    pairings with the battery.
+    """
+    if battery:
+        tests = _gaussian_battery(params.b0)
+        limit_vec = _pair_block(tests, [limit], params)[:, 0]
+        return lambda f, p: _normalized_distance(_pair_block(tests, [f], p)[:, 0], limit_vec, 1.0)
+    x, w = _weighted_grid(params.b0)
+    limit_vals = evaluate(limit, x, params)
+    return lambda f, p: _normalized_distance(evaluate(f, x, p), limit_vals, w)
 
 
-def _direction_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Phase-invariant distance between unit vectors, sqrt(2 - 2 |<u, v>|)."""
-    overlap = abs(complex(np.vdot(u, v)))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
+def _state(params: ModelParams, n: int, branch: str | None):
+    """State n on the given branch (None in Regions I and III) of discrete_states."""
+    return next(s for s in discrete_states(params, n) if s.n == n and s.branch == branch)
+
+
+def _sweep(values, name: str, swept_params, expected: RegionLabel, n: int,
+           branch: str | None, distance) -> LimitSweepReport:
+    """Distance to the limit and energy of state n at each swept point."""
+    distances = np.zeros(len(values))
+    energies = np.zeros(len(values), dtype=complex)
+    for i, value in enumerate(values):
+        p = swept_params(value)
+        label = classify(p)
+        if label is not expected:
+            raise RegionError(
+                f"swept point at {name}={value:g} classifies as {label.pretty()}, not "
+                f"{expected.pretty()}")
+        state = _state(p, n, branch)
+        distances[i] = distance(state.right_fn, p)
+        energies[i] = complex(state.energy)
+    return LimitSweepReport(values, distances, energies)
 
 
 def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: str,
@@ -125,7 +149,8 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
 
     The swept state is the n-th eigenstate of discrete_states at
     omega = alpha + beta + eps(G), and energies are its eigenvalues
-    hbar (n+1/2) G eps.  branch_target 'plus': weighted-L2 distance of the
+    hbar (n+1/2) G eps.  The limit is the n-th Boundary I-III state of
+    discrete_states.  branch_target 'plus': weighted-L2 distance of the
     swept function to the monomial limit tau^-1 x^n / sqrt(n!), energies tending
     to hbar (alpha-beta)(n+1/2).  branch_target 'minus': distributional
     convergence onto the delta-derivative family, measured as the euclidean
@@ -136,59 +161,33 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
         raise SingularParameterError("boundary sweep requires alpha != beta")
     if branch_target not in ("plus", "minus"):
         raise ValueError("branch_target must be 'plus' or 'minus'")
-    g_values = np.asarray(g_values, dtype=float)
+    g_values = _finite(g_values, "g_values", float)
     if np.any(g_values <= 1.0):
         raise ValueError("G values must exceed 1 (epsilon(G) leaves its validity range)")
     if np.any(np.diff(g_values) <= 0.0):
         raise ValueError("G values must be increasing")
 
     params_boundary = ModelParams(alpha + beta, alpha, beta, b0, hbar)
-    ct = (alpha + beta) / (alpha - beta)
-    if branch_target == "plus":
-        x, w = _weighted_grid(b0)
-        limit_vals = evaluate(GaussPoly(gauss=-ct, coeffs=_unit(n), norm=1.0), x, params_boundary)
-
-        def distance(f, p):
-            return _normalized_distance(evaluate(f, x, p), limit_vals, w)
-    else:
-        battery = _gaussian_battery(b0)
-        limit_fn = DeltaDeriv(gauss=-ct, n=n, norm=(-1.0) ** n * _inverse_sqrt_factorial(n))
-        limit_vec = _battery_direction(
-            np.array([pair(t, limit_fn, params_boundary) for t in battery]))
-
-        def distance(f, p):
-            vec = _battery_direction(np.array([pair(t, f, p) for t in battery]))
-            return _direction_distance(vec, limit_vec)
+    minus = branch_target == "minus"
+    limit = _state(params_boundary, n, "-" if minus else "+").right_fn
+    distance = _distance_to(limit, params_boundary, battery=minus)
 
     # Region I (eps > 0) energies tend to hbar |alpha - beta| (n + 1/2), Region III
     # (eps < 0) ones to the negative; the monomial limit has hbar (alpha - beta)(n + 1/2)
     eps_sign = 1.0 if (branch_target == "plus") == (alpha > beta) else -1.0
     expected = RegionLabel.REGION_I if eps_sign > 0 else RegionLabel.REGION_III
-    distances = np.zeros(len(g_values))
-    energies = np.zeros(len(g_values), dtype=complex)
-    for i, g_val in enumerate(g_values):
+
+    def swept_params(g_val):
         disc = math.sqrt(4.0 * alpha * beta + g_val ** 2 * (alpha - beta) ** 2)
         eps = (alpha + beta + eps_sign * disc) / (g_val ** 2 - 1.0)
-        p_eps = ModelParams(alpha + beta + eps, alpha, beta, b0, hbar)
-        label = classify(p_eps)
-        if label is not expected:
-            raise RegionError(
-                f"swept point at G={g_val:g} classifies as {label.pretty()}, not "
-                f"{expected.pretty()}")
-        state = discrete_states(p_eps, n)[n]
-        distances[i] = distance(state.right_fn, p_eps)
-        energies[i] = complex(state.energy)
-    return LimitSweepReport(g_values, distances, energies)
+        return ModelParams(alpha + beta + eps, alpha, beta, b0, hbar)
+
+    return _sweep(g_values, "G", swept_params, expected, n, None, distance)
 
 
 # ---------------------------------------------------------------------------
 # sweep onto the Omega = 0 exceptional points
 # ---------------------------------------------------------------------------
-
-def _ep_limit_function(p_ref: ModelParams, n: int) -> GaussPoly:
-    coeffs = (1.0 + 0.0j,) if n % 2 == 0 else (0.0 + 0.0j, 1.0 + 0.0j)
-    return GaussPoly(gauss=_ep_exponent(p_ref, DEFAULT_TOL), coeffs=coeffs, norm=1.0)
-
 
 def _ep_swept_params(omega: float, beta: float, eps: float, side: str,
                      b0: float, hbar: float) -> ModelParams:
@@ -208,38 +207,25 @@ def sweep_to_ep(omega: float, beta: float, n: int, region_side: str, eps_values,
     region_side 'I' approaches the boundary through the oscillator region
     (E = hbar eps (n+1/2)); side 'II' through the barrier region on the given
     branch (E = +-i hbar eps (n+1/2)).  Both converge to the same
-    (even: Gaussian, odd: x Gaussian) E = 0 limit function.
+    (even: Gaussian, odd: x Gaussian) E = 0 limit function of ep_states.
     """
     if region_side not in ("I", "II"):
         raise ValueError("region_side must be 'I' or 'II'")
-    p_ref = _ep_swept_params(omega, beta, 0.0, "I", b0, hbar)
-    limit_fn = _ep_limit_function(p_ref, n)     # raises at omega = 2 beta
-    eps_values = np.asarray(eps_values, dtype=float)
+    if branch not in ("+", "-"):
+        raise ValueError("branch must be '+' or '-'")
+    eps_values = _finite(eps_values, "eps_values", float)
     if np.any(eps_values <= 0.0) or np.any(np.diff(eps_values) >= 0.0):
         raise ValueError("eps values must be positive and decreasing")
-
-    x, w = _weighted_grid(b0)
-    limit_vals = evaluate(limit_fn, x, p_ref)
+    p_ref = _ep_swept_params(omega, beta, 0.0, "I", b0, hbar)
+    # omega = 2 beta is singular; checked first, as ep_states sees the corner there
+    _ep_exponent(p_ref, DEFAULT_TOL)
+    limit = ep_states(p_ref, 1 - n % 2, n % 2, 0, 0).right_fn
 
     expected = RegionLabel.REGION_I if region_side == "I" else RegionLabel.REGION_II
-    distances = np.zeros(len(eps_values))
-    energies = np.zeros(len(eps_values), dtype=complex)
-    for i, eps in enumerate(eps_values):
-        p = _ep_swept_params(omega, beta, eps, region_side, b0, hbar)
-        label = classify(p)
-        if label is not expected:
-            raise RegionError(
-                f"swept point at eps={eps:g} classifies as {label.pretty()}, not "
-                f"Region {region_side}")
-        states = discrete_states(p, n)
-        if region_side == "I":
-            state = next(s for s in states if s.n == n)
-        else:
-            state = next(s for s in states if s.n == n and s.branch == branch)
-        swept_vals = evaluate(state.right_fn, x, p)
-        distances[i] = _normalized_distance(swept_vals, limit_vals, w)
-        energies[i] = complex(state.energy)
-    return LimitSweepReport(eps_values, distances, energies)
+    return _sweep(eps_values, "eps",
+                  lambda eps: _ep_swept_params(omega, beta, eps, region_side, b0, hbar),
+                  expected, n, None if region_side == "I" else branch,
+                  _distance_to(limit, p_ref, battery=False))
 
 
 @dataclass(frozen=True)
@@ -257,22 +243,27 @@ def ep_spectrum_flow(omega: float, beta: float, n_max: int, eps_values,
 
     Side I energies hbar eps (n+1/2) and side II energies +-i hbar eps (n+1/2)
     collapse to 0 simultaneously for every n: the coalescence is of infinite
-    order.
+    order.  The energies are the closed-form ladder eigenvalues; no state is
+    built.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    eps_values = _finite(eps_values, "eps_values", float)
     # the closed forms are singular at omega = 2 beta, where _ep_exponent raises
     _ep_exponent(_ep_swept_params(omega, beta, 0.0, "I", b0, hbar), DEFAULT_TOL)
     rows = []
-    for eps in np.asarray(eps_values, dtype=float):
-        p1 = _ep_swept_params(omega, beta, eps, "I", b0, hbar)
-        p2 = _ep_swept_params(omega, beta, eps, "II", b0, hbar)
-        s1 = {s.n: s for s in discrete_states(p1, n_max)}
-        s2 = {(s.n, s.branch): s for s in discrete_states(p2, n_max)}
+    for eps in eps_values:
+        ladders = []
+        for side in ("I", "II"):
+            p = _ep_swept_params(omega, beta, eps, side, b0, hbar)
+            label = classify(p)
+            if label not in (RegionLabel.REGION_I, RegionLabel.REGION_II,
+                             RegionLabel.REGION_III, RegionLabel.REGION_IV):
+                raise RegionError(f"swept point at eps={eps:g} classifies as {label.pretty()}, "
+                                  "which has no discrete ladder")
+            ladders.append((label, derive(p), p.hbar))
         for n in range(n_max + 1):
-            rows.append(FlowEntry(
-                eps=float(eps),
-                n=n,
-                energy_side1=float(np.real(s1[n].energy)),
-                energy_side2_plus=complex(s2[(n, "+")].energy),
-                energy_side2_minus=complex(s2[(n, "-")].energy),
-            ))
+            e2 = _ladder_energy(*ladders[1], n)
+            rows.append(FlowEntry(float(eps), n, float(np.real(_ladder_energy(*ladders[0], n))),
+                                  complex(e2), complex(-e2)))
     return rows

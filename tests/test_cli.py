@@ -144,9 +144,22 @@ def test_grids_and_targets_are_checked_before_the_library(tmp_path: Path, args, 
     (["poles", *BARRIER, "--probe-width", "0.346", "-o", "probe.csv"],
      "--output is not used with --probe-width"),
     (["poles", *BARRIER, "--probe-e0", "1"], "--probe-e0 needs --probe-width"),
+    (["evolve", *BARRIER, "--coeffs", "1,1", "-o", "out.csv"], "--coeffs is not used in Region II"),
+    (["evolve", *OSCILLATOR, "--time", "0.5", "-o", "out.csv"], "--time is not used in Region I"),
+    (["reconstruct", *OSCILLATOR, "--modes", "0:1", "-o", "out.csv"], "--modes needs --sector"),
+    (["reconstruct", *BARRIER, "--sector", "minus", "--center", "0.2", "-o", "out.csv"],
+     "--center is not used with --sector"),
+    (["ep-sweep", "--mode", "spectrum", "--n", "0", "-o", "out.csv"],
+     "--n is not used with --mode spectrum"),
+    (["ep-sweep", "--mode", "boundary", "--omega", "1", "-o", "out.csv"],
+     "--omega is not used with --mode boundary"),
+    (["ep-sweep", "--mode", "ep", "--g-values", "10,100", "-o", "out.csv"],
+     "--g-values is not used with --mode ep"),
 ], ids=["reconstruct-format", "evolve-format", "ep-sweep-format", "states-continuum-format",
         "states-ep-format", "states-free-format", "states-discrete-grid", "probe-format",
-        "probe-output", "probe-e0-alone"])
+        "probe-output", "probe-e0-alone", "evolve-barrier-coeffs", "evolve-oscillator-time",
+        "reconstruct-modes", "reconstruct-sector-center", "ep-sweep-spectrum-n",
+        "ep-sweep-boundary-omega", "ep-sweep-ep-g-values"])
 def test_a_flag_the_mode_does_not_use_is_a_usage_error(tmp_path: Path, args, message):
     # each of these exited 0 and ignored the flag
     cp = run_cli(*args, env={**os.environ, "SWANSON_OUTDIR": str(tmp_path)})
@@ -359,9 +372,9 @@ def test_ep_sweep_modes(tmp_path: Path):
 
 @pytest.mark.parametrize("mode", ["ep", "spectrum"])
 def test_ep_sweep_beta_zero_is_a_typed_error(mode):
-    cp = run_cli("ep-sweep", "--mode", mode, "--omega", "1", "--beta", "0", "--n", "0")
+    cp = run_cli("ep-sweep", "--mode", mode, "--omega", "1", "--beta", "0")
     assert cp.returncode == 2
-    assert "usage error" in cp.stderr
+    assert "usage error" in cp.stderr and "beta = 0" in cp.stderr
     assert "Traceback" not in cp.stderr
 
 

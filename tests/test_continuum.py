@@ -143,6 +143,20 @@ def test_pole_scan_calls_log_gamma_once(monkeypatch):
     assert len(report.detected_poles) == 4
 
 
+@pytest.mark.parametrize("samples", [3, 5, 77, 201])
+def test_pole_scan_odd_sample_counts(samples):
+    # y = (k + 1/2)/s landed on the pole at y = 1/2 for odd s and raised PoleError
+    report = pole_scan(pts.REGION_II_POINT, 3, samples)
+    assert len(report.detected_poles) == 4
+    for n, pole in enumerate(report.detected_poles):
+        assert abs(pole - (n + 0.5)) <= 1.0 / (4 * samples) + 1e-12
+
+
+def test_pole_scan_even_grid_is_half_staggered():
+    report = pole_scan(pts.REGION_II_POINT, 3, 200)
+    assert np.array_equal(report.energies_imag, (np.arange(800) + 0.5) / 200)
+
+
 def test_pole_scan_guards():
     with pytest.raises(RegionError):
         pole_scan(pts.REGION_I_POINTS[0], 2)

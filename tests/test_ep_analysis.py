@@ -186,3 +186,89 @@ def test_ep_sweeps_reject_beta_zero():
         sweep_to_ep(1.0, 0.0, 0, "II", GEOMETRIC_EPS)
     with pytest.raises(RegionError):
         ep_spectrum_flow(1.0, 0.0, 2, [0.1, 0.01])
+
+
+# ---------------------------------------------------------------------------
+# the sweeps reuse the eigenfamilies and the pairing kernel
+# ---------------------------------------------------------------------------
+
+def _forbid(monkeypatch, module, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} must not be called here")
+
+    monkeypatch.setattr(module, name, forbidden, raising=False)
+
+
+@pytest.mark.parametrize("omega,beta", [(1.0, -2.0), (2.0, 0.25)])
+def test_flow_table_is_the_ladder_energies(monkeypatch, omega, beta):
+    # at (2, 0.25), omega > 2 beta > 0, the two sides are Regions III and IV
+    import swanson.eigensystems as eigensystems
+    import swanson.ep_analysis as ep_module
+    from swanson import classify, discrete_states
+
+    eps_values = [0.1, 0.01, 0.001]
+    expected = []
+    for eps in eps_values:
+        p1 = ModelParams(omega, (omega ** 2 - eps ** 2) / (4.0 * beta), beta)
+        p2 = ModelParams(omega, (omega ** 2 + eps ** 2) / (4.0 * beta), beta)
+        if beta > 0:
+            assert (classify(p1).value, classify(p2).value) == ("III", "IV")
+        s1 = {s.n: s for s in discrete_states(p1, 3)}
+        s2 = {(s.n, s.branch): s for s in discrete_states(p2, 3)}
+        expected += [(eps, n, float(np.real(s1[n].energy)), complex(s2[(n, "+")].energy),
+                      complex(s2[(n, "-")].energy)) for n in range(4)]
+    for module in (ep_module, eigensystems):
+        _forbid(monkeypatch, module, "discrete_states")
+    rows = ep_spectrum_flow(omega, beta, 3, eps_values)
+    got = [(r.eps, r.n, r.energy_side1, r.energy_side2_plus, r.energy_side2_minus) for r in rows]
+    assert repr(got) == repr(expected)       # bit for bit, signed zeros included
+
+
+def test_flow_table_rejects_eps_at_the_ep():
+    # eps = 1e-9 puts Omega^2 = +-1e-18 within the classification tolerance
+    with pytest.raises(RegionError):
+        ep_spectrum_flow(1.0, -2.0, 2, [0.1, 1e-9])
+    with pytest.raises(ValueError):
+        ep_spectrum_flow(1.0, -2.0, -1, [0.1])
+
+
+def test_sweeps_call_no_single_pairing(monkeypatch):
+    import swanson.ep_analysis as ep_module
+    import swanson.pairing as pairing_module
+
+    for module in (ep_module, pairing_module):
+        _forbid(monkeypatch, module, "pair")
+    for n in (0, 1):
+        for branch in ("plus", "minus"):
+            sweep_to_boundary_i_iii(0.75, 0.25, n, branch, [10.0, 100.0])
+        sweep_to_ep(1.0, -2.0, n, "II", [0.1, 0.01])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_battery_block_matches_single_pairings(n):
+    from swanson import discrete_states
+    from swanson.ep_analysis import _gaussian_battery
+    from swanson.pairing import _pair_block
+
+    battery = _gaussian_battery(1.0)
+    boundary = ModelParams(1.0, 0.75, 0.25)
+    swept = ModelParams(1.0 - 0.01, 0.75, 0.25)           # Region III, below the boundary
+    for p in (boundary, swept):
+        f = next(s for s in discrete_states(p, n) if s.n == n and s.branch in (None, "-")).right_fn
+        block = _pair_block(battery, [f], p)[:, 0]
+        single = np.array([pair(t, f, p) for t in battery])
+        assert np.max(np.abs(block - single)) <= 1e-15 * np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: sweep_to_boundary_i_iii(0.75, 0.25, 0, "plus", [10.0, math.inf]), "g_values"),
+    (lambda: sweep_to_boundary_i_iii(0.75, 0.25, 0, "minus", [math.nan, 10.0]), "g_values"),
+    (lambda: sweep_to_ep(1.0, -2.0, 0, "I", [0.1, math.nan]), "eps_values"),
+    (lambda: sweep_to_ep(1.0, -2.0, 0, "II", [math.inf, 0.1]), "eps_values"),
+    (lambda: ep_spectrum_flow(1.0, -2.0, 2, [0.1, math.nan]), "eps_values"),
+    (lambda: sweep_to_ep(1.0, -2.0, 0, "II", GEOMETRIC_EPS, branch="x"), "branch"),
+], ids=["g-inf", "g-nan", "eps-nan", "eps-inf", "flow-eps-nan", "ep-branch"])
+def test_sweep_inputs_are_checked_up_front(call, name):
+    # these warned and blamed omega or alpha, or (the branch) raised a bare StopIteration
+    with pytest.raises(ValueError, match=name):
+        call()
