@@ -212,12 +212,33 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
 # Windowed delta-normalization probe
 # ---------------------------------------------------------------------------
 
-def _weber_reduced(eps, u: np.ndarray) -> np.ndarray:
-    """Gamma(nu+1) D_{-nu-1}(-sqrt(2) e^{-i pi/4} u), the side-+ family in
-    reduced coordinates u = sigma x / b0; one row per reduced energy in eps."""
-    nu = -1j * np.atleast_1d(np.asarray(eps, dtype=float)) - 0.5
-    pref = np.exp(log_gamma(nu + 1.0))
-    return pref[:, None] * parabolic_cylinder_d(-nu[:, None] - 1.0, -math.sqrt(2.0) * ROT * u)
+def _weber_reduced(eps: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, f') for f_eps(u) = Gamma(nu+1) D_mu(c u), c = -sqrt(2) e^{-i pi/4},
+    mu = -nu-1 = i eps - 1/2: the side-+ family in reduced coordinates
+    u = sigma x / b0, one row per reduced energy in eps.
+
+    f_eps solves f'' + (u^2 + 2 eps) f = 0; f' = c Gamma(nu+1) (mu D_{mu-1} -
+    (c u/2) D_mu), with both orders of the ladder in one Weber call.
+    """
+    nu = -1j * eps - 0.5
+    mu = (-nu - 1.0)[:, None]
+    pref = np.exp(log_gamma(nu + 1.0))[:, None]
+    c = -math.sqrt(2.0) * ROT
+    z = c * u
+    d_mu, d_m1 = parabolic_cylinder_d(mu - np.arange(2.0)[:, None, None], z)
+    return pref * d_mu, c * pref * (mu * d_m1 - 0.5 * z * d_mu)
+
+
+def _interior_integrals(eps_p: np.ndarray, eps0: float, box: float) -> np.ndarray:
+    """The integrals of conj(f_eps') f_eps0 over |u| <= box, one per eps' in eps_p.
+
+    The Weber equation has real coefficients, so conj(f_eps') solves it at
+    eps' and the integrand is a Wronskian derivative (DLMF 12.2):
+    [f_eps0' conj(f_eps') - f_eps0 conj(f_eps')']_{-box}^{box} / (2 (eps' - eps0)).
+    """
+    f, df = _weber_reduced(np.append(eps_p, eps0), np.array([-box, box]))
+    wronskian = df[-1] * np.conjugate(f[:-1]) - f[-1] * np.conjugate(df[:-1])
+    return (wronskian[:, 1] - wronskian[:, 0]) / (2.0 * (eps_p - eps0))
 
 
 def _tail_coefficient_data(eps_p: np.ndarray, eps0: float):
@@ -244,9 +265,8 @@ def _tail_coefficient_data(eps_p: np.ndarray, eps0: float):
     return [(c_left, -1.0, g_osc), (c_r1, -1.0, g_osc), (c_r2, +1.0, g_r2)]
 
 
-_PROBE_BOX = 10.0          # interior |u| <= box by quadrature, the tails beyond in closed form
+_PROBE_BOX = 10.0          # interior |u| <= box by its Wronskians, the tails beyond by their kernels
 _PROBE_ENERGIES = 48       # Gauss-Legendre nodes over the window center +- 6 widths
-_PROBE_INNER = 1400        # Gauss-Legendre nodes over the interior
 
 
 def delta_normalization_probe(params: ModelParams, e0: float, width: float,
@@ -260,13 +280,15 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
     centered off its support, with deviations shrinking as the window
     narrows.
 
-    The energy window is center +- 6 widths on 48 nodes.  The x-integral is
-    split at |u| = 10 (reduced units): the interior by 1400-node quadrature,
-    the tails by their closed-form Mellin kernels (principal value plus delta
+    The energy window is center +- 6 widths on 48 Gauss-Legendre nodes.  The
+    x-integral is split at |u| = 10 (reduced units): the interior in closed
+    form, as a difference of Weber-equation Wronskians at the two ends, the
+    tails by their closed-form Mellin kernels (principal value plus delta
     part), exact in the smeared limit.  check_box=True re-runs at 1.5 times
-    the box and the interior nodes and raises NonConvergentError if the two
-    disagree by more than 2e-2.  ValueError for a non-finite e0, width or
-    center, and for E0 on an edge of the window, where the value diverges.
+    the box and raises NonConvergentError if the two disagree by more than
+    2e-2.  ValueError for a non-finite e0, width or center, for E0 on an edge
+    of the window, where the value diverges, and for E0 within 1e-6 widths of
+    an energy node, where the principal-value quotients lose their digits.
     """
     for name, value in (("e0", e0), ("width", width), ("center", center)):
         if value is not None and not math.isfinite(value):
@@ -281,17 +303,17 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
     cen = eps0 if center is None else _reduced_energy(params, center, label)
 
     if check_box:
-        a, b = (_probe_value(eps0, w, cen, f * _PROBE_BOX, int(f * _PROBE_INNER)) for f in (1, 1.5))
+        a, b = (_probe_value(eps0, w, cen, f * _PROBE_BOX) for f in (1, 1.5))
         if abs(a - b) > 2e-2:
             raise NonConvergentError(
                 f"truncation box too small: probe values {a:.4f} vs {b:.4f} at boxes "
                 f"{_PROBE_BOX} and {1.5 * _PROBE_BOX}")
         return b
-    return _probe_value(eps0, w, cen, _PROBE_BOX, _PROBE_INNER)
+    return _probe_value(eps0, w, cen, _PROBE_BOX)
 
 
-def _probe_value(eps0: float, w: float, cen: float, box: float, n_inner: int) -> complex:
-    """The probe in reduced energies, with the interior |u| <= box on n_inner nodes."""
+def _probe_value(eps0: float, w: float, cen: float, box: float) -> complex:
+    """The probe in reduced energies, with the interior |u| <= box in closed form."""
     # energy window nodes (Gauss-Legendre over +-6 bump widths)
     lo, hi = cen - 6.0 * w, cen + 6.0 * w
     if eps0 in (lo, hi):
@@ -299,17 +321,14 @@ def _probe_value(eps0: float, w: float, cen: float, box: float, n_inner: int) ->
     en_nodes, en_weights = _gauss_legendre(_PROBE_ENERGIES)
     eps_p = 0.5 * (hi - lo) * en_nodes + 0.5 * (hi + lo)
     ew = 0.5 * (hi - lo) * en_weights
+    delta = eps_p - eps0
+    if np.min(np.abs(delta)) <= 1e-6 * w:
+        raise ValueError("delta_normalization_probe: e0 within 1e-6 width of an energy node "
+                         "of the window; move e0 or the center")
     bump = np.exp(-((eps_p - cen) / w) ** 2 / 2.0)
     bump0 = math.exp(-((eps0 - cen) / w) ** 2 / 2.0)
 
-    # interior x-quadrature
-    u_nodes, u_weights = _gauss_legendre(n_inner)
-    u = box * u_nodes
-    uw = box * u_weights
-    f0 = _weber_reduced(eps0, u)[0]
-    inner = np.sum(uw * np.conjugate(_weber_reduced(eps_p, u)) * f0, axis=1)
-
-    delta = eps_p - eps0
+    inner = _interior_integrals(eps_p, eps0, box)
     tails = _tail_coefficient_data(eps_p, eps0)
     tails0 = [c[0] for c, _, _ in _tail_coefficient_data(np.array([eps0]), eps0)]
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify, derive
-from .errors import RegionError, SingularParameterError
+from .errors import NonConvergentError, RegionError, SingularParameterError
 from .eigensystems import (
     PlaneWaveGauss,
     _ep_exponent,
@@ -75,12 +75,21 @@ def _weighted_grid(b0: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _normalized_distance(fv: np.ndarray, gv: np.ndarray, w: np.ndarray | float) -> float:
-    nf = math.sqrt(float(np.real(np.sum(w * np.abs(fv) ** 2))))
-    ng = math.sqrt(float(np.real(np.sum(w * np.abs(gv) ** 2))))
-    if nf == 0.0 or ng == 0.0:
+def _unit(v: np.ndarray, w: np.ndarray | float) -> np.ndarray:
+    """v over its weighted norm, scaled by its largest modulus before squaring,
+    so a finite v always has a finite norm and the overlap of two is at most 1."""
+    top = np.abs(v).max()
+    if not math.isfinite(top):
+        raise NonConvergentError("sweep distance: a value or pairing is not finite")
+    if top == 0.0:
         raise ValueError("cannot normalize a vanishing function")
-    overlap = complex(np.sum(w * np.conjugate(fv) * gv)) / (nf * ng)
+    v = v / top
+    return v / math.sqrt((w * np.abs(v) ** 2).sum())
+
+
+def _normalized_distance(fv: np.ndarray, unit_g: np.ndarray, w: np.ndarray | float) -> float:
+    """Distance from fv, normalized and phase-aligned, to the unit vector unit_g."""
+    overlap = (w * _unit(fv, w).conj() * unit_g).sum()
     return math.sqrt(max(0.0, 2.0 - 2.0 * abs(overlap)))
 
 
@@ -113,10 +122,10 @@ def _distance_to(limit, params: ModelParams, battery: bool):
     """
     if battery:
         tests = _gaussian_battery(params.b0)
-        limit_vec = _pair_block(tests, [limit], params)[:, 0]
+        limit_vec = _unit(_pair_block(tests, [limit], params)[:, 0], 1.0)
         return lambda f, p: _normalized_distance(_pair_block(tests, [f], p)[:, 0], limit_vec, 1.0)
     x, w = _weighted_grid(params.b0)
-    limit_vals = evaluate(limit, x, params)
+    limit_vals = _unit(evaluate(limit, x, params), w)
     return lambda f, p: _normalized_distance(evaluate(f, x, p), limit_vals, w)
 
 

@@ -114,9 +114,13 @@ def _distributional_value(left_conj: GeneralizedFunction, right: GeneralizedFunc
         delta, smooth = left_conj, right
     else:
         delta, smooth = right, left_conj
+    m = delta.n
+    if m > 170:
+        raise NonConvergentError(
+            f"delta-derivative pairing of order {m}: the factorials of its Taylor "
+            "coefficients leave the float range from order 171")
     # fold the delta's Gaussian prefactor into the smooth side symbolically
     shifted = dataclasses.replace(smooth, gauss=complex(smooth.gauss) + complex(delta.gauss))
-    m = delta.n
     coeff = taylor_coefficients(shifted, params, m)[m]
     return complex(delta.norm) * (-1.0) ** m * math.factorial(m) * coeff
 

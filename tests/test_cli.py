@@ -370,6 +370,18 @@ def test_ep_sweep_modes(tmp_path: Path):
     assert "spectrum-flow rows" in cp.stdout
 
 
+@pytest.mark.parametrize("n,branch_args", [("100", ["--g-values", "10,100"]), ("171", [])],
+                         ids=["nan-weights", "delta-order-171"])
+def test_boundary_sweep_numerical_failures_exit_one(n, branch_args):
+    # n = 100 needs Gauss-Hermite order 440, where hermgauss returns NaN weights;
+    # at n = 171 the delta-derivative limit's factorials leave the float range
+    cp = run_cli("ep-sweep", "--mode", "boundary", "--alpha", "0.75", "--beta", "0.25",
+                 "--n", n, "--branch", "minus", *branch_args)
+    assert cp.returncode == 1
+    assert "numerical failure" in cp.stderr
+    assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
 @pytest.mark.parametrize("mode", ["ep", "spectrum"])
 def test_ep_sweep_beta_zero_is_a_typed_error(mode):
     cp = run_cli("ep-sweep", "--mode", mode, "--omega", "1", "--beta", "0")
@@ -401,8 +413,8 @@ OPERATION_COVERAGE = {
     "eigensystems.free_particle_states": "test_states_ep_and_free",
     "eigensystems.evaluate": "test_states_continuum_csv",
     "eigensystems.apply_hamiltonian": "module suites (no CLI grid emission)",
-    "pairing.pair": "test_gram_json_report",
-    "pairing.metric_pair": "test_gram_json_report (--which metric path)",
+    "pairing.pair": "module suites (gram pairs whole blocks, never one pair)",
+    "pairing.metric_pair": "module suites (gram --which metric dresses a whole block instead)",
     "pairing.gram": "test_gram_json_report",
     "pairing.reconstruct": "test_reconstruct_oscillator_basis",
     "continuum.continuum_state": "test_states_continuum_csv",

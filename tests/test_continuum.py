@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from swanson import (
     resonant_expansion,
     stripped_discrete_function,
 )
-from swanson import GaussPoly
+from swanson import GaussPoly, continuum
+from swanson.continuum import _interior_integrals
+from swanson.specfun import _gauss_legendre, log_gamma, parabolic_cylinder_d
 
 OMEGA_SCALE = math.sqrt(3.0)   # hbar |Omega| at the Region II witness point
 
@@ -295,6 +298,84 @@ def test_probe_on_a_window_edge_is_a_usage_error():
     # the windowed principal value diverges logarithmically when E0 is an edge
     with pytest.raises(ValueError, match="edge of the window"):
         delta_normalization_probe(ModelParams(1.0, -1.0, -0.5), 0.0, 1.0, center=6.0)
+
+
+def test_probe_on_an_energy_node_is_a_usage_error():
+    # at (1, -1, -0.5) hbar |Omega| = 1, so width 1/6 about 0 puts the window on
+    # [-1, 1] and its energy nodes on the raw Gauss-Legendre nodes; on a node the
+    # principal-value quotients are 0/0, and beside one they lose digits as
+    # 1/|eps' - eps0|
+    p = ModelParams(1.0, -1.0, -0.5)
+    node = float(_gauss_legendre(48)[0][30])
+    for offset in (0.0, 1e-9, -1e-7):
+        with pytest.raises(ValueError, match="e0 within 1e-6 width of an energy node"):
+            delta_normalization_probe(p, node + offset, 1.0 / 6.0, center=0.0)
+    value = delta_normalization_probe(p, node + 1e-5, 1.0 / 6.0, center=0.0)
+    assert np.isfinite(value)
+
+
+def _weber_family(eps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Gamma(1/2 - i eps) D_{i eps - 1/2}(-sqrt(2) e^{-i pi/4} u), straight from the Weber
+    function: one row per energy."""
+    pref = np.exp(log_gamma(0.5 - 1j * eps))
+    z = -math.sqrt(2.0) * cmath.exp(-0.25j * math.pi) * u
+    return pref[:, None] * parabolic_cylinder_d(1j * eps[:, None] - 0.5, z)
+
+
+def _quadrature_interior(eps_p: np.ndarray, eps0: float, box: float) -> np.ndarray:
+    """The interior integrals on 140 Gauss-Legendre nodes per unit of box (1400 at box 10)."""
+    nodes, weights = np.polynomial.legendre.leggauss(int(round(140 * box)))
+    u, uw = box * nodes, box * weights
+    f0 = _weber_family(np.array([eps0]), u)[0]
+    return np.sum(uw * np.conjugate(_weber_family(eps_p, u)) * f0, axis=1)
+
+
+@pytest.mark.parametrize("eps0,box", [(0.0, 10.0), (0.5, 10.0), (3.0, 10.0), (-2.0, 10.0),
+                                      (0.0, 15.0), (8.0, 10.0)])
+def test_interior_integrals_are_wronskian_differences(eps0, box):
+    # conj(f_eps') and f_eps0 solve f'' + (u^2 + 2 eps) f = 0 at their own energies, so
+    # the interior integral is a difference of Wronskians over 2 (eps' - eps0)
+    eps_p = eps0 + np.array([-1.3, -0.4, -0.05, -1e-3, 2e-3, 0.07, 0.6, 1.9])
+    closed = _interior_integrals(eps_p, eps0, box)
+    oracle = _quadrature_interior(eps_p, eps0, box)
+    assert np.max(np.abs(closed - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+_OM = OMEGA_SCALE
+_OM_IV = abs(derive(ModelParams(1.0, 2.0, 0.6)).omega_cap)
+PROBE_SETTINGS = {
+    "width-0.346": (pts.REGION_II_POINT, 0.0, 0.346 * _OM, {}),
+    "width-0.01": (pts.REGION_II_POINT, 0.0, 0.01 * _OM, {}),
+    "width-1": (pts.REGION_II_POINT, 0.0, 1.0 * _OM, {}),
+    "off-support": (pts.REGION_II_POINT, 0.0, 0.2 * _OM, {"center": 1.5 * _OM}),
+    "e0-0.5": (pts.REGION_II_POINT, 0.5 * _OM, 0.2 * _OM, {}),
+    "e0-3": (pts.REGION_II_POINT, 3.0 * _OM, 0.2 * _OM, {}),
+    "region-iv": (ModelParams(1.0, 2.0, 0.6), 0.0, 0.2 * _OM_IV, {}),
+    "b0-1.7": (ModelParams(1.0, -2.0, -0.5, b0=1.7), 0.0, 0.2 * _OM, {}),
+    "check-box": (pts.REGION_II_POINT, 0.0, 0.25 * _OM, {"check_box": True}),
+}
+
+
+@pytest.mark.parametrize("setting", list(PROBE_SETTINGS))
+def test_probe_matches_the_quadrature_interior(setting, monkeypatch):
+    # the closed-form interior against a 1400-node quadrature of the same integrals
+    p, e0, width, kwargs = PROBE_SETTINGS[setting]
+    closed = delta_normalization_probe(p, e0, width, **kwargs)
+    monkeypatch.setattr(continuum, "_interior_integrals", _quadrature_interior)
+    assert abs(closed - delta_normalization_probe(p, e0, width, **kwargs)) <= 1e-10
+
+
+def test_probe_value_asks_for_few_weber_points(monkeypatch):
+    # f and f' at u = +-box for 48 window energies and E0: 49 x 2 orders x 2 ends
+    points = []
+
+    def spy(nu, z):
+        points.append(int(np.prod(np.broadcast_shapes(np.shape(nu), np.shape(z)))))
+        return parabolic_cylinder_d(nu, z)
+
+    monkeypatch.setattr(continuum, "parabolic_cylinder_d", spy)
+    delta_normalization_probe(pts.REGION_II_POINT, 0.0, 0.346 * OMEGA_SCALE)
+    assert 0 < sum(points) <= 196
 
 
 def test_norm_constant_scaling():

@@ -7,6 +7,7 @@ import conftest as pts
 from swanson import (
     GaussPoly,
     ModelParams,
+    NonConvergentError,
     RegionError,
     SingularParameterError,
     ep_spectrum_flow,
@@ -272,3 +273,37 @@ def test_sweep_inputs_are_checked_up_front(call, name):
     # these warned and blamed omega or alpha, or (the branch) raised a bare StopIteration
     with pytest.raises(ValueError, match=name):
         call()
+
+
+def test_distance_scales_before_it_squares():
+    from swanson.ep_analysis import _normalized_distance, _unit
+
+    f = np.array([1.0, 2.0j, -0.5])
+    g = np.array([0.9, 2.1j, -0.4])
+    w = np.array([0.2, 0.3, 0.5])
+    base = _normalized_distance(f, _unit(g, w), w)
+    # unscaled, 1e200 squared overflows (distance sqrt(2)) and 1e-300 squared underflows
+    for scale_f, scale_g in ((1e200, 1.0), (1e-200, 1e200), (1e-300, 1e-300)):
+        unit_g = _unit(scale_g * g, w)
+        assert _normalized_distance(scale_f * f, unit_g, w) == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_distance_of_a_nonfinite_vector_is_a_typed_error(bad):
+    from swanson.ep_analysis import _normalized_distance, _unit
+
+    # max(0.0, nan) is 0.0: a NaN must not read as exact convergence
+    unit = _unit(np.array([1.0, 0.5, 0.25], dtype=complex), 1.0)
+    with pytest.raises(NonConvergentError, match="not finite"):
+        _unit(np.array([1.0, bad, 0.25]), 1.0)
+    with pytest.raises(NonConvergentError, match="not finite"):
+        _normalized_distance(np.array([bad, 0.5, 0.25]), unit, np.ones(3))
+
+
+def test_plus_sweep_at_n80_stays_finite_and_converges():
+    # the unscaled |values|^2 overflows at G = 1e4 here
+    report = sweep_to_boundary_i_iii(0.75, 0.25, 80, "plus", [10.0, 1e3, 1e4])
+    assert np.all(np.isfinite(report.distances))
+    assert np.all(np.diff(report.distances) < 0)
+    # the distance falls as 1/G
+    assert report.distances[2] == pytest.approx(0.1 * report.distances[1], rel=2e-2)

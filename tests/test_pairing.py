@@ -312,6 +312,17 @@ def test_distributional_against_displaced_gaussian():
     assert value == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
 
 
+def test_delta_pairing_past_order_170_is_a_typed_error():
+    # 171! leaves the float range, which must not surface as a bare OverflowError
+    from swanson import DeltaDeriv
+
+    p = ModelParams(1.0, 0.0, 0.0)
+    gaussian = GaussPoly(gauss=-1.0, coeffs=(1.0,), norm=1.0)
+    assert np.isfinite(pair(DeltaDeriv(gauss=0.0, n=170, norm=1.0), gaussian, p))
+    with pytest.raises(NonConvergentError, match="order 171"):
+        pair(DeltaDeriv(gauss=0.0, n=171, norm=1.0), gaussian, p)
+
+
 def test_right_states_combine_convergent_with_their_duals():
     # the combined Gaussian of a dual/right pair is -2 sigma^2 < 0 in the
     # real-spectrum regions: the dressing growth always cancels
