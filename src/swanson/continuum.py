@@ -35,7 +35,7 @@ from .eigensystems import (
     conjugate_function,
     evaluate,
 )
-from .pairing import _pair_block, _require_finite
+from .pairing import _pair_block, _require_finite, _require_paired_degree
 from .specfun import _gauss_legendre, log_gamma, parabolic_cylinder_d
 
 __all__ = [
@@ -181,6 +181,7 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     _require_barrier(params)
     if sector not in ("minus", "plus"):
         raise ValueError("sector must be 'minus' or 'plus'")
+    _require_paired_degree(n_max, "n_max")
     pieces = _as_combination(target)
     basis_branch = "-" if sector == "minus" else "+"
     dual_branch = "+" if sector == "minus" else "-"

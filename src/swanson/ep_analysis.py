@@ -40,7 +40,7 @@ from .eigensystems import (
     evaluate,
 )
 from .dynamics import _finite
-from .pairing import _pair_block
+from .pairing import _pair_block, _require_paired_degree
 from .specfun import _gauss_legendre
 
 __all__ = [
@@ -180,6 +180,8 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
     minus = branch_target == "minus"
     limit = _state(params_boundary, n, "-" if minus else "+").right_fn
     distance = _distance_to(limit, params_boundary, battery=minus)
+    if minus:
+        _require_paired_degree(n, "n", " on the minus branch")
 
     # Region I (eps > 0) energies tend to hbar |alpha - beta| (n + 1/2), Region III
     # (eps < 0) ones to the negative; the monomial limit has hbar (alpha - beta)(n + 1/2)

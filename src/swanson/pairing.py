@@ -62,6 +62,13 @@ __all__ = [
 ]
 
 
+def _require_paired_degree(n: int, name: str, where: str = "") -> None:
+    """ValueError naming the caller's parameter past degree 115: a degree-n state
+    is paired on 4 n + 40 Gauss-Hermite nodes, and gauss_hermite serves 500."""
+    if n > 115:
+        raise ValueError(f"{name} must be at most 115{where}, got {n}")
+
+
 @dataclass(frozen=True)
 class DirectGaussHermite:
     order: int
@@ -239,6 +246,8 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     NonConvergentError when an entry is not finite.
     """
     states = discrete_states(params, n_max)
+    if states[0].region is not RegionLabel.BOUNDARY_I_III:     # paired by quadrature
+        _require_paired_degree(n_max, "n_max", " outside Boundary I-III")
     if which == "metric":
         if classify(params) not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
             raise RegionError("metric gram requires Region I or III")
@@ -273,6 +282,7 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
     label = classify(params)
     if label not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
         raise RegionError("reconstruction over the discrete basis requires Region I or III")
+    _require_paired_degree(n_max, "n_max")
     states = discrete_states(params, n_max)
     grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)
 

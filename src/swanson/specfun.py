@@ -209,41 +209,45 @@ _ORDER_RE_MAX = 8.0
 _ORDER_IM_MAX = 20.0
 _RAY_ORDER_MAX = 40.0
 _ASYMPTOTIC_TOL = 1e-10    # tail error accepted beyond R_in, relative
+_TAIL_BLOCK = 10           # tail terms formed per pass, up to 60
+_TAIL_CHUNK = 4096         # tail series entries summed together
 
 
-def _dv_tail_series(order, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _dv_tail_series(order: np.ndarray, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """S(order, z) with D_order(z) ~ exp(-z^2/4) z^order S as |z| -> inf.
 
-    order is a scalar or an array shaped like z.  Each entry adds terms until
-    one falls to tol (that term included) or they start to grow, so its sum
-    does not depend on the other entries of the call; returns (S, magnitude
-    of the smallest term seen), which is <= tol where the entry converged and
-    bounds the truncation error elsewhere.
+    order and z are 1-D arrays of one length.  Each entry adds terms until one
+    falls to tol (that term included) or they start to grow, so its sum does
+    not depend on the other entries of the call; returns (S, magnitude of the
+    smallest term it kept), which is <= tol where the entry converged and
+    bounds the truncation error elsewhere.  Entries still adding form their
+    next _TAIL_BLOCK terms by one cumulative product, summing the kept ones.
     """
     inv = 1.0 / (2.0 * z * z)
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    best = np.full(z.shape, np.inf)
-    done = np.zeros(z.shape, dtype=bool)
-    for k in range(60):
-        # out of place: numpy rounds an in-place complex product of a
-        # one-element array differently from the same product in a longer one
-        term = term * (-(-order + 2 * k) * (-order + 2 * k + 1) / (k + 1.0)) * inv
-        mag = np.abs(term)
-        done |= mag > best          # past the smallest term: stop accumulating
-        np.minimum(best, mag, out=best)
-        np.add(total, term, out=total, where=~done)
-        converged = best <= tol
-        if converged.all():
-            break
-        done |= converged
+    term, total, best = np.ones_like(z), np.ones_like(z), np.full(z.shape, np.inf)
+    for chunk in range(0, z.size, _TAIL_CHUNK):
+        live = np.arange(chunk, min(chunk + _TAIL_CHUNK, z.size))
+        for first in range(0, 60, _TAIL_BLOCK):
+            k = np.arange(first, first + _TAIL_BLOCK)[:, None]
+            a = 2 * k - order[live]
+            # term, c_k, inv, c_{k+1}, inv, ...: each term rounds as (term * c_k) * inv, and
+            # along an axis of three or more numpy multiplies in order for any number of entries
+            steps = np.empty((2 * _TAIL_BLOCK + 1, live.size), dtype=complex)
+            steps[0], steps[1::2], steps[2::2] = term[live], -a * (a + 1) / (k + 1.0), inv[live]
+            terms = np.multiply.accumulate(steps, axis=0)[2::2]
+            mag = np.abs(terms)
+            # until an entry stops its terms shrink: the smallest so far is the one before
+            grown = np.logical_or.accumulate(mag > np.vstack([best[live], mag[:-1]]), axis=0)
+            converged = mag <= tol
+            keep = ~grown
+            keep[1:] &= ~converged[:-1]
+            partial = np.add.accumulate(np.vstack([total[live], terms]), axis=0)
+            total[live] = partial[keep.sum(axis=0), np.arange(live.size)]
+            term[live], best[live] = terms[-1], np.where(keep, mag, best[live]).min(axis=0)
+            live = live[~(grown[-1] | converged[-1])]
+            if not live.size:
+                break
     return total, best
-
-
-def _dv_dominant(order, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-z^2/4) z^order S(order, z); correct alone for |arg z| <= pi/2."""
-    s, err = _dv_tail_series(order, z, tol)
-    return np.exp(-0.25 * z * z + order * np.log(z)) * s, err
 
 
 def _dv_asymptotic(nu, z: np.ndarray,
@@ -261,18 +265,19 @@ def _dv_asymptotic(nu, z: np.ndarray,
     relative to the value.
     """
     nu = np.broadcast_to(np.asarray(nu, dtype=complex), z.shape)
-    val = np.empty_like(z)
-    err = np.zeros(z.shape)
-    arg = np.angle(z)
-    near = np.abs(arg) <= 0.5 * math.pi
-    if np.any(near):
-        val[near], err[near] = _dv_dominant(nu[near], z[near], tol)
+    near = np.abs(np.angle(z)) <= 0.5 * math.pi
     far = ~near
-    if np.any(far):
-        zf, nf = z[far], nu[far]
-        sgn = np.where(np.angle(zf) >= 0.0, 1.0, -1.0)
-        v1, e1 = _dv_dominant(nf, -zf, tol)
-        v2, e2 = _dv_dominant(-nf - 1.0, -1j * sgn * zf, tol)
+    zf, nf = z[far], nu[far]
+    sgn = np.where(np.angle(zf) >= 0.0, 1.0, -1.0)
+    # one series call: each near entry as it is, each far one at -z and -+ i z
+    order = np.concatenate([nu[near], nf, -nf - 1.0])
+    arg = np.concatenate([z[near], -zf, -1j * sgn * zf])
+    s, e = _dv_tail_series(order, arg, tol)
+    dominant = np.exp(-0.25 * arg * arg + order * np.log(arg)) * s
+    (v0, v1, v2), (e0, e1, e2) = (np.split(x, [len(z) - len(zf), len(z)]) for x in (dominant, e))
+    val, err = np.empty_like(z), np.empty(z.shape)
+    val[near], err[near] = v0, e0
+    if len(zf):
         c2 = SQRT_2PI * recip_gamma(-nf)
         t1 = np.exp(1j * math.pi * nf * sgn) * v1
         t2 = c2 * np.exp(1j * math.pi * 0.5 * (nf + 1.0) * sgn) * v2
@@ -286,16 +291,19 @@ def _dv_asymptotic(nu, z: np.ndarray,
 # Taylor march along the direction of z.  The Weber equation
 # w'' = (z^2/4 - nu - 1/2) w has polynomial coefficients along every line
 # z = r e, so it can be integrated on the lattice z_n = n h e from either end:
-# from z = 0 (closed form) or from R_in e (tail series at full double
-# precision).  Marching toward the end where |D| is larger is stable; the other
-# end checks the march.  Where that check fails, or |D| falls by many orders
-# inside an off-ray march, the same lattice is solved as a two-point problem
-# with one value fixed at each end (Olver, J. Res. NBS 71B, 1967).  The values
-# near each lattice node come from the node's Taylor polynomial, summed by
-# Horner's rule pair by pair (Temme 2000; Gil, Segura and Temme, ACM TOMS 32,
-# 2006).  On the anti-Stokes rays |arg z| = pi/4, 3pi/4, where every real-x
-# continuum state puts its argument, e^{-z^2/4} has modulus one, so |D|
-# changes only algebraically beyond the turning points.
+# from z = 0 (closed form) or from R_in e (the tail series at full double
+# precision, a block of terms at a time by one cumulative product, each entry
+# stopping on its own).  Marching toward the end where |D| is larger is stable;
+# the other end checks the march.  The transfer matrices of a batch of marches
+# are gathered in step order, the identity past each march's end, and all
+# advance by one stacked product per step.  Where the check fails, or |D| falls
+# by many orders inside an off-ray march, the same lattice is solved as a
+# two-point problem with one value fixed at each end (Olver, J. Res. NBS 71B,
+# 1967).  Near each node D is the node's Taylor polynomial, combined from those
+# of the two unit solutions and summed by Horner's rule (Temme 2000; Gil, Segura
+# and Temme, ACM TOMS 32, 2006).  On the anti-Stokes rays |arg z| = pi/4, 3pi/4,
+# where every real-x continuum state puts its argument, e^{-z^2/4} has modulus
+# one, so |D| changes only algebraically beyond the turning points.
 
 _MARCH_STEP = 0.25         # lattice spacing h along a direction
 _MARCH_TERMS = 40          # Taylor terms kept at each lattice node
@@ -305,7 +313,7 @@ _TWO_POINT_CHECK = 1e-9    # solved vs closed-form end values, relative
 _SERIES_TOL = 1e-16        # tail terms summed at and beyond R_in
 _ENDPOINT_ACCEPT = 1e-12   # tail error accepted at R_in, relative
 _RAY_TOL = 1e-9            # relative distance from a ray snapped onto it
-_MARCH_BATCH = 128         # marches per table, bounding its memory to ~7 MB
+_MARCH_BATCH = 64          # marches per batch, bounding its Taylor terms to ~20 MB
 _RAYS = np.array([cmath.exp(0.25j * math.pi), cmath.exp(0.75j * math.pi)])
 
 
@@ -391,7 +399,7 @@ def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
     p1 = 0.5 * z0 * step * s2
     p2 = 0.25 * s2 * s2
 
-    start = np.stack(_dv_at_zero(nu), axis=1)
+    d_zero, d1_zero = _dv_at_zero(nu)
     z_end = n_end * step
     # D' = nu D_{nu-1} - (z/2) D, not (z/2) D - D_{nu+1}: near nu = 0 the float
     # nu + 1 drops the low digits of nu, to which the weight 1/Gamma(-nu-1) of
@@ -402,15 +410,18 @@ def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
         raise NonConvergentError("parabolic_cylinder_d: tail series failed at R_in")
     d_end, d_prev = d_pair[:count], d_pair[count:]
     with np.errstate(all="ignore"):
-        end = np.stack([d_end, nu * d_prev - 0.5 * z_end * d_end], axis=1)
-        outward = _march_outward(d_end, start[:, 0])
+        # (w, v) = (D, h e D') at z = 0 and at R_in
+        start = np.stack([d_zero, d1_zero * step], axis=1)
+        end = np.stack([d_end, (nu * d_prev - 0.5 * z_end * d_end) * step], axis=1)
+        outward = _march_outward(d_end, d_zero)
         sigma = np.where(outward, 1.0, -1.0)
 
         # one-step transfer along the march direction, from the fundamental
         # solutions (w, w') = (1, 0) and (0, 1) at every node
-        unit = np.eye(2)[:, :, None, None]
         even, odd, d_even, d_odd = 0.0, 0.0, 0.0, 0.0
-        for k, y in enumerate(_taylor_terms(unit[:, 0], unit[:, 1], p0, p1, p2)):
+        basis = np.empty((_MARCH_TERMS, 2) + z0.shape, dtype=complex)
+        for k, y in enumerate(_taylor_terms(*np.eye(2)[:, :, None, None], p0, p1, p2)):
+            basis[k] = y
             if k % 2:
                 odd, d_odd = odd + y, d_odd + k * y
             else:
@@ -418,19 +429,17 @@ def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
         t_w = even + sigma * odd                 # [0]: from w, [1]: from w'
         t_v = sigma * d_even + d_odd
 
-        w = np.zeros(z0.shape, dtype=complex)
-        v = np.zeros(z0.shape, dtype=complex)
-        first = np.where(outward, 0, n_end)
-        w[first, cols] = np.where(outward, start[:, 0], end[:, 0])
-        v[first, cols] = np.where(outward, start[:, 1], end[:, 1]) * step
-        for j in range(n_end.max()):
-            live = j < n_end
-            c = cols[live]
-            src = np.where(outward, j, n_end - j)[live]
-            dst = src + sigma[live].astype(int)
-            ws, vs = w[src, c], v[src, c]
-            w[dst, c] = t_w[0, src, c] * ws + t_w[1, src, c] * vs
-            v[dst, c] = t_v[0, src, c] * ws + t_v[1, src, c] * vs
+        hops = np.arange(len(z0))[:, None]
+        node = np.maximum(np.where(outward, hops, n_end - hops), 0)    # after each hop
+        src = node[:-1]
+        mats = np.where((hops[:-1] >= n_end)[:, None, None], np.eye(2)[:, :, None],
+                        np.stack([t_w[:, src, cols], t_v[:, src, cols]]).transpose(2, 0, 1, 3))
+        path = np.empty((len(z0), 2, count), dtype=complex)
+        path[0] = np.where(outward, start.T, end.T)
+        for j, m in enumerate(mats):
+            path[j + 1] = (m * path[j]).sum(axis=1)
+        # node n was reached after n hops outward, n_end - n inward
+        w, v = path[node, 0, cols], path[node, 1, cols]
 
         far = np.where(outward, w[n_end, cols], w[0, cols])
         ref = np.where(outward, end[:, 0], start[:, 0])
@@ -445,14 +454,10 @@ def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
         ok = (np.abs(far - ref) <= _MARCH_GUARD * np.abs(ref)) & ~steep
         for c in np.flatnonzero(~ok):
             m = n_end[c]
-            ends = np.stack([start[c], end[c]]) * np.array([1.0, step[c]])
             w[:m + 1, c], v[:m + 1, c] = _two_point(
-                (even + odd)[:, :m, c], (d_even + d_odd)[:, :m, c], ends)
+                (even + odd)[:, :m, c], (d_even + d_odd)[:, :m, c], np.stack([start[c], end[c]]))
 
-        table = np.empty((_MARCH_TERMS,) + w.shape, dtype=complex)
-        for k, y in enumerate(_taylor_terms(w, v, p0, p1, p2)):
-            table[k] = y
-    return table
+    return basis[:, 0] * w + basis[:, 1] * v
 
 
 def _dv_march(nu: np.ndarray, z: np.ndarray, ray: np.ndarray) -> np.ndarray:
@@ -475,11 +480,10 @@ def _dv_march(nu: np.ndarray, z: np.ndarray, ray: np.ndarray) -> np.ndarray:
         zg = z[sel]
         node = np.rint(np.abs(zg) / _MARCH_STEP).astype(int)
         s = zg / (_MARCH_STEP * dirs[dir_idx[sel]]) - node
-        coeffs = table.reshape(_MARCH_TERMS, -1)
-        flat = node * len(batch) + march_idx[sel] - first
-        val = coeffs[-1, flat]
-        for k in range(_MARCH_TERMS - 2, -1, -1):
-            val = val * s + coeffs[k, flat]
+        coeffs = table.reshape(_MARCH_TERMS, -1)[:, node * len(batch) + march_idx[sel] - first]
+        val = coeffs[-1]
+        for row in coeffs[-2::-1]:
+            val = val * s + row
         out[sel] = val
     return out
 

@@ -48,6 +48,24 @@ def test_nonfinite_quadrature_exits_one(args):
     assert "numerical failure" in cp.stderr
 
 
+@pytest.mark.parametrize("args,name", [
+    (["ep-sweep", "--mode", "boundary", "--alpha", "0.75", "--beta", "0.25", "--n", "116",
+      "--branch", "minus", "--g-values", "10,100"], "n"),
+    (["gram", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--nmax", "116"], "n_max"),
+    (["reconstruct", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--nmax", "116"],
+     "n_max"),
+    (["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--sector", "minus",
+      "--nmax", "116"], "n_max"),
+], ids=["ep-sweep", "gram", "reconstruct", "reconstruct-sector"])
+def test_index_past_the_pairing_rules_names_the_flag(args, name):
+    # a degree-116 state would need 504 Gauss-Hermite nodes; the user gave an
+    # index, not a rule order, so the message names the index and its reach
+    cp = run_cli(*args, "-o", "/dev/null")
+    assert cp.returncode == 2, cp.stderr
+    assert f"usage error: {name} must be at most 115" in cp.stderr
+    assert "order" not in cp.stderr and "Traceback" not in cp.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["states", "--omega", "1", "--alpha", "-0.125", "--beta", "-2"],
     ["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5"],

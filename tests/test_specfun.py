@@ -408,6 +408,91 @@ def test_d_tail_series_values_do_not_depend_on_the_call():
         assert together.tolist() == alone
 
 
+def tail_series_by_terms(order, z, tol):
+    """The tail series one term at a time, as it was summed before the blocked
+    product: (S, smallest term seen, number of terms kept) per entry."""
+    inv = 1.0 / (2.0 * z * z)
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    best = np.full(z.shape, np.inf)
+    done = np.zeros(z.shape, dtype=bool)
+    kept = np.zeros(z.shape, dtype=int)
+    for k in range(60):
+        term = term * (-(-order + 2 * k) * (-order + 2 * k + 1) / (k + 1.0)) * inv
+        mag = np.abs(term)
+        done |= mag > best
+        np.minimum(best, mag, out=best)
+        np.add(total, term, out=total, where=~done)
+        kept += ~done
+        converged = best <= tol
+        if converged.all():
+            break
+        done |= converged
+    return total, best, kept
+
+
+def test_d_tail_series_matches_the_term_loop():
+    tol = specfun._SERIES_TOL
+    nus, zs = [], []
+    # converging: just past R_in and far out, on and off the rays
+    for nu in (-0.5 + 40.0j, -0.5 - 25.0j, 8.0 + 20.0j, -6.0 - 20.0j, -0.5, 40.0, 3.0 + 10.0j):
+        for r in (inner_radius(nu) + 0.01, 30.0, 80.0):
+            for turn in (0.25, 0.5, -0.75, 0.0):
+                nus.append(nu)
+                zs.append(r * cmath.exp(1j * math.pi * turn))
+    # stopping at the smallest term (after one term, or after 54), and the 60-term cap
+    for nu, r in ((-0.5 + 40.0j, 11.0), (-0.5 + 40.0j, 12.0), (-0.5 - 25.0j, 11.0),
+                  (-6.0 - 20.0j, 11.0), (-6.0 - 20.0j, 12.0)):
+        nus.append(nu)
+        zs.append(r * cmath.exp(0.25j * math.pi))
+    nus, zs = np.array(nus, dtype=complex), np.array(zs)
+    ref, ref_err, kept = tail_series_by_terms(nus, zs, tol)
+    stopped = ref_err > tol
+    assert np.any(~stopped) and np.any(stopped & (kept < 60)) and np.any(stopped & (kept == 60))
+    s, err = specfun._dv_tail_series(nus, zs, tol)
+    assert np.all(np.abs(s - ref) <= 1e-15 * np.abs(ref))
+    assert np.array_equal(err <= tol, ref_err <= tol)
+    # at a looser tolerance a term summed past convergence would show
+    ref = tail_series_by_terms(nus, zs, specfun._ASYMPTOTIC_TOL)[0]
+    s = specfun._dv_tail_series(nus, zs, specfun._ASYMPTOTIC_TOL)[0]
+    assert np.all(np.abs(s - ref) <= 1e-15 * np.abs(ref))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_d_tail_series_on_a_large_call():
+    # 10^5 entries over the box and the rays, beyond R_in in every direction
+    rng = np.random.default_rng(13)
+    n = 100_000
+    nus = np.where(rng.random(n) < 0.5,
+                   rng.uniform(-6.0, 8.0, n) + 1j * rng.uniform(-20.0, 20.0, n),
+                   -0.5 + 1j * rng.uniform(-40.0, 40.0, n))
+    r_in = specfun._MARCH_STEP * specfun._march_nodes(nus)
+    zs = (r_in + rng.uniform(0.0, 40.0, n)) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    tol = specfun._SERIES_TOL
+    ref, ref_err, _ = tail_series_by_terms(nus, zs, tol)
+    s, err = specfun._dv_tail_series(nus, zs, tol)
+    assert np.all(np.abs(s - ref) <= 1e-15 * np.abs(ref))
+    assert np.array_equal(err <= tol, ref_err <= tol)
+    # an entry sums the same alone as among 10^5 others
+    for i in (0, specfun._TAIL_CHUNK - 1, specfun._TAIL_CHUNK, n - 1):
+        alone = specfun._dv_tail_series(nus[i:i + 1], zs[i:i + 1], tol)
+        assert alone[0][0] == s[i] and alone[1][0] == err[i]
+
+
+def test_d_marched_ray_values_do_not_depend_on_the_call():
+    # marches of 35 to 102 lattice steps advance together, each padded with the
+    # identity past its own end; every point lies inside R_in of every order
+    orders = np.array([-0.5 - 8.7j, -0.5 + 0.2j, -1.5 + 4.0j, -2.5 - 19.0j, 0.3 + 1.0j,
+                       -0.5 + 36.0j])
+    x = np.linspace(-8.0, 8.0, 41)
+    z = np.concatenate([x * cmath.exp(0.25j * math.pi), x * cmath.exp(0.75j * math.pi)])
+    assert np.all(np.abs(z) < min(inner_radius(nu) for nu in orders))
+    assert len(set(specfun._march_nodes(orders))) == len(orders)
+    table = parabolic_cylinder_d(orders[:, None], z)
+    for nu, row in zip(orders, table):
+        assert row.tolist() == parabolic_cylinder_d(nu, z).tolist()
+
+
 def test_d_rays_wrong_direction_falls_back(monkeypatch):
     nu = -0.5 + 20.0j        # exponential core on the pi/4 ray: one direction is unstable
     calls = []
