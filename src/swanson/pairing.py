@@ -48,7 +48,7 @@ from .eigensystems import (
     evaluate,
     taylor_coefficients,
 )
-from .specfun import gauss_hermite
+from .specfun import _GAUSS_HERMITE_MAX, gauss_hermite
 
 __all__ = [
     "DirectGaussHermite",
@@ -62,11 +62,14 @@ __all__ = [
 ]
 
 
+_NODES_PER_DEGREE, _NODES_EXTRA = 4, 40    # a degree-n state is paired on 4 n + 40 nodes
+_PAIRED_DEGREE_MAX = (_GAUSS_HERMITE_MAX - _NODES_EXTRA) // _NODES_PER_DEGREE     # 115
+
+
 def _require_paired_degree(n: int, name: str, where: str = "") -> None:
-    """ValueError naming the caller's parameter past degree 115: a degree-n state
-    is paired on 4 n + 40 Gauss-Hermite nodes, and gauss_hermite serves 500."""
-    if n > 115:
-        raise ValueError(f"{name} must be at most 115{where}, got {n}")
+    """ValueError naming the caller's parameter where gauss_hermite has no rule for it."""
+    if n > _PAIRED_DEGREE_MAX:
+        raise ValueError(f"{name} must be at most {_PAIRED_DEGREE_MAX}{where}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     if strategy is None:
         degree = max((len(f.coeffs) - 1 for f in functions if isinstance(f, GaussPoly)),
                      default=0)
-        strategy = _auto_strategy(a_tot, 4 * degree + 40)
+        strategy = _auto_strategy(a_tot, _NODES_PER_DEGREE * degree + _NODES_EXTRA)
     if isinstance(strategy, DirectGaussHermite):
         if a_tot.real >= 0.0:
             raise NonConvergentError("combined Gaussian exponent does not decay on the real line")
@@ -290,7 +293,7 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
         right, target_vals = target, np.asarray(target(grid), dtype=complex)
     else:
         right, target_vals = [target], evaluate(target, grid, params)
-    order = max(4 * n_max + 40, 160)
+    order = max(_NODES_PER_DEGREE * n_max + _NODES_EXTRA, 160)
     coeffs = _pair_block([s.left_fn for s in states], right, params, DirectGaussHermite(order))[:, 0]
     what = f"reconstruction at n_max = {n_max}"
     _require_finite(coeffs, what)

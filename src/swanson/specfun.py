@@ -38,6 +38,7 @@ __all__ = [
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_GAUSS_HERMITE_MAX = 500   # highest order gauss_hermite serves
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +181,8 @@ class QuadratureRule:
 @functools.lru_cache(maxsize=64)
 def gauss_hermite(n: int) -> QuadratureRule:
     """Gauss-Hermite rule of order n; exact for polynomials of degree 2n-1."""
-    if not 1 <= n <= 500:
-        raise ValueError("order must be between 1 and 500")
+    if not 1 <= n <= _GAUSS_HERMITE_MAX:
+        raise ValueError(f"order must be between 1 and {_GAUSS_HERMITE_MAX}")
     nodes, weights = np.polynomial.hermite.hermgauss(n)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -220,31 +221,27 @@ def _dv_tail_series(order: np.ndarray, z: np.ndarray, tol: float) -> tuple[np.nd
     falls to tol (that term included) or they start to grow, so its sum does
     not depend on the other entries of the call; returns (S, magnitude of the
     smallest term it kept), which is <= tol where the entry converged and
-    bounds the truncation error elsewhere.  Entries still adding form their
-    next _TAIL_BLOCK terms by one cumulative product, summing the kept ones.
+    bounds the truncation error elsewhere.
     """
     inv = 1.0 / (2.0 * z * z)
     term, total, best = np.ones_like(z), np.ones_like(z), np.full(z.shape, np.inf)
-    for chunk in range(0, z.size, _TAIL_CHUNK):
-        live = np.arange(chunk, min(chunk + _TAIL_CHUNK, z.size))
+    for live in np.split(np.arange(z.size), range(_TAIL_CHUNK, z.size, _TAIL_CHUNK)):
         for first in range(0, 60, _TAIL_BLOCK):
             k = np.arange(first, first + _TAIL_BLOCK)[:, None]
             a = 2 * k - order[live]
-            # term, c_k, inv, c_{k+1}, inv, ...: each term rounds as (term * c_k) * inv, and
-            # along an axis of three or more numpy multiplies in order for any number of entries
-            steps = np.empty((2 * _TAIL_BLOCK + 1, live.size), dtype=complex)
-            steps[0], steps[1::2], steps[2::2] = term[live], -a * (a + 1) / (k + 1.0), inv[live]
-            terms = np.multiply.accumulate(steps, axis=0)[2::2]
+            terms, prev, w = -a * (a + 1) / (k + 1.0), term[live], inv[live]
+            # c_k -> (term * c_k) * inv, rounded as in a term loop (unlike the accumulate ufuncs)
+            for row in terms:
+                prev = np.multiply(prev * row, w, out=row)
             mag = np.abs(terms)
-            # until an entry stops its terms shrink: the smallest so far is the one before
-            grown = np.logical_or.accumulate(mag > np.vstack([best[live], mag[:-1]]), axis=0)
-            converged = mag <= tol
-            keep = ~grown
-            keep[1:] &= ~converged[:-1]
-            partial = np.add.accumulate(np.vstack([total[live], terms]), axis=0)
-            total[live] = partial[keep.sum(axis=0), np.arange(live.size)]
-            term[live], best[live] = terms[-1], np.where(keep, mag, best[live]).min(axis=0)
-            live = live[~(grown[-1] | converged[-1])]
+            # terms are dropped from the first that grows (up to it they shrink, so the smallest
+            # so far is the one before) and after the first <= tol; the kept ones add in order
+            stop = np.vstack([mag[:1] > best[live], (mag[1:] > mag[:-1]) | (mag[:-1] <= tol)])
+            for j in range(1, _TAIL_BLOCK):
+                stop[j] |= stop[j - 1]
+            total[live] = functools.reduce(np.add, np.where(stop, 0.0, terms), total[live])
+            term[live], best[live] = terms[-1], np.where(stop, best[live], mag).min(axis=0)
+            live = live[~(stop[-1] | (mag[-1] <= tol))]
             if not live.size:
                 break
     return total, best
@@ -292,8 +289,8 @@ def _dv_asymptotic(nu, z: np.ndarray,
 # w'' = (z^2/4 - nu - 1/2) w has polynomial coefficients along every line
 # z = r e, so it can be integrated on the lattice z_n = n h e from either end:
 # from z = 0 (closed form) or from R_in e (the tail series at full double
-# precision, a block of terms at a time by one cumulative product, each entry
-# stopping on its own).  Marching toward the end where |D| is larger is stable;
+# precision, a block of terms at a time for the entries still adding, each
+# entry stopping on its own).  Marching toward the end where |D| is larger is stable;
 # the other end checks the march.  The transfer matrices of a batch of marches
 # are gathered in step order, the identity past each march's end, and all
 # advance by one stacked product per step.  Where the check fails, or |D| falls
