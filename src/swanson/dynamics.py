@@ -25,8 +25,11 @@ from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     GaussPoly,
     GeneralizedFunction,
+    _coefficient_matrix,
+    _gauss_derivative,
     _ladder_energy,
     _superpose,
+    _times_x,
     discrete_states,
     evaluate,
 )
@@ -130,43 +133,23 @@ def matrix_element(kind: ObservableKind, m: int, n: int, params: ModelParams) ->
 
 def apply_observable(params: ModelParams, f: GeneralizedFunction,
                      kind: ObservableKind) -> GaussPoly:
-    """O f as a closed form, for the sandwich quadrature oracle.
+    """O f as a closed form with the Gaussian and basis of f, for the sandwich oracle.
 
-    X multiplies by x; P = p + i hbar c x / b0^2 acts by exact differentiation
-    of the Gaussian x polynomial form.  The result stays in the same Gaussian
-    class with a new polynomial part.
+    X multiplies by x; P = -i hbar d/dx + i hbar c x / b0^2 acts on
+    f = exp(g x^2/(2 b0^2)) u as -i hbar (u' + (g - c) x u / b0^2), so it raises
+    RegionError on omega = alpha + beta, where c is undefined.
     """
-    from .eigensystems import polynomial_pieces
-
-    pieces = polynomial_pieces(f, params)
-    if len(pieces) != 1 or pieces[0][1] != 0:
-        raise TypeError("observable application needs a single Gaussian piece without drift")
-    a, _, coeffs = pieces[0]
-    gauss = complex(f.gauss)
-    d = derive(params)
-    hbar, b0 = params.hbar, params.b0
-
-    def op_once(c: np.ndarray, which: ObservableKind) -> np.ndarray:
-        if which is ObservableKind.X:
-            return np.concatenate([[0.0 + 0.0j], c])
-        # P c = -i hbar c' + i hbar (c_upsilon - gauss) x c / b0^2
-        deriv = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(0, dtype=complex)
-        out = np.zeros(len(c) + 1, dtype=complex)
-        out[: len(deriv)] += -1j * hbar * deriv
-        out[1:] += 1j * hbar * (d.upsilon_coeff - gauss) / b0 ** 2 * c
-        return out
-
-    if kind is ObservableKind.X:
-        out = op_once(coeffs, ObservableKind.X)
-    elif kind is ObservableKind.P:
-        out = op_once(coeffs, ObservableKind.P)
-    elif kind is ObservableKind.X2:
-        out = op_once(op_once(coeffs, ObservableKind.X), ObservableKind.X)
-    elif kind is ObservableKind.P2:
-        out = op_once(op_once(coeffs, ObservableKind.P), ObservableKind.P)
-    else:
-        raise TypeError(f"unknown observable {kind!r}")
-    return GaussPoly(gauss=gauss, coeffs=tuple(out), norm=1.0)
+    if not (isinstance(f, GaussPoly) and isinstance(kind, ObservableKind)):
+        raise TypeError(f"observables act on GaussPoly states, got {kind!r} on {f!r}")
+    c = derive(params).upsilon_coeff
+    position = kind in (ObservableKind.X, ObservableKind.X2)
+    if c is None and not position:
+        raise RegionError("P needs the similarity coefficient, undefined on omega = alpha + beta")
+    coeffs = _coefficient_matrix([f])[0]
+    for _ in range(1 if kind in (ObservableKind.X, ObservableKind.P) else 2):
+        coeffs = _times_x(coeffs, f.scale, params) if position else \
+            -1j * params.hbar * _gauss_derivative(coeffs, f.scale, f.gauss - c, 0.0, params)
+    return GaussPoly(f.gauss, tuple(coeffs.tolist()), 1.0, f.scale)
 
 
 def evolve_expectation(state: StateVector, kind: ObservableKind, params: ModelParams,

@@ -148,15 +148,32 @@ def _basis_rows(scale, x: np.ndarray, params: ModelParams, degree: int) -> np.nd
     return hermite_rows(degree, scale * x / params.b0)
 
 
-def _basis_derivative(coeffs: np.ndarray, scale, params: ModelParams) -> np.ndarray:
-    """Coefficients of d/dx sum_k coeffs[k] p_k(x) in the same basis.
+def _times_x(coeffs: np.ndarray, scale, params: ModelParams) -> np.ndarray:
+    """Coefficients of x sum_k coeffs[..., k] p_k(x), one degree higher, in the same basis.
 
-    x^k' = k x^(k-1); h_k(lam x)' = lam sqrt(2k) h_(k-1)(lam x), a row shift.
+    x x^k = x^(k+1); x h_k(lam x) = (sqrt((k+1)/2) h_(k+1) + sqrt(k/2) h_(k-1)) / lam.
     """
-    k = np.arange(1.0, len(coeffs))
+    out = np.zeros(coeffs.shape[:-1] + (coeffs.shape[-1] + 1,), dtype=complex)
     if scale is None:
-        return coeffs[1:] * k
-    return coeffs[1:] * np.sqrt(2.0 * k) * (scale / params.b0)
+        out[..., 1:] = coeffs
+        return out
+    root_half_k = np.sqrt(np.arange(coeffs.shape[-1] + 1.0) / 2.0)
+    out[..., 1:] = coeffs * root_half_k[1:]
+    out[..., :-2] += coeffs[..., 1:] * root_half_k[1:-1]
+    return out * (params.b0 / scale)
+
+
+def _gauss_derivative(coeffs: np.ndarray, scale, gauss, drift, params: ModelParams) -> np.ndarray:
+    """Coefficients of u' + (gauss x / b0^2 + drift) u, one degree higher, for
+    u = sum_k coeffs[..., k] p_k(x): exp(gauss x^2/(2 b0^2) + drift x) u differentiated,
+    that factor removed; drift is a number or one per row.  x^k' = k x^(k-1) and
+    h_k(lam x)' = lam sqrt(2k) h_(k-1)(lam x), a row shift.
+    """
+    k = np.arange(1.0, coeffs.shape[-1])
+    out = gauss / params.b0 ** 2 * _times_x(coeffs, scale, params)
+    out[..., :-1] += np.asarray(drift)[..., None] * coeffs
+    out[..., :-2] += coeffs[..., 1:] * (k if scale is None else np.sqrt(2.0 * k) * (scale / params.b0))
+    return out
 
 
 def _superpose(weights, fs: list[GaussPoly]) -> GaussPoly:
@@ -255,45 +272,52 @@ def evaluate(f: GeneralizedFunction, x, params: ModelParams):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial piece representation (exact differentiation / Taylor data)
+# Taylor data at x = 0, from the derivative algebra in each function's own basis
 # ---------------------------------------------------------------------------
 
-def polynomial_pieces(f: GeneralizedFunction, params: ModelParams):
-    """Decompose f into exp(a x^2 + b x) * P(x) pieces.
+@np.errstate(all="ignore")
+def _taylor_rows(fs: list[GeneralizedFunction], gauss, params: ModelParams,
+                 order: int) -> np.ndarray:
+    """f^(m)(0)/sqrt(m!), m = 0 ... order, for each f in fs (GaussPoly functions of
+    one basis, or plane waves) with its Gaussian replaced by exp(gauss x^2/(2 b0^2)).
 
-    Returns a list of (a, b, coeffs) with coeffs ascending; delta and
-    cylinder variants are not polynomial and raise TypeError.
+    Each step differentiates and divides by sqrt(m), so no factorial is formed;
+    values past the float range come out non-finite, silently.
     """
-    b0sq2 = 2.0 * params.b0 ** 2
-    if isinstance(f, GaussPoly):
-        coeffs = _coefficient_matrix([f])[0]
-        if f.scale is not None:
-            # h_k = H_k / sqrt(2^k k!); x^j of H_k(lam x) carries lam^j
-            k = np.arange(len(coeffs))
-            inv_norms = np.cumprod(np.concatenate(([1.0], 1.0 / np.sqrt(2.0 * k[1:]))))
-            coeffs = np.polynomial.hermite.herm2poly(coeffs * inv_norms) \
-                * (f.scale / params.b0) ** k
-        return [(f.gauss / b0sq2, 0.0 + 0.0j, coeffs)]
-    if isinstance(f, PlaneWaveGauss):
-        a = f.gauss / b0sq2
-        return [
-            (a, 1j * f.k_wave, np.array([f.amp_plus], dtype=complex)),
-            (a, -1j * f.k_wave, np.array([f.amp_minus], dtype=complex)),
-        ]
-    raise TypeError(f"{type(f).__name__} has no polynomial representation")
+    if all(isinstance(f, GaussPoly) and f.scale == fs[0].scale for f in fs):
+        coeffs, scale, drift = _coefficient_matrix(fs), fs[0].scale, 0.0
+    elif all(isinstance(f, PlaneWaveGauss) for f in fs):     # a row per wave amp e^{+-i k x}
+        coeffs = np.array([[f.amp_plus] for f in fs] + [[f.amp_minus] for f in fs], dtype=complex)
+        scale, drift = None, 1j * np.array([f.k_wave for f in fs] + [-f.k_wave for f in fs])
+    else:
+        raise TypeError("Taylor data needs GaussPoly functions of one basis or plane waves")
+    at_zero = _basis_rows(scale, np.zeros(1), params, coeffs.shape[1] + order)[:, 0]
+    out = np.empty((len(coeffs), order + 1), dtype=complex)
+    for m in range(order + 1):
+        if m:
+            coeffs = _gauss_derivative(coeffs, scale, gauss, drift, params) / math.sqrt(m)
+        out[:, m] = coeffs @ at_zero[: coeffs.shape[1]]
+    return out.reshape(-1, len(fs), order + 1).sum(axis=0)      # the two waves of each f add
 
 
 def taylor_coefficients(f: GeneralizedFunction, params: ModelParams, order: int) -> np.ndarray:
     """Taylor coefficients of f about x = 0 up to the given order (inclusive)."""
-    out = np.zeros(order + 1, dtype=complex)
-    for a, b, coeffs in polynomial_pieces(f, params):
-        expo = np.zeros(order + 1, dtype=complex)
-        for j in range(order // 2 + 1):
-            for k in range(order - 2 * j + 1):
-                expo[2 * j + k] += a ** j * b ** k / (math.factorial(j) * math.factorial(k))
-        piece = np.convolve(expo, coeffs)[: order + 1]
-        out[: len(piece)] += piece
-    return out
+    inverse_sqrt_factorials = [_inverse_sqrt_factorial(m) for m in range(order + 1)]
+    return _taylor_rows([f], f.gauss, params, order)[0] * inverse_sqrt_factorials
+
+
+def polynomial_pieces(f: GeneralizedFunction, params: ModelParams):
+    """Decompose f into exp(a x^2 + b x) * P(x) pieces: a list of (a, b, coeffs)
+    with coeffs the ascending monomial coefficients (a Hermite series' Taylor
+    data); delta and cylinder variants are not polynomial and raise TypeError.
+    """
+    a = f.gauss / (2.0 * params.b0 ** 2)
+    if isinstance(f, PlaneWaveGauss):
+        waves = ((f.amp_plus, 1j * f.k_wave), (f.amp_minus, -1j * f.k_wave))
+        return [(a, b, np.array([amp], dtype=complex)) for amp, b in waves]
+    if not isinstance(f, GaussPoly):
+        raise TypeError(f"{type(f).__name__} has no polynomial representation")
+    return [(a, 0j, taylor_coefficients(dataclasses.replace(f, gauss=0.0), params, len(f.coeffs) - 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +354,10 @@ def _derivatives_on_grid(f: GeneralizedFunction, x: np.ndarray, params: ModelPar
     elif isinstance(f, GaussPoly):
         g = f.gauss
         c0 = _coefficient_matrix([f])[0]
-        c1 = _basis_derivative(c0, f.scale, params)
-        c2 = _basis_derivative(c1, f.scale, params)
+        c1 = _gauss_derivative(c0, f.scale, 0.0, 0.0, params)     # u', and zeros past its degree
+        c2 = _gauss_derivative(c1, f.scale, 0.0, 0.0, params)
         rows = _basis_rows(f.scale, x, params, len(c0) - 1)
-        u, u1, u2 = (np.tensordot(c, rows[: len(c)], axes=1) for c in (c0, c1, c2))
+        u, u1, u2 = (np.tensordot(c[: len(c0)], rows, axes=1) for c in (c0, c1, c2))
     elif isinstance(f, PlaneWaveGauss):
         g = f.gauss
         waves = ((f.amp_plus, 1j * f.k_wave), (f.amp_minus, -1j * f.k_wave))

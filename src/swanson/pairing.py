@@ -10,8 +10,9 @@ Three integration strategies realize the formal integrals:
   Re(combined exponent) <= 0, which the auto-selector requires, so the
   rotation is exact; theta = -+ pi/4 for the Region II/IV products.
 * DistributionalExact: delta-derivative functionals against smooth closed
-  forms, evaluated as exact Taylor derivatives at the origin with the
-  Gaussian prefactors combined analytically (never sampled).
+  forms, evaluated as exact derivatives at the origin with the Gaussian
+  prefactors combined analytically (never sampled), in each function's own
+  basis.
 
 The exponent bookkeeping is symbolic throughout: Gaussian coefficients add,
 they are never multiplied pointwise, so growing similarity factors cancel
@@ -41,12 +42,13 @@ from .eigensystems import (
     DeltaDeriv,
     GaussPoly,
     GeneralizedFunction,
+    _inverse_sqrt_factorial,
     _stripped,
     _superpose,
+    _taylor_rows,
     conjugate_function,
     discrete_states,
     evaluate,
-    taylor_coefficients,
 )
 from .specfun import _GAUSS_HERMITE_MAX, gauss_hermite
 
@@ -116,23 +118,26 @@ def _auto_strategy(a_tot: complex, order: int) -> PairingStrategy:
     return RotatedContour(0.5 * (target - angle), order)
 
 
-def _distributional_value(left_conj: GeneralizedFunction, right: GeneralizedFunction,
-                          params: ModelParams) -> complex:
-    if isinstance(left_conj, DeltaDeriv) and isinstance(right, DeltaDeriv):
-        raise NonConvergentError("pairing of two delta-derivative functionals is undefined")
-    if isinstance(left_conj, DeltaDeriv):
-        delta, smooth = left_conj, right
-    else:
-        delta, smooth = right, left_conj
-    m = delta.n
-    if m > 170:
-        raise NonConvergentError(
-            f"delta-derivative pairing of order {m}: the factorials of its Taylor "
-            "coefficients leave the float range from order 171")
-    # fold the delta's Gaussian prefactor into the smooth side symbolically
-    shifted = dataclasses.replace(smooth, gauss=complex(smooth.gauss) + complex(delta.gauss))
-    coeff = taylor_coefficients(shifted, params, m)[m]
-    return complex(delta.norm) * (-1.0) ** m * math.factorial(m) * coeff
+@np.errstate(all="ignore")
+def _delta_block(deltas: list[GeneralizedFunction], smooth: list[GeneralizedFunction],
+                 params: ModelParams) -> np.ndarray:
+    """Integrals of smooth[i] * deltas[j] (conjugation already applied), in closed form.
+
+    <norm e^{g x^2/(2 b0^2)} delta^(m) | s> = norm (-1)^m (e^{g x^2/(2 b0^2)} s)^(m)(0):
+    each smooth function is differentiated once, to the block's highest order,
+    as f^(m)(0)/sqrt(m!), times norm (-1)^m sqrt(m!) from the exact 1/sqrt(m!).
+    """
+    if not all(isinstance(f, DeltaDeriv) for f in deltas) \
+            or any(isinstance(f, DeltaDeriv) for f in smooth):
+        raise NonConvergentError("a delta-derivative block pairs delta-derivative "
+                                 "functionals with smooth closed forms only")
+    orders = [f.n for f in deltas]
+    rows = _taylor_rows(smooth, _shared_gauss(deltas) + _shared_gauss(smooth), params, max(orders))
+    block = rows[:, orders] * [f.norm * (-1) ** f.n / _inverse_sqrt_factorial(f.n) for f in deltas]
+    if not np.isfinite(block).all():
+        raise NonConvergentError(f"delta-derivative pairing of order {max(orders)} "
+                                 "leaves the float range")
+    return block
 
 
 def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
@@ -147,7 +152,7 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     matrix times one set of basis rows.  rights may instead be a callable of
     real x with no Gaussian factor, sampled at the real nodes; it needs a
     DirectGaussHermite strategy.
-    Blocks with a delta-derivative functional are paired element by element.
+    Blocks with delta-derivative functionals are paired in closed form.
     """
     sampled = callable(rights)
     functions = lefts if sampled else [*lefts, *rights]
@@ -158,8 +163,9 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     lefts_conj = [conjugate_function(f) for f in lefts]
     has_delta = any(isinstance(f, DeltaDeriv) for f in functions)
     if isinstance(strategy, DistributionalExact) or (strategy is None and has_delta):
-        return np.array([[_distributional_value(lc, r, params) for r in rights]
-                         for lc in lefts_conj])
+        if all(isinstance(f, DeltaDeriv) for f in lefts_conj):
+            return _delta_block(lefts_conj, rights, params).T
+        return _delta_block(rights, lefts_conj, params)
     if has_delta:
         raise NonConvergentError("delta-derivative pairings require the DistributionalExact strategy")
 

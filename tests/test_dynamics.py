@@ -20,6 +20,7 @@ from swanson import (
     metric_norm,
     pair,
 )
+from swanson.eigensystems import _derivatives_on_grid, evaluate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,6 +76,46 @@ def test_commutator_is_i_hbar():
         expect = np.zeros_like(comm)
         expect[: len(base)] = 1j * p.hbar * base
         assert np.max(np.abs(comm - expect)) <= 1e-12 * np.max(np.abs(base))
+
+
+@pytest.mark.parametrize("params", [pts.REGION_I_POINTS[0], pts.REGION_III_POINTS[0]],
+                         ids=["region-I", "region-III"])
+@pytest.mark.parametrize("n", [10, 60, 115])
+def test_apply_observable_against_pointwise_oracle(params, n):
+    # X f = x f and P f = -i hbar f' + i hbar c x f / b0^2 point by point, f' from
+    # the closed form's grid derivative, over the state's whole support
+    f = discrete_states(params, n)[n].right_fn
+    reach = 1.2 * math.sqrt(2.0 * n + 1.0) * params.b0 / derive(params).sigma
+    x = np.linspace(-reach, reach, 241)
+    val, d1, _ = _derivatives_on_grid(f, x.astype(complex), params)
+    c, hbar = derive(params).upsilon_coeff, params.hbar
+    x_oracle = x * val
+    p_oracle = -1j * hbar * d1 + 1j * hbar * c * x * val / params.b0 ** 2
+    x_f = evaluate(apply_observable(params, f, ObservableKind.X), x, params)
+    p_f = evaluate(apply_observable(params, f, ObservableKind.P), x, params)
+    assert np.max(np.abs(x_f - x_oracle)) <= 1e-12 * np.max(np.abs(x_oracle))
+    assert np.max(np.abs(p_f - p_oracle)) <= 1e-12 * np.max(np.abs(p_oracle))
+
+
+def test_apply_observable_keeps_the_basis_of_f():
+    p = pts.REGION_I_POINTS[0]
+    f = discrete_states(p, 3)[3].right_fn
+    for kind in ObservableKind:
+        out = apply_observable(p, f, kind)
+        assert out.scale == f.scale and out.gauss == f.gauss
+        assert len(out.coeffs) == len(f.coeffs) + (1 if kind.value in ("X", "P") else 2)
+
+
+def test_apply_observable_p_needs_the_similarity_coefficient():
+    # on omega = alpha + beta c is undefined: P is a region error, X still works
+    b = pts.BOUNDARY_I_III_POINT
+    mono = next(s.right_fn for s in discrete_states(b, 2) if s.n == 2 and s.branch == "+")
+    grid = np.linspace(-2.0, 2.0, 9)
+    x_f = evaluate(apply_observable(b, mono, ObservableKind.X), grid, b)
+    assert np.allclose(x_f, grid * evaluate(mono, grid, b), rtol=1e-14, atol=1e-15)
+    for kind in (ObservableKind.P, ObservableKind.P2):
+        with pytest.raises(RegionError, match="similarity coefficient"):
+            apply_observable(b, mono, kind)
 
 
 def test_matrix_element_region_guard():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,9 @@ from swanson import (
     sweep_to_boundary_i_iii,
     sweep_to_ep,
 )
+from swanson import discrete_states
+from swanson.ep_analysis import _gaussian_battery
+from swanson.pairing import _pair_block
 
 GEOMETRIC_G = [10.0, 100.0, 1000.0]
 GEOMETRIC_EPS = [1e-1, 1e-2, 1e-3]
@@ -307,3 +311,22 @@ def test_plus_sweep_at_n80_stays_finite_and_converges():
     assert np.all(np.diff(report.distances) < 0)
     # the distance falls as 1/G
     assert report.distances[2] == pytest.approx(0.1 * report.distances[1], rel=2e-2)
+
+
+@pytest.mark.parametrize("n", [3, 40, 115, 160])
+def test_battery_delta_pairings_against_the_generating_function(n):
+    # <battery_a | e^{-ct x^2/2} delta^(n) (-1)^n / sqrt(n!)> = h^(n)(0)/sqrt(n!) for
+    # h = e^{-a^2} e^{A x^2 + B x}, A = -ct/2 - 1, B = 2a, and n! [x^n] e^{A x^2 + B x}
+    # = (-A)^(n/2) H_n(B / (2 sqrt(-A))) (DLMF 18.12.15), at b0 = 1
+    p = ModelParams(1.0, 0.75, 0.25)
+    delta = next(s.right_fn for s in discrete_states(p, n) if s.n == n and s.branch == "-")
+    got = _pair_block(_gaussian_battery(p.b0), [delta], p)[:, 0]
+    with mpmath.workdps(50):
+        big_a = mpmath.mpf(complex(delta.gauss).real) / 2 - 1
+        exact = [mpmath.exp(-mpmath.mpf(a) ** 2) * (-big_a) ** (mpmath.mpf(n) / 2)
+                 * mpmath.hermite(n, 2 * mpmath.mpf(a) / (2 * mpmath.sqrt(-big_a)))
+                 / mpmath.sqrt(mpmath.factorial(n))
+                 for a in (0.0, 0.5, -0.5, 1.0, -1.0)]
+    exact = np.array([complex(v) for v in exact])
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+

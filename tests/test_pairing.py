@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -312,15 +313,36 @@ def test_distributional_against_displaced_gaussian():
     assert value == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
 
 
-def test_delta_pairing_past_order_170_is_a_typed_error():
-    # 171! leaves the float range, which must not surface as a bare OverflowError
+@pytest.mark.parametrize("m", [170, 171, 172, 300])
+def test_delta_pairing_past_order_170_reads_the_closed_form(m):
+    # <delta^(m) | exp(-x^2/2)> = (-1)^m d^m/dx^m exp(-x^2/2) at 0 = (-1)^(m/2) (m-1)!!
+    # for even m and 0 for odd m; m! leaves the float range from m = 171
     from swanson import DeltaDeriv
 
     p = ModelParams(1.0, 0.0, 0.0)
     gaussian = GaussPoly(gauss=-1.0, coeffs=(1.0,), norm=1.0)
-    assert np.isfinite(pair(DeltaDeriv(gauss=0.0, n=170, norm=1.0), gaussian, p))
-    with pytest.raises(NonConvergentError, match="order 171"):
-        pair(DeltaDeriv(gauss=0.0, n=171, norm=1.0), gaussian, p)
+    value = pair(DeltaDeriv(gauss=0.0, n=m, norm=1.0), gaussian, p)
+    exact = 0 if m % 2 else (-1) ** (m // 2) * mpmath.fac2(m - 1)
+    assert abs(value - complex(exact)) <= 1e-13 * max(abs(float(exact)), 1.0)
+
+
+def test_boundary_i_iii_gram_past_order_170_is_the_identity():
+    # the delta blocks are closed forms: each monomial is differentiated once
+    report = gram(pts.BOUNDARY_I_III_POINT, 171)
+    assert report.max_diag_err <= 1e-12 and report.max_offdiag <= 1e-12
+
+
+def test_delta_pairing_outside_the_float_range_is_a_typed_error():
+    # the value 2^150 299!! of a steeper Gaussian and the norm sqrt(301!) of an
+    # order-301 functional both leave the float range
+    from swanson import DeltaDeriv
+
+    p = ModelParams(1.0, 0.0, 0.0)
+    gaussian = GaussPoly(gauss=-1.0, coeffs=(1.0,), norm=1.0)
+    with pytest.raises(NonConvergentError, match="float range"):
+        pair(DeltaDeriv(gauss=0.0, n=300, norm=1.0), dataclasses.replace(gaussian, gauss=-2.0), p)
+    with pytest.raises(NonConvergentError, match="float range"):
+        pair(DeltaDeriv(gauss=0.0, n=301, norm=1.0), gaussian, p)
 
 
 def test_right_states_combine_convergent_with_their_duals():
