@@ -30,6 +30,7 @@ from .eigensystems import (
     CylinderState,
     GaussPoly,
     GeneralizedFunction,
+    _finite,
     _stripped_barrier_pair,
     _superpose,
     conjugate_function,
@@ -86,6 +87,7 @@ def continuum_state(params: ModelParams, energy: float, side: str = "+",
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
+    _finite(energy, "energy")
     label = _require_barrier(params)
     d = derive(params)
     eps = _reduced_energy(params, energy, label)
@@ -151,6 +153,8 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
 
 def stripped_discrete_function(params: ModelParams, n: int, branch: str) -> GaussPoly:
     """The similarity-stripped discrete state phi_n^(+-) of the barrier regions."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     _require_barrier(params)
     plus, minus = _stripped_barrier_pair(derive(params).sigma, params.b0, n)
     if branch == "+":
@@ -181,6 +185,8 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     _require_barrier(params)
     if sector not in ("minus", "plus"):
         raise ValueError("sector must be 'minus' or 'plus'")
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     _require_paired_degree(n_max, "n_max")
     pieces = _as_combination(target)
     basis_branch = "-" if sector == "minus" else "+"

@@ -26,6 +26,7 @@ from .eigensystems import (
     GaussPoly,
     GeneralizedFunction,
     _coefficient_matrix,
+    _finite,
     _gauss_derivative,
     _ladder_energy,
     _superpose,
@@ -67,14 +68,6 @@ def _require_real_spectrum(params: ModelParams) -> RegionLabel:
     if label not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
         raise RegionError(f"observable algebra requires Region I or III, got {label.pretty()}")
     return label
-
-
-def _finite(values, what: str, dtype=complex) -> np.ndarray:
-    """values as an array; ValueError if any entry is NaN or infinite."""
-    arr = np.asarray(values, dtype=dtype)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite")
-    return arr
 
 
 def make_state(params: ModelParams, coeffs) -> StateVector:

@@ -133,6 +133,14 @@ def _cyl_fields(f: CylinderState) -> tuple[complex, complex, complex, complex]:
     return g, -nu - 1.0, slope, prefactor
 
 
+def _finite(values, what: str, dtype=complex) -> np.ndarray:
+    """values as an array; ValueError if any entry is NaN or infinite."""
+    arr = np.asarray(values, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
 def _coefficient_matrix(fs: list[GaussPoly]) -> np.ndarray:
     """norm * coeffs of each function, zero-padded to the highest degree, one row each."""
     out = np.zeros((len(fs), max(len(f.coeffs) for f in fs)), dtype=complex)
@@ -437,7 +445,8 @@ class EigenstateSpec:
 
 @functools.lru_cache(maxsize=1024)
 def _inverse_sqrt_factorial(n: int) -> float:
-    """1/sqrt(n!), the Boundary I-III norm; NonConvergentError if subnormal.
+    """1/sqrt(n!), the Boundary I-III norm and the scale of Taylor data and delta
+    pairings; NonConvergentError if subnormal.
 
     n! = m 4^e with m its top 64 bits rounded to a float, so the norm keeps its
     digits past n = 170, where n! leaves the float range, and equals the float
@@ -448,7 +457,7 @@ def _inverse_sqrt_factorial(n: int) -> float:
     norm = math.ldexp(1.0 / math.sqrt(float(big >> 2 * e)), -e)
     if norm < sys.float_info.min:
         raise NonConvergentError(
-            f"normalization of the n = {n} Boundary I-III state is outside the float range")
+            f"1/sqrt(n!) at n = {n}, the Boundary I-III norm, is outside the float range")
     return norm
 
 
@@ -554,6 +563,8 @@ def ep_states(params: ModelParams, c0: complex, c1: complex,
     right_fn = (c1 x + c0) exp(-(omega+2 beta)/(omega-2 beta) x^2/(2 b0^2)),
     left_fn the same polynomial in (d0, d1) with the opposite exponent sign.
     """
+    for name, value in (("c0", c0), ("c1", c1), ("d0", d0), ("d1", d1)):
+        _finite(value, name)
     label = classify(params, tol)
     if label not in (RegionLabel.BOUNDARY_I_II, RegionLabel.BOUNDARY_III_IV):
         raise RegionError(f"ep_states requires the Omega = 0 boundary, got {label.pretty()}")
@@ -571,6 +582,8 @@ def free_particle_states(params: ModelParams, energy: float, amp_plus: complex,
     E (omega-alpha-beta) < 0 the state is evanescent and k comes out
     imaginary (flagged on the returned PlaneWaveGauss).
     """
+    for name, value in (("energy", energy), ("amp_plus", amp_plus), ("amp_minus", amp_minus)):
+        _finite(value, name)
     label = classify(params, tol)
     if label not in (RegionLabel.BOUNDARY_I_II, RegionLabel.BOUNDARY_III_IV):
         raise RegionError(f"free_particle_states requires the Omega = 0 boundary, got {label.pretty()}")

@@ -34,12 +34,12 @@ from .errors import NonConvergentError, RegionError, SingularParameterError
 from .eigensystems import (
     PlaneWaveGauss,
     _ep_exponent,
+    _finite,
     _ladder_energy,
     discrete_states,
     ep_states,
     evaluate,
 )
-from .dynamics import _finite
 from .pairing import _pair_block, _require_paired_degree
 from .specfun import _gauss_legendre
 
@@ -176,12 +176,12 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
     if np.any(np.diff(g_values) <= 0.0):
         raise ValueError("G values must be increasing")
 
-    params_boundary = ModelParams(alpha + beta, alpha, beta, b0, hbar)
     minus = branch_target == "minus"
+    if minus:       # before any work: the battery pairs the swept state by quadrature
+        _require_paired_degree(n, "n", " on the minus branch")
+    params_boundary = ModelParams(alpha + beta, alpha, beta, b0, hbar)
     limit = _state(params_boundary, n, "-" if minus else "+").right_fn
     distance = _distance_to(limit, params_boundary, battery=minus)
-    if minus:
-        _require_paired_degree(n, "n", " on the minus branch")
 
     # Region I (eps > 0) energies tend to hbar |alpha - beta| (n + 1/2), Region III
     # (eps < 0) ones to the negative; the monomial limit has hbar (alpha - beta)(n + 1/2)

@@ -56,7 +56,8 @@ def test_nonfinite_quadrature_exits_one(args):
      "n_max"),
     (["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--sector", "minus",
       "--nmax", "116"], "n_max"),
-], ids=["ep-sweep", "gram", "reconstruct", "reconstruct-sector"])
+    (["ep-sweep", "--mode", "boundary", "--n", "171", "--branch", "minus"], "n"),
+], ids=["ep-sweep", "gram", "reconstruct", "reconstruct-sector", "ep-sweep-171"])
 def test_index_past_the_pairing_rules_names_the_flag(args, name):
     # a degree-116 state would need 504 Gauss-Hermite nodes; the user gave an
     # index, not a rule order, so the message names the index and its reach
@@ -78,6 +79,25 @@ def test_point_a_command_cannot_serve_exits_two(args):
     assert cp.returncode == 2, cp.stdout
     assert "usage error" in cp.stderr
     assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("args,name", [
+    (["states", "--omega", "1", "--alpha", "-0.125", "--beta", "-2", "--free-energy", "nan"],
+     "energy"),
+    (["states", "--omega", "1", "--alpha", "-0.125", "--beta", "-2", "--ep", "nan", "0", "1",
+      "0"], "c0"),
+    (["states", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--continuum-energy", "inf"],
+     "energy"),
+    (["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--sector", "minus",
+      "--modes=-1:1"], "n"),
+    (["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--sector", "minus",
+      "--nmax", "-1"], "n_max"),
+], ids=["free-energy-nan", "ep-nan", "continuum-energy-inf", "negative-mode", "negative-nmax"])
+def test_nonfinite_or_negative_state_inputs_exit_two(args, name):
+    cp = run_cli(*args, "-o", "/dev/null")
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stderr.startswith(f"usage error: {name} must be")
+    assert "Traceback" not in cp.stderr and cp.stdout == ""
 
 
 def test_sector_growth_overflow_exits_one():

@@ -398,3 +398,18 @@ def test_probe_scale_invariance():
     hbar_omega = abs(derive(p).omega_cap)
     value = delta_normalization_probe(p, 0.0, 0.2 * hbar_omega)
     assert abs(value - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
+def test_continuum_state_rejects_a_nonfinite_energy(energy):
+    with pytest.raises(ValueError, match="energy must be finite"):
+        continuum_state(pts.REGION_II_POINT, energy)
+
+
+def test_negative_mode_indices_are_usage_errors():
+    # a negative index used to give the n = 0 state, or an IndexError
+    p = pts.REGION_II_POINT
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        stripped_discrete_function(p, -1, "+")
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        resonant_expansion(p, stripped_discrete_function(p, 0, "-"), -1)

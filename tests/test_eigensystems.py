@@ -489,3 +489,22 @@ def test_taylor_coefficients_of_plane_wave():
     assert coeffs[1] == pytest.approx(1j * k)
     assert coeffs[2] == pytest.approx(-1.0 - k ** 2 / 2.0)
     assert coeffs[3] == pytest.approx(-1j * k - 1j * k ** 3 / 6.0)
+
+
+@pytest.mark.parametrize("args,name", [
+    ((math.nan, 1.0, 0.0), "energy"),
+    ((math.inf, 1.0, 0.0), "energy"),
+    ((1.0, math.nan, 0.0), "amp_plus"),
+    ((1.0, 1.0, complex(0.0, math.inf)), "amp_minus"),
+])
+def test_free_particle_states_reject_nonfinite_inputs(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        free_particle_states(pts.BOUNDARY_I_II_POINT, *args)
+
+
+@pytest.mark.parametrize("position,name", [(0, "c0"), (1, "c1"), (2, "d0"), (3, "d1")])
+def test_ep_states_reject_nonfinite_coefficients(position, name):
+    coeffs = [1.0, 0.0, 1.0, 0.0]
+    coeffs[position] = math.nan
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ep_states(pts.BOUNDARY_I_II_POINT, *coeffs)

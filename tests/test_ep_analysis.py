@@ -16,7 +16,7 @@ from swanson import (
     sweep_to_boundary_i_iii,
     sweep_to_ep,
 )
-from swanson import discrete_states
+from swanson import discrete_states, ep_analysis
 from swanson.ep_analysis import _gaussian_battery
 from swanson.pairing import _pair_block
 
@@ -330,3 +330,13 @@ def test_battery_delta_pairings_against_the_generating_function(n):
     exact = np.array([complex(v) for v in exact])
     assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
+
+def test_boundary_sweep_past_the_rules_fails_before_any_work(monkeypatch):
+    # n = 171 on the minus branch needs a rule of order 724: the index check
+    # comes before the limit state or its battery distance is built
+    def no_states(*args, **kwargs):
+        raise AssertionError("discrete_states called before the index check")
+
+    monkeypatch.setattr(ep_analysis, "discrete_states", no_states)
+    with pytest.raises(ValueError, match="n must be at most 115 on the minus branch, got 171"):
+        sweep_to_boundary_i_iii(0.75, 0.25, 171, "minus", [10.0, 100.0])
