@@ -36,7 +36,7 @@ from .eigensystems import (
     conjugate_function,
     evaluate,
 )
-from .pairing import _pair_block, _require_finite, _require_paired_degree
+from .pairing import _default_strategy, _pair_block, _require_paired_degree
 from .specfun import _gauss_legendre, log_gamma, parabolic_cylinder_d
 
 __all__ = [
@@ -197,13 +197,12 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     coeffs = np.zeros(n_max + 1, dtype=complex)
     for c, f in pieces:
         try:
-            coeffs += c * _pair_block(duals, [f], params)[:, 0]
+            strategy = _default_strategy(duals, [f], params)
         except NonConvergentError as exc:
             raise NonConvergentError(
                 f"sector mismatch: coefficients <phi_n^{dual_branch}|target> diverge "
                 f"({exc})") from exc
-    what = f"resonant expansion at n_max = {n_max}"
-    _require_finite(coeffs, what)
+        coeffs += c * _pair_block(duals, [f], params, strategy)[:, 0]
 
     target_vals = np.zeros_like(grid, dtype=complex)
     for c, f in pieces:
@@ -211,7 +210,8 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     basis = [stripped_discrete_function(params, n, basis_branch) for n in range(n_max + 1)]
     recon = evaluate(_superpose(coeffs, basis), grid, params)
     sup_error = float(np.max(np.abs(recon - target_vals)))
-    _require_finite(sup_error, what)
+    if not math.isfinite(sup_error):
+        raise NonConvergentError(f"resonant expansion at n_max = {n_max} has a non-finite sup-error")
     return coeffs, sup_error
 
 

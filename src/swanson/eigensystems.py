@@ -304,6 +304,8 @@ def _taylor_rows(fs: list[GeneralizedFunction], gauss, params: ModelParams,
     for m in range(order + 1):
         if m:
             coeffs = _gauss_derivative(coeffs, scale, gauss, drift, params) / math.sqrt(m)
+        if scale is None:       # x^k with k > order - m cannot reach x = 0 in the steps left
+            coeffs = coeffs[:, : order - m + 1]
         out[:, m] = coeffs @ at_zero[: coeffs.shape[1]]
     return out.reshape(-1, len(fs), order + 1).sum(axis=0)      # the two waves of each f add
 

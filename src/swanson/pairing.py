@@ -77,6 +77,7 @@ def _require_paired_degree(n: int, name: str, where: str = "") -> None:
 @dataclass(frozen=True)
 class DirectGaussHermite:
     order: int
+    theta = 0.0     # the real line is the theta = 0 contour
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,22 @@ def _shared_gauss(side: list[GeneralizedFunction]) -> complex:
     return gauss
 
 
-def _auto_strategy(a_tot: complex, order: int) -> PairingStrategy:
+def _combined_exponent(lefts: list[GeneralizedFunction], rights, params: ModelParams) -> complex:
+    """The one exponent a in exp(a x^2) of every conj(lefts[i]) * rights[j] of a block."""
+    right_gauss = 0.0 if callable(rights) else _shared_gauss(rights)
+    return (_shared_gauss(lefts).conjugate() + right_gauss) / (2.0 * params.b0 ** 2)
+
+
+def _default_strategy(lefts: list[GeneralizedFunction], rights,
+                      params: ModelParams) -> PairingStrategy:
+    """The closed form for a block with delta functionals, else the contour its combined
+    exponent admits, on 4 n + 40 nodes for its highest degree n; NonConvergentError if none."""
+    functions = lefts if callable(rights) else [*lefts, *rights]
+    if any(isinstance(f, DeltaDeriv) for f in functions):
+        return DistributionalExact()
+    degree = max((len(f.coeffs) - 1 for f in functions if isinstance(f, GaussPoly)), default=0)
+    order = _NODES_PER_DEGREE * degree + _NODES_EXTRA
+    a_tot = _combined_exponent(lefts, rights, params)
     mag = abs(a_tot)
     if mag == 0.0:
         raise NonConvergentError("combined Gaussian exponent vanishes; integrand has no decay")
@@ -118,7 +134,6 @@ def _auto_strategy(a_tot: complex, order: int) -> PairingStrategy:
     return RotatedContour(0.5 * (target - angle), order)
 
 
-@np.errstate(all="ignore")
 def _delta_block(deltas: list[GeneralizedFunction], smooth: list[GeneralizedFunction],
                  params: ModelParams) -> np.ndarray:
     """Integrals of smooth[i] * deltas[j] (conjugation already applied), in closed form.
@@ -133,13 +148,10 @@ def _delta_block(deltas: list[GeneralizedFunction], smooth: list[GeneralizedFunc
                                  "functionals with smooth closed forms only")
     orders = [f.n for f in deltas]
     rows = _taylor_rows(smooth, _shared_gauss(deltas) + _shared_gauss(smooth), params, max(orders))
-    block = rows[:, orders] * [f.norm * (-1) ** f.n / _inverse_sqrt_factorial(f.n) for f in deltas]
-    if not np.isfinite(block).all():
-        raise NonConvergentError(f"delta-derivative pairing of order {max(orders)} "
-                                 "leaves the float range")
-    return block
+    return rows[:, orders] * [f.norm * (-1) ** f.n / _inverse_sqrt_factorial(f.n) for f in deltas]
 
 
+@np.errstate(all="ignore")
 def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
                 strategy: PairingStrategy | None = None) -> np.ndarray:
     """Matrix of <lefts[i] | rights[j]>, the one quadrature kernel.
@@ -153,6 +165,7 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     real x with no Gaussian factor, sampled at the real nodes; it needs a
     DirectGaussHermite strategy.
     Blocks with delta-derivative functionals are paired in closed form.
+    Every block is checked here: NonConvergentError names the rule of a non-finite one.
     """
     sampled = callable(rights)
     functions = lefts if sampled else [*lefts, *rights]
@@ -161,44 +174,35 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
             "continuum states are delta-normalized distributions; use "
             "continuum.delta_normalization_probe for their pairings")
     lefts_conj = [conjugate_function(f) for f in lefts]
-    has_delta = any(isinstance(f, DeltaDeriv) for f in functions)
-    if isinstance(strategy, DistributionalExact) or (strategy is None and has_delta):
-        if all(isinstance(f, DeltaDeriv) for f in lefts_conj):
-            return _delta_block(lefts_conj, rights, params).T
-        return _delta_block(rights, lefts_conj, params)
-    if has_delta:
-        raise NonConvergentError("delta-derivative pairings require the DistributionalExact strategy")
-
-    right_gauss = 0.0 if sampled else _shared_gauss(rights)
-    a_tot = (_shared_gauss(lefts_conj) + right_gauss) / (2.0 * params.b0 ** 2)
     if strategy is None:
-        degree = max((len(f.coeffs) - 1 for f in functions if isinstance(f, GaussPoly)),
-                     default=0)
-        strategy = _auto_strategy(a_tot, _NODES_PER_DEGREE * degree + _NODES_EXTRA)
-    if isinstance(strategy, DirectGaussHermite):
-        if a_tot.real >= 0.0:
-            raise NonConvergentError("combined Gaussian exponent does not decay on the real line")
-        theta = 0.0
-    elif isinstance(strategy, RotatedContour):
+        strategy = _default_strategy(lefts, rights, params)
+    if isinstance(strategy, DistributionalExact):
+        if all(isinstance(f, DeltaDeriv) for f in lefts_conj):
+            block = _delta_block(lefts_conj, rights, params).T
+        else:
+            block = _delta_block(rights, lefts_conj, params)
+        kind, order = "delta-derivative", max(f.n for f in functions if isinstance(f, DeltaDeriv))
+    else:
+        if any(isinstance(f, DeltaDeriv) for f in functions):
+            raise NonConvergentError("delta-derivative pairings require the DistributionalExact strategy")
         theta = strategy.theta
-    else:
-        raise TypeError(f"unknown strategy {strategy!r}")
-
-    a_rot = a_tot * np.exp(2j * theta)
-    if a_rot.real >= 0.0:
-        raise NonConvergentError("rotated exponent does not decay; contour inadmissible")
-    s = math.sqrt(-a_rot.real)
-    rule = gauss_hermite(strategy.order)
-    t = rule.nodes
-    x = np.exp(1j * theta) * t / s
-    # residual oscillation left after absorbing exp(-t^2): exp(i t^2 Im(a_rot)/s^2)
-    residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
-    left_rows = _stripped(lefts_conj, x, params)
-    if sampled:
-        right_rows = np.asarray(rights(t / s), dtype=complex)[None, :]
-    else:
-        right_rows = _stripped(rights, x, params)
-    return (left_rows * (rule.weights * residual)) @ right_rows.T * (np.exp(1j * theta) / s)
+        a_rot = _combined_exponent(lefts, rights, params) * np.exp(2j * theta)
+        if a_rot.real >= 0.0:
+            raise NonConvergentError(f"exponent does not decay at theta = {theta:g}; contour inadmissible")
+        s = math.sqrt(-a_rot.real)
+        quadrature = gauss_hermite(strategy.order)
+        t = quadrature.nodes
+        x = np.exp(1j * theta) * t / s
+        # residual oscillation left after absorbing exp(-t^2): exp(i t^2 Im(a_rot)/s^2)
+        residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
+        left_rows = _stripped(lefts_conj, x, params)
+        right_rows = (np.asarray(rights(t / s), dtype=complex)[None, :] if sampled
+                      else _stripped(rights, x, params))
+        block = (left_rows * (quadrature.weights * residual)) @ right_rows.T * (np.exp(1j * theta) / s)
+        kind, order = "Gauss-Hermite", strategy.order
+    if not np.isfinite(block).all():
+        raise NonConvergentError(f"{kind} pairing of order {order} leaves the float range")
+    return block
 
 
 def pair(left: GeneralizedFunction, right: GeneralizedFunction, params: ModelParams,
@@ -271,8 +275,6 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
         raise ValueError("which must be 'right-left' or 'metric'")
 
     stack = np.stack(blocks)
-    if not np.all(np.isfinite(stack)):
-        raise NonConvergentError(f"gram matrix at n_max = {n_max} has non-finite entries")
     max_off = float(np.max(np.abs(stack * (1.0 - np.eye(n_max + 1)))))
     max_diag = float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2) - 1.0)))
     return GramReport(n_max, which, np.vstack(blocks), max_off, max_diag)
@@ -301,15 +303,10 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
         right, target_vals = [target], evaluate(target, grid, params)
     order = max(_NODES_PER_DEGREE * n_max + _NODES_EXTRA, 160)
     coeffs = _pair_block([s.left_fn for s in states], right, params, DirectGaussHermite(order))[:, 0]
-    what = f"reconstruction at n_max = {n_max}"
-    _require_finite(coeffs, what)
 
     recon = evaluate(_superpose(coeffs, [s.right_fn for s in states]), grid, params)
     sup_error = float(np.max(np.abs(recon - target_vals)))
-    _require_finite(sup_error, what)
+    if not math.isfinite(sup_error):
+        raise NonConvergentError(f"reconstruction at n_max = {n_max} has a non-finite sup-error")
     return coeffs, sup_error
 
-
-def _require_finite(values, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NonConvergentError(f"{what} has non-finite coefficients or sup-error")

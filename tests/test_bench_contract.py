@@ -4,7 +4,7 @@ bench/tracing.py replaces every name in its PUBLIC table by a timing wrapper,
 looking each one up on its swanson module, and bench/worker.py reads the cache
 counters of specfun.gauss_hermite.  A name missing from the library makes
 every traced run fail while the plain run still passes, so the names are
-checked here.
+checked here, with the attributes bench/jobs.py reads from library objects.
 """
 
 import importlib
@@ -35,3 +35,20 @@ def test_gauss_hermite_keeps_its_cache_counters():
 
     info = specfun.gauss_hermite.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+_CONTINUUM_FIELDS = ("gauss", "nu", "arg_scale", "side", "conjugated", "norm")
+
+
+@pytest.mark.parametrize("attr", [f"CylinderState.{a}" for a in _CONTINUUM_FIELDS]
+                         + ["StateVector.normalized"])
+def test_every_attribute_the_jobs_read_exists(attr):
+    # bench/jobs.py checks continuum states against an mpmath form of their fields
+    # and reads the normalized flag of make_state
+    from swanson import ModelParams, continuum_state, make_state
+
+    made = {"CylinderState": continuum_state(ModelParams(1.0, -2.0, -0.5), 0.3, "+", "phi"),
+            "StateVector": make_state(ModelParams(1.0, 0.2, 0.1), [1.0, 0.5])}
+    kind, name = attr.split(".")
+    assert type(made[kind]).__name__ == kind
+    assert hasattr(made[kind], name)

@@ -419,6 +419,20 @@ def test_boundary_sweep_numerical_failures_exit_one(n, branch_args):
     assert "Traceback" not in cp.stderr and cp.stdout == ""
 
 
+@pytest.mark.parametrize("args,order", [
+    (["gram", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--nmax", "83"], 372),
+    (["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--sector", "minus",
+      "--modes", "0:1,3:2", "--nmax", "90"], 400),
+], ids=["gram-83", "sector-90"])
+def test_pairings_past_the_finite_rules_exit_one_naming_the_rule(args, order):
+    # hermgauss returns NaN weights from order 372; the pairing kernel reports it once
+    cp = run_cli(*args)
+    assert cp.returncode == 1, cp.stderr
+    assert f"numerical failure: Gauss-Hermite pairing of order {order}" in cp.stderr
+    assert "RuntimeWarning" not in cp.stderr and "sector mismatch" not in cp.stderr
+    assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
 @pytest.mark.parametrize("mode", ["ep", "spectrum"])
 def test_ep_sweep_beta_zero_is_a_typed_error(mode):
     cp = run_cli("ep-sweep", "--mode", mode, "--omega", "1", "--beta", "0")

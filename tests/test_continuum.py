@@ -206,6 +206,16 @@ def test_sector_mismatch_raises():
         resonant_expansion(p, target, 4, "plus")
 
 
+def test_non_finite_coefficients_are_not_a_sector_mismatch():
+    # degree 90 pairs on the Gauss-Hermite rule of order 400, whose weights are NaN
+    p = pts.REGION_II_POINT
+    target = [(1.0, stripped_discrete_function(p, 0, "-")),
+              (2.0, stripped_discrete_function(p, 3, "-"))]
+    with pytest.raises(NonConvergentError, match="Gauss-Hermite pairing of order 400") as info:
+        resonant_expansion(p, target, 90, "minus")
+    assert "sector mismatch" not in str(info.value)
+
+
 def test_foreign_target_large_residual_reported():
     # a real Gaussian pairs convergently against either dual family but lies
     # in neither resonant sector: the residual must surface, not vanish

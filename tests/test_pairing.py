@@ -232,6 +232,29 @@ def test_strategy_equivalence_direct_vs_rotated():
         assert direct == pytest.approx(rotated, abs=1e-8)
 
 
+def test_direct_rule_is_the_theta_zero_contour():
+    from swanson.pairing import _pair_block
+
+    p = pts.REGION_I_POINTS[0]
+    states = discrete_states(p, 6)
+    lefts, rights = [s.left_fn for s in states], [s.right_fn for s in states]
+    direct = _pair_block(lefts, rights, p, DirectGaussHermite(80))
+    rotated = _pair_block(lefts, rights, p, RotatedContour(0.0, 80))
+    assert np.array_equal(direct, rotated)
+
+
+@pytest.mark.parametrize("n", [83, 100])
+@pytest.mark.parametrize("single", ["pair", "metric_pair"])
+def test_single_pairings_past_the_finite_rules_are_typed_errors(single, n):
+    # degree n pairs on 4 n + 40 nodes; hermgauss returns NaN weights from order 372
+    p = pts.REGION_I_POINTS[0]
+    state = discrete_states(p, n)[n]
+    args = (state.left_fn, state.right_fn) if single == "pair" else (state.right_fn, state.right_fn)
+    with pytest.raises(NonConvergentError, match=f"Gauss-Hermite pairing of order {4 * n + 40} "
+                                                 "leaves the float range"):
+        {"pair": pair, "metric_pair": metric_pair}[single](*args, p)
+
+
 def test_quadrature_order_doubling_stability():
     p = pts.REGION_I_POINTS[0]
     states = discrete_states(p, 5)
@@ -329,6 +352,11 @@ def test_delta_pairing_past_order_170_reads_the_closed_form(m):
 def test_boundary_i_iii_gram_past_order_170_is_the_identity():
     # the delta blocks are closed forms: each monomial is differentiated once
     report = gram(pts.BOUNDARY_I_III_POINT, 171)
+    assert report.max_diag_err <= 1e-12 and report.max_offdiag <= 1e-12
+
+
+def test_boundary_i_iii_gram_at_n_max_300_is_the_identity():
+    report = gram(ModelParams(1.0, 0.6, 0.4), 300)
     assert report.max_diag_err <= 1e-12 and report.max_offdiag <= 1e-12
 
 
