@@ -25,11 +25,11 @@ from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     GaussPoly,
     GeneralizedFunction,
-    _coefficient_matrix,
     _finite,
     _gauss_derivative,
     _ladder_energy,
     _superpose,
+    _terms,
     _times_x,
     discrete_states,
     evaluate,
@@ -138,7 +138,7 @@ def apply_observable(params: ModelParams, f: GeneralizedFunction,
     position = kind in (ObservableKind.X, ObservableKind.X2)
     if c is None and not position:
         raise RegionError("P needs the similarity coefficient, undefined on omega = alpha + beta")
-    coeffs = _coefficient_matrix([f])[0]
+    (coeffs,), _, _, _ = _terms([f])
     for _ in range(1 if kind in (ObservableKind.X, ObservableKind.P) else 2):
         coeffs = _times_x(coeffs, f.scale, params) if position else \
             -1j * params.hbar * _gauss_derivative(coeffs, f.scale, f.gauss - c, 0.0, params)

@@ -141,12 +141,29 @@ def _finite(values, what: str, dtype=complex) -> np.ndarray:
     return arr
 
 
-def _coefficient_matrix(fs: list[GaussPoly]) -> np.ndarray:
-    """norm * coeffs of each function, zero-padded to the highest degree, one row each."""
-    out = np.zeros((len(fs), max(len(f.coeffs) for f in fs)), dtype=complex)
-    for row, f in zip(out, fs):
-        row[: len(f.coeffs)] = f.norm * np.asarray(f.coeffs, dtype=complex)
-    return out
+def _terms(fs: list[GeneralizedFunction]) -> tuple[np.ndarray, complex | None, np.ndarray, list[int]]:
+    """Each f in fs as terms exp(drift_r x) sum_k coeffs[r, k] p_k(x) times its Gaussian:
+    (coeffs with the norm folded in, the basis scale as in GaussPoly, the drifts, the
+    first row of each f).  A GaussPoly is one term with drift 0, a PlaneWaveGauss two
+    constant monomial terms with drifts +-i k_wave; TypeError for other variants or bases."""
+    rows, drift, first = [], [], []
+    for f in fs:
+        first.append(len(rows))
+        if isinstance(f, GaussPoly):
+            rows.append(f.norm * np.asarray(f.coeffs, dtype=complex))
+            drift.append(0.0)
+        elif isinstance(f, PlaneWaveGauss):
+            rows += [[f.amp_plus], [f.amp_minus]]
+            drift += [1j * f.k_wave, -1j * f.k_wave]
+        else:
+            raise TypeError(f"{type(f).__name__} is not a Gaussian times a polynomial or plane wave")
+    scales = {getattr(f, "scale", None) for f in fs}     # a plane wave's basis is the monomials
+    if len(scales) > 1:
+        raise TypeError("functions of one term matrix must share their polynomial basis")
+    coeffs = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
+    for out, row in zip(coeffs, rows):
+        out[: len(row)] = row
+    return coeffs, scales.pop(), np.array(drift, dtype=complex), first
 
 
 def _basis_rows(scale, x: np.ndarray, params: ModelParams, degree: int) -> np.ndarray:
@@ -186,50 +203,36 @@ def _gauss_derivative(coeffs: np.ndarray, scale, gauss, drift, params: ModelPara
 
 def _superpose(weights, fs: list[GaussPoly]) -> GaussPoly:
     """sum_i weights[i] fs[i] as one GaussPoly; the fs share their Gaussian and basis."""
-    coeffs = np.asarray(weights, dtype=complex) @ _coefficient_matrix(fs)
-    return GaussPoly(fs[0].gauss, tuple(coeffs.tolist()), 1.0, fs[0].scale)
+    coeffs, scale, _, _ = _terms(fs)
+    return GaussPoly(fs[0].gauss, tuple((np.asarray(weights, dtype=complex) @ coeffs).tolist()), 1.0, scale)
 
 
 def _stripped(fs: list[GeneralizedFunction], x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """f(x) with its Gaussian factor exp(gauss x^2/(2 b0^2)) removed, one row per f in fs.
-
-    Defined for GaussPoly and PlaneWaveGauss.  GaussPoly functions sharing one
-    basis are one coefficient matrix times one set of basis rows; the pairing
-    kernel samples a whole side this way and evaluate multiplies by the
-    Gaussian.
-    """
-    if all(isinstance(f, GaussPoly) and f.scale == fs[0].scale for f in fs):
-        coeffs = _coefficient_matrix(fs)
-        rows = _basis_rows(fs[0].scale, x, params, coeffs.shape[1] - 1)
-        return np.tensordot(coeffs, rows, axes=1)
-    return np.array([
-        _stripped([f], x, params)[0] if isinstance(f, GaussPoly)
-        else f.amp_plus * np.exp(1j * f.k_wave * x) + f.amp_minus * np.exp(-1j * f.k_wave * x)
-        for f in fs])
+    """f(x) with its Gaussian factor exp(gauss x^2/(2 b0^2)) removed, one row per f in fs:
+    the term matrix times one set of basis rows, each term times exp(drift x), the
+    terms of each f summed.  The pairing kernel samples a whole side this way."""
+    coeffs, scale, drift, first = _terms(fs)
+    values = np.tensordot(coeffs, _basis_rows(scale, x, params, coeffs.shape[1] - 1), axes=1)
+    if len(coeffs) == len(fs):      # one term each, all of drift 0: the rows are the values
+        return values
+    return np.add.reduceat(values * np.exp(np.multiply.outer(drift, x)), first)
 
 
 _RESCALE = 2.0 ** 500                       # row size at which _log_stripped rescales
 _LOG_TINY = math.log(sys.float_info.min)    # exponents below this underflow the Gaussian
 
 
-def _log_stripped(f: GaussPoly, x: np.ndarray,
+def _log_stripped(coeffs: np.ndarray, scale, x: np.ndarray,
                   params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(log|s|, s/|s|) of the stripped part s of f at points where s overflows.
-
-    The basis recurrence (p_{k+1} = x p_k for monomials, the normalized
-    Hermite step otherwise) is summed against the coefficients as it climbs,
-    and the rows and the sum are divided by 2^500 wherever a row passes it, so
-    s itself is never formed.
-    """
-    coeffs = _coefficient_matrix([f])[0]
-    z = x if f.scale is None else f.scale * x / params.b0
+    """(log|s|, s/|s|) of s = sum_k coeffs[k] p_k(x) at points where s overflows: the
+    basis recurrence is summed against the coefficients as it climbs, and the rows and
+    the sum are divided by 2^500 wherever a row passes it, so s is never formed."""
+    z = x if scale is None else scale * x / params.b0
     prev, cur = np.zeros_like(z), np.ones_like(z)
     total, rescales = coeffs[0] * cur, np.zeros(z.shape)
-    for k in range(1, len(coeffs)):
-        if f.scale is None:
-            prev, cur = cur, z * cur
-        else:
-            prev, cur = cur, math.sqrt(2.0 / k) * z * cur - math.sqrt((k - 1) / k) * prev
+    for k in range(1, len(coeffs)):     # p_(k+1) = x p_k, or the normalized Hermite step
+        a, b = (1.0, 0.0) if scale is None else (math.sqrt(2.0 / k), math.sqrt((k - 1) / k))
+        prev, cur = cur, a * z * cur - b * prev
         total = total + coeffs[k] * cur
         big = np.abs(cur) > _RESCALE
         for arr in (prev, cur, total):
@@ -239,44 +242,61 @@ def _log_stripped(f: GaussPoly, x: np.ndarray,
     return np.log(mag) + rescales * math.log(_RESCALE), total / mag
 
 
+@np.errstate(all="ignore")
+def _smooth_values(f: GeneralizedFunction, x: np.ndarray, params: ModelParams,
+                   derivatives: int = 0) -> np.ndarray:
+    """f, f', ... f^(derivatives) of a smooth form f (see _terms) at the points x, one row
+    each, as evaluate documents; each term's drift joins its exponent
+    q = gauss x^2/(2 b0^2) + drift x, and derivatives are _gauss_derivative with that q."""
+    coeffs, scale, drift, _ = _terms([f])
+    stack = np.zeros((derivatives + 1, len(coeffs), coeffs.shape[1] + derivatives), dtype=complex)
+    stack[0, :, : coeffs.shape[1]] = coeffs
+    for j in range(derivatives):        # each derivative raises the degree by one
+        stack[j + 1] = _gauss_derivative(stack[j], scale, f.gauss, drift, params)[:, :-1]
+    stack = stack.reshape(-1, stack.shape[-1])      # a row per term of f, f', ...
+    shape, x = np.shape(x), np.ravel(x)
+    expo = f.gauss * x[None] ** 2 / (2.0 * params.b0 * params.b0)
+    if drift.any():     # exp(0 x) = 1: a Gauss x polynomial keeps one exponent row
+        expo = expo + np.multiply.outer(np.tile(drift, derivatives + 1), x)
+    stripped = np.dot(stack, _basis_rows(scale, x, params, stack.shape[-1] - 1))
+    val = stripped * np.exp(expo)
+    if not np.isfinite(val).all() or expo.real.min(initial=0.0) < _LOG_TINY:
+        expo = np.broadcast_to(expo, val.shape)
+        redo = ~np.isfinite(val) | ((expo.real < _LOG_TINY) & (stripped != 0))
+        val[redo] = np.exp(np.log(stripped[redo]) + expo[redo])
+        huge = ~np.isfinite(stripped)   # the polynomial part itself overflowed
+        for r in np.flatnonzero(huge.any(axis=1)):
+            log_mag, phase = _log_stripped(stack[r], scale, x[huge[r]], params)
+            val[r, huge[r]] = phase * np.exp(log_mag + expo[r, huge[r]])
+    val = val.reshape(derivatives + 1, len(coeffs), -1).sum(axis=1)     # sum each function's terms
+    if not np.isfinite(val).all():
+        where = np.broadcast_to(x, val.shape)[~np.isfinite(val)][0]
+        raise NonConvergentError(f"{type(f).__name__} value outside the float range at x = {where}")
+    return val.reshape((derivatives + 1,) + shape)
+
+
 def evaluate(f: GeneralizedFunction, x, params: ModelParams):
     """Pointwise value of a generalized function; x may be scalar or array,
     real or complex (closed forms are entire, so complex x means analytic
     continuation, which the contour-rotated pairings rely on).
 
-    Where the stripped part times the Gaussian factor under- or overflows
-    (far out, or at high degree), the exponents are added before
-    exponentiating; a value outside the float range even then raises
-    NonConvergentError.
+    Each term of a Gaussian-polynomial or plane-wave form adds its drift to the
+    Gaussian exponent; where a term under- or overflows (far out, or at high
+    degree), its exponents are added before exponentiating, the polynomial part
+    in log form if it overflowed by itself.  A value outside the float range even
+    then raises NonConvergentError.
     """
     if isinstance(f, DeltaDeriv):
         raise DeltaDerivNotEvaluableError(
             "delta-derivative functionals have no pointwise values; use the pairing module")
-    x_arr = np.asarray(x, dtype=complex)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    b0 = params.b0
+    x_arr = np.atleast_1d(np.asarray(x, dtype=complex))
     if isinstance(f, CylinderState):
         g, mu, slope, pref = _cyl_fields(f)
-        val = pref * np.exp(g * x_arr ** 2 / (2.0 * b0 * b0)) \
+        val = pref * np.exp(g * x_arr ** 2 / (2.0 * params.b0 * params.b0)) \
             * parabolic_cylinder_d(mu, slope * x_arr)
-        return complex(val[0]) if scalar else val
-    expo = f.gauss * x_arr ** 2 / (2.0 * b0 * b0)
-    with np.errstate(all="ignore"):
-        stripped = _stripped([f], x_arr, params)[0]
-        val = stripped * np.exp(expo)
-        if np.isfinite(val).all() and expo.real.min(initial=0.0) >= _LOG_TINY:
-            return complex(val[0]) if scalar else val
-        redo = ~np.isfinite(val) | ((expo.real < _LOG_TINY) & (stripped != 0))
-        val[redo] = np.exp(np.log(stripped[redo]) + expo[redo])
-        huge = ~np.isfinite(stripped)   # the polynomial part itself overflowed
-        if huge.any() and isinstance(f, GaussPoly):
-            log_mag, phase = _log_stripped(f, x_arr[huge], params)
-            val[huge] = phase * np.exp(log_mag + expo[huge])
-    if not np.isfinite(val).all():
-        where = x_arr[~np.isfinite(val)][0]
-        raise NonConvergentError(f"{type(f).__name__} value outside the float range at x = {where}")
-    return complex(val[0]) if scalar else val
+    else:
+        val = _smooth_values(f, x_arr, params)[0]
+    return complex(val[0]) if np.ndim(x) == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +306,13 @@ def evaluate(f: GeneralizedFunction, x, params: ModelParams):
 @np.errstate(all="ignore")
 def _taylor_rows(fs: list[GeneralizedFunction], gauss, params: ModelParams,
                  order: int) -> np.ndarray:
-    """f^(m)(0)/sqrt(m!), m = 0 ... order, for each f in fs (GaussPoly functions of
-    one basis, or plane waves) with its Gaussian replaced by exp(gauss x^2/(2 b0^2)).
+    """f^(m)(0)/sqrt(m!), m = 0 ... order, for each f in fs (the smooth forms of
+    _terms) with its Gaussian replaced by exp(gauss x^2/(2 b0^2)).
 
-    Each step differentiates and divides by sqrt(m), so no factorial is formed;
-    values past the float range come out non-finite, silently.
+    Each step differentiates every term and divides by sqrt(m), so no factorial
+    is formed; values past the float range come out non-finite, silently.
     """
-    if all(isinstance(f, GaussPoly) and f.scale == fs[0].scale for f in fs):
-        coeffs, scale, drift = _coefficient_matrix(fs), fs[0].scale, 0.0
-    elif all(isinstance(f, PlaneWaveGauss) for f in fs):     # a row per wave amp e^{+-i k x}
-        coeffs = np.array([[f.amp_plus] for f in fs] + [[f.amp_minus] for f in fs], dtype=complex)
-        scale, drift = None, 1j * np.array([f.k_wave for f in fs] + [-f.k_wave for f in fs])
-    else:
-        raise TypeError("Taylor data needs GaussPoly functions of one basis or plane waves")
+    coeffs, scale, drift, first = _terms(fs)
     at_zero = _basis_rows(scale, np.zeros(1), params, coeffs.shape[1] + order)[:, 0]
     out = np.empty((len(coeffs), order + 1), dtype=complex)
     for m in range(order + 1):
@@ -307,27 +321,26 @@ def _taylor_rows(fs: list[GeneralizedFunction], gauss, params: ModelParams,
         if scale is None:       # x^k with k > order - m cannot reach x = 0 in the steps left
             coeffs = coeffs[:, : order - m + 1]
         out[:, m] = coeffs @ at_zero[: coeffs.shape[1]]
-    return out.reshape(-1, len(fs), order + 1).sum(axis=0)      # the two waves of each f add
+    return np.add.reduceat(out, first)
 
 
 def taylor_coefficients(f: GeneralizedFunction, params: ModelParams, order: int) -> np.ndarray:
-    """Taylor coefficients of f about x = 0 up to the given order (inclusive)."""
-    inverse_sqrt_factorials = [_inverse_sqrt_factorial(m) for m in range(order + 1)]
-    return _taylor_rows([f], f.gauss, params, order)[0] * inverse_sqrt_factorials
+    """Taylor coefficients of f about x = 0 up to the given order (inclusive); one
+    reads 0 only where it is itself below the float range."""
+    mantissas, exponents = zip(*(_inverse_sqrt_factorial_parts(m) for m in range(order + 1)))
+    rows = _taylor_rows([f], f.gauss, params, order)[0] * np.array(mantissas)   # 2^-e comes last,
+    return np.ldexp(rows.view(float), np.repeat(exponents, 2)).view(complex)    # on (re, im) pairs
 
 
 def polynomial_pieces(f: GeneralizedFunction, params: ModelParams):
     """Decompose f into exp(a x^2 + b x) * P(x) pieces: a list of (a, b, coeffs)
     with coeffs the ascending monomial coefficients (a Hermite series' Taylor
-    data); delta and cylinder variants are not polynomial and raise TypeError.
-    """
-    a = f.gauss / (2.0 * params.b0 ** 2)
-    if isinstance(f, PlaneWaveGauss):
-        waves = ((f.amp_plus, 1j * f.k_wave), (f.amp_minus, -1j * f.k_wave))
-        return [(a, b, np.array([amp], dtype=complex)) for amp, b in waves]
-    if not isinstance(f, GaussPoly):
-        raise TypeError(f"{type(f).__name__} has no polynomial representation")
-    return [(a, 0j, taylor_coefficients(dataclasses.replace(f, gauss=0.0), params, len(f.coeffs) - 1))]
+    data), one piece per term of _terms; delta and cylinder variants are not
+    polynomial and raise TypeError."""
+    coeffs, scale, drift, _ = _terms([f])
+    return [(f.gauss / (2.0 * params.b0 ** 2), complex(b),
+             taylor_coefficients(GaussPoly(0.0, tuple(row.tolist()), 1.0, scale), params, len(row) - 1))
+            for b, row in zip(drift, coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,39 +357,24 @@ def _h_coefficients(params: ModelParams) -> tuple[float, float, float]:
 
 
 def _derivatives_on_grid(f: GeneralizedFunction, x: np.ndarray, params: ModelParams):
-    """(f, f', f'') on the grid, by exact differentiation of the closed form.
-
-    Every smooth variant is exp(g x^2/(2 b0^2)) u(x); u, u' and u'' come from
-    the closed form of u, never from the defining equation, so residual tests
-    stay honest.
-    """
-    b0 = params.b0
-    if isinstance(f, CylinderState):
-        g, mu, slope, pref = _cyl_fields(f)
-        zeta = slope * x
-        ladder = mu - np.arange(3.0).reshape((3,) + (1,) * zeta.ndim)
-        d_mu, d_m1, d_m2 = parabolic_cylinder_d(ladder, zeta)
-        # D_mu' = -(zeta/2) D_mu + mu D_{mu-1}; second derivative via the same ladder
-        u = pref * d_mu
-        u1 = pref * slope * (-(0.5 * zeta) * d_mu + mu * d_m1)
-        u2 = pref * slope ** 2 * ((0.25 * zeta ** 2 - 0.5) * d_mu - zeta * mu * d_m1
-                                  + mu * (mu - 1.0) * d_m2)
-    elif isinstance(f, GaussPoly):
-        g = f.gauss
-        c0 = _coefficient_matrix([f])[0]
-        c1 = _gauss_derivative(c0, f.scale, 0.0, 0.0, params)     # u', and zeros past its degree
-        c2 = _gauss_derivative(c1, f.scale, 0.0, 0.0, params)
-        rows = _basis_rows(f.scale, x, params, len(c0) - 1)
-        u, u1, u2 = (np.tensordot(c[: len(c0)], rows, axes=1) for c in (c0, c1, c2))
-    elif isinstance(f, PlaneWaveGauss):
-        g = f.gauss
-        waves = ((f.amp_plus, 1j * f.k_wave), (f.amp_minus, -1j * f.k_wave))
-        u, u1, u2 = (sum(amp * b ** j * np.exp(b * x) for amp, b in waves) for j in range(3))
-    else:
-        raise TypeError(f"{type(f).__name__} has no pointwise derivatives")
-    q1 = g * x / (b0 * b0)          # q'(x) for q = g x^2/(2 b0^2)
-    q2 = g / (b0 * b0)
-    e = np.exp(g * x ** 2 / (2.0 * b0 * b0))
+    """(f, f', f'') on the grid, by exact differentiation of the closed form: a smooth
+    form's term coefficients (_smooth_values), or u' and u'' of a cylinder state
+    exp(g x^2/(2 b0^2)) u(x) from the Weber ladder.  Neither uses the defining
+    equation, so residual tests stay honest."""
+    if not isinstance(f, CylinderState):
+        return tuple(_smooth_values(f, x, params, 2))
+    g, mu, slope, pref = _cyl_fields(f)
+    zeta = slope * x
+    ladder = mu - np.arange(3.0).reshape((3,) + (1,) * zeta.ndim)
+    d_mu, d_m1, d_m2 = parabolic_cylinder_d(ladder, zeta)
+    # D_mu' = -(zeta/2) D_mu + mu D_{mu-1}; second derivative via the same ladder
+    u = pref * d_mu
+    u1 = pref * slope * (-(0.5 * zeta) * d_mu + mu * d_m1)
+    u2 = pref * slope ** 2 * ((0.25 * zeta ** 2 - 0.5) * d_mu - zeta * mu * d_m1
+                              + mu * (mu - 1.0) * d_m2)
+    q1 = g * x / (params.b0 * params.b0)        # q'(x) for q = g x^2/(2 b0^2)
+    q2 = g / (params.b0 * params.b0)
+    e = np.exp(g * x ** 2 / (2.0 * params.b0 * params.b0))
     return e * u, e * (u1 + q1 * u), e * (u2 + 2.0 * q1 * u1 + (q2 + q1 ** 2) * u)
 
 
@@ -446,17 +444,18 @@ class EigenstateSpec:
 
 
 @functools.lru_cache(maxsize=1024)
-def _inverse_sqrt_factorial(n: int) -> float:
-    """1/sqrt(n!), the Boundary I-III norm and the scale of Taylor data and delta
-    pairings; NonConvergentError if subnormal.
-
-    n! = m 4^e with m its top 64 bits rounded to a float, so the norm keeps its
-    digits past n = 170, where n! leaves the float range, and equals the float
-    formula 1/sqrt(n!) below.
-    """
+def _inverse_sqrt_factorial_parts(n: int) -> tuple[float, int]:
+    """(r, -e) with 1/sqrt(n!) = r 2^-e: n! = m 4^e with m its top 64 bits rounded to a
+    float, so the value keeps its digits past n = 170, where n! leaves the float range."""
     big = math.factorial(n)
     e = max(big.bit_length() - 64, 0) // 2
-    norm = math.ldexp(1.0 / math.sqrt(float(big >> 2 * e)), -e)
+    return 1.0 / math.sqrt(float(big >> 2 * e)), -e
+
+
+def _inverse_sqrt_factorial(n: int) -> float:
+    """1/sqrt(n!), the Boundary I-III norm and the scale of delta pairings (the float
+    formula below n = 171); NonConvergentError if subnormal."""
+    norm = math.ldexp(*_inverse_sqrt_factorial_parts(n))
     if norm < sys.float_info.min:
         raise NonConvergentError(
             f"1/sqrt(n!) at n = {n}, the Boundary I-III norm, is outside the float range")

@@ -22,9 +22,9 @@ Pairings are computed a family at a time by one kernel: every pair of a Gram
 block, a reconstruction or a resonant-expansion column shares one combined
 exponent, so the block takes one strategy, one contour angle, one rule and
 one weighted matrix product; a single pairing is the 1 x 1 case.  A side of
-GaussPoly states with one basis is its coefficient matrix times the basis
-rows (normalized Hermite polynomials or monomials) sampled once at the
-nodes, so no state re-runs a recurrence.
+smooth closed forms with one basis is its term matrix times the basis rows
+(normalized Hermite polynomials or monomials) sampled once at the nodes, so
+no state re-runs a recurrence.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     combined exponent: one strategy, one contour angle and one Gauss-Hermite
     rule (order 4 * highest degree + 40 unless the strategy names one), and
     one weighted product of the stripped closed forms sampled at the shared
-    nodes; a side of GaussPoly functions with one basis is its coefficient
-    matrix times one set of basis rows.  rights may instead be a callable of
+    nodes; a side is its term matrix (eigensystems._terms) times one set of
+    basis rows.  rights may instead be a callable of
     real x with no Gaussian factor, sampled at the real nodes; it needs a
     DirectGaussHermite strategy.
     Blocks with delta-derivative functionals are paired in closed form.

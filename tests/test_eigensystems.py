@@ -1,5 +1,8 @@
 import cmath
 import math
+import sys
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,6 +20,7 @@ from swanson import (
     RegionLabel,
     apply_hamiltonian,
     apply_oscillator,
+    continuum_state,
     derive,
     discrete_states,
     ep_states,
@@ -24,8 +28,9 @@ from swanson import (
     free_particle_states,
     pair,
 )
-from swanson.eigensystems import _inverse_sqrt_factorial, polynomial_pieces, taylor_coefficients
-from swanson.specfun import hermite
+from swanson.eigensystems import (_cyl_fields, _inverse_sqrt_factorial, _taylor_rows,
+                                  polynomial_pieces, taylor_coefficients)
+from swanson.specfun import hermite, parabolic_cylinder_d
 
 ALL_DISCRETE_POINTS = (
     pts.REGION_I_POINTS + pts.REGION_III_POINTS
@@ -508,3 +513,66 @@ def test_ep_states_reject_nonfinite_coefficients(position, name):
     coeffs[position] = math.nan
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         ep_states(pts.BOUNDARY_I_II_POINT, *coeffs)
+
+
+def test_taylor_coefficients_past_the_norm_float_range():
+    # exp(-x^2) = sum_j (-1)^j x^(2j) / j!: every coefficient that is itself in the float
+    # range is returned, though 1/sqrt(m!) underflows from m = 301
+    coeffs = taylor_coefficients(GaussPoly(gauss=-2.0, coeffs=(1.0,), norm=1.0),
+                                 ModelParams(1.0, 0.0, 0.0), 400)
+    assert coeffs[300] == pytest.approx(1.75e-263, rel=1e-3)
+    for m in range(401):
+        exact = 0.0 if m % 2 else (-1) ** (m // 2) * float(Fraction(1, math.factorial(m // 2)))
+        if abs(exact) >= sys.float_info.min:
+            assert coeffs[m] == pytest.approx(exact, rel=1e-12), m
+        else:       # subnormal or zero: within 1e-12 of the smallest normal number
+            assert abs(coeffs[m] - exact) <= 1e-12 * sys.float_info.min, m
+
+
+EVANESCENT_POINT = ModelParams(1.0, 1.0, 0.25)     # Omega = 0, omega - alpha - beta = -1/4
+
+
+@pytest.mark.parametrize("amps", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+def test_evanescent_wave_far_out(amps):
+    # E = 528: k = 65i nearly, so e^{-ikx} = e^{65 x} overflows at x = 11 while the state,
+    # with its Gaussian e^{-3 x^2/2}, is 4.56e231 there; e^{+ikx} times it underflows
+    p = EVANESCENT_POINT
+    f = free_particle_states(p, 528.0, *amps).right_fn
+    x = np.array([5.0, 11.0, 12.0])
+    exact = [sum(cmath.exp(cmath.log(amp) + sign * 1j * f.k_wave * xx + f.gauss * xx * xx / 2.0)
+                 for amp, sign in zip(amps, (1.0, -1.0)) if amp) for xx in x]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = evaluate(f, x, p)
+        h_vals = apply_hamiltonian(p, f, x)
+        osc_vals = apply_oscillator(p, f, x)
+    for val, ref in zip(vals, exact):
+        assert val == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert np.all(np.isfinite(h_vals)) and np.all(np.isfinite(osc_vals))
+    assert np.allclose(h_vals, 528.0 * vals, rtol=1e-12, atol=0.0)
+    if amps == (1.0, 0.0):
+        assert vals[1] == vals[2] == 0.0
+    else:
+        assert vals[1] == pytest.approx(4.564e231, rel=1e-3)
+
+
+CYLINDER = continuum_state(pts.REGION_II_POINT, 0.3, "+", "phi")
+
+
+@pytest.mark.parametrize("f", [DeltaDeriv(gauss=-1.0, n=2, norm=1.0), CYLINDER],
+                         ids=["DeltaDeriv", "CylinderState"])
+def test_non_polynomial_variants_are_rejected_as_documented(f):
+    p = pts.REGION_II_POINT
+    with pytest.raises(TypeError):
+        polynomial_pieces(f, p)
+    with pytest.raises(TypeError):
+        _taylor_rows([f], -1.0, p, 3)
+    with pytest.raises(TypeError):
+        taylor_coefficients(f, p, 3)
+    if isinstance(f, DeltaDeriv):
+        with pytest.raises(DeltaDerivNotEvaluableError):
+            evaluate(f, 0.5, p)
+    else:           # the Weber path
+        g, mu, slope, pref = _cyl_fields(f)
+        assert evaluate(f, 0.5, p) == pytest.approx(
+            pref * cmath.exp(g * 0.125) * complex(parabolic_cylinder_d(mu, 0.5 * slope)), rel=1e-14)
