@@ -37,7 +37,7 @@ from .eigensystems import (
     evaluate,
 )
 from .pairing import _default_strategy, _pair_block, _require_paired_degree
-from .specfun import _gauss_legendre, log_gamma, parabolic_cylinder_d
+from .specfun import _gauss_legendre, _log_gamma_lanczos, log_gamma, parabolic_cylinder_d
 
 __all__ = [
     "PoleScanReport",
@@ -134,14 +134,24 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
     The samples are y = (k + 1/2)/s for an even count s per unit, and
     y = (k + 3/4)/s for an odd one: 4k + 3 = 2s(2n + 1) has no solution, so no
     sample lands on a pole y = n + 1/2.
+
+    On this half-line nu + 1 = 1/2 - y in either region, and the reflection
+    formula (DLMF 5.5.3) gives the magnitude in real arithmetic,
+
+        log|Gamma(1/2 - y)| = log pi - log|sin pi d| - log Gamma(1/2 + y),
+
+    since |cos pi y| = |sin pi d| with d = y - rint(y - 1/2) - 1/2 the distance
+    to the nearest pole.  d is exact (Sterbenz) wherever |d| < 1/4, so the sine
+    is never formed from a rounded argument near its zero.
     """
     _require_barrier(params)
     if n_scan < 0 or samples_per_unit < 2:
         raise ValueError("need n_scan >= 0 and samples_per_unit >= 2")
     count = samples_per_unit * (n_scan + 1)
     y = (np.arange(count) + 0.5 + 0.25 * (samples_per_unit % 2)) / samples_per_unit
-    # on the resonant half-line nu + 1 = 1/2 - y regardless of region
-    logmag = log_gamma(0.5 - y).real / math.log(10.0)
+    d = y - np.rint(y - 0.5) - 0.5
+    logmag = (math.log(math.pi) - np.log(np.abs(np.sin(math.pi * d)))
+              - _log_gamma_lanczos(0.5 + y)) / math.log(10.0)
     interior = (logmag[1:-1] > logmag[:-2]) & (logmag[1:-1] > logmag[2:])
     return PoleScanReport(energies_imag=y, log_gamma_magnitude=logmag,
                           detected_poles=y[1:-1][interior])

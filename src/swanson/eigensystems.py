@@ -23,7 +23,6 @@ direct weight.  Conventions:
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 import sys
@@ -515,22 +514,23 @@ def discrete_states(params: ModelParams, n_max: int,
     states: list[EigenstateSpec] = []
 
     if label is not RegionLabel.BOUNDARY_I_III:
-        # Regions I-IV: the stripped states dressed by the similarity weight
+        # Regions I-IV: the stripped states dressed by the similarity weight.  Their
+        # Gaussian, norm and scale do not depend on n; each state is built dressed.
         sigma, cu = d.sigma, d.upsilon_coeff
-        real_norm = math.sqrt(sigma / (b0 * SQRT_PI))
+        if label in (RegionLabel.REGION_I, RegionLabel.REGION_III):
+            phi = GaussPoly(gauss=-sigma ** 2, coeffs=(), norm=math.sqrt(sigma / (b0 * SQRT_PI)),
+                            scale=sigma)
+            families = [(None, phi, phi)]
+        else:
+            plus, minus = _stripped_barrier_pair(sigma, b0, 0)
+            families = [("+", plus, minus), ("-", minus, plus)]
         for n in range(n_max + 1):
-            e_n = _ladder_energy(label, d, hbar, n)
-            if label in (RegionLabel.REGION_I, RegionLabel.REGION_III):
-                phi = GaussPoly(gauss=-sigma ** 2, coeffs=_unit(n), norm=real_norm, scale=sigma)
-                families = [(None, e_n, phi, phi)]
-            else:
-                plus, minus = _stripped_barrier_pair(sigma, b0, n)
-                families = [("+", e_n, plus, minus), ("-", -e_n, minus, plus)]
-            for branch, energy, right, left in families:
+            e_n, unit = _ladder_energy(label, d, hbar, n), _unit(n)
+            for branch, right, left in families:
                 states.append(EigenstateSpec(
-                    label, n, branch, energy,
-                    right_fn=dataclasses.replace(right, gauss=cu + right.gauss),
-                    left_fn=dataclasses.replace(left, gauss=-cu + left.gauss)))
+                    label, n, branch, -e_n if branch == "-" else e_n,
+                    right_fn=GaussPoly(cu + right.gauss, unit, right.norm, right.scale),
+                    left_fn=GaussPoly(-cu + left.gauss, unit, left.norm, left.scale)))
         return states
 
     # boundary I-III: monomial / delta-derivative pair under the tau weight

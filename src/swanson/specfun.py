@@ -99,7 +99,7 @@ def hermite_coefficients(n: int) -> np.ndarray:
 # Godfrey's Lanczos coefficients, g = 607/128, 15 terms: ~1e-14 relative
 # accuracy on the half-plane Re z >= 0.5.
 _LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
+_LANCZOS_C = np.array([
     0.99999999999999709182,
     57.156235665862923517,
     -59.597960355475491248,
@@ -115,15 +115,15 @@ _LANCZOS_C = (
     0.84418223983852743293e-4,
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
-)
+])
+_LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))[:, None]
 
 
 def _log_gamma_lanczos(z: np.ndarray) -> np.ndarray:
-    # valid for Re z >= 0.5, elementwise
+    # valid for Re z >= 0.5, elementwise over a 1-D array, real or complex; the partial
+    # fractions are one (14, n) division, added in order as a term loop adds them
     zm1 = z - 1.0
-    s = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        s = s + _LANCZOS_C[k] / (zm1 + k)
+    s = functools.reduce(np.add, _LANCZOS_C[1:, None] / (zm1 + _LANCZOS_K), _LANCZOS_C[0])
     t = zm1 + _LANCZOS_G + 0.5
     return 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * np.log(t) - t + np.log(s)
 
@@ -247,9 +247,10 @@ def _dv_tail_series(order: np.ndarray, z: np.ndarray, tol: float) -> tuple[np.nd
     return total, best
 
 
-def _dv_asymptotic(nu, z: np.ndarray,
-                   tol: float = _ASYMPTOTIC_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Large-|z| evaluation valid in every sector; nu is a scalar or shaped like z.
+def _dv_asymptotic(nu: np.ndarray, z: np.ndarray,
+                   rg_neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Large-|z| evaluation valid in every sector; nu, z and rg_neg = 1/Gamma(-nu)
+    are 1-D arrays of one length.
 
     For |arg z| <= pi/2 the recessive component of D_nu vanishes and the
     dominant series stands alone.  Elsewhere the exact connection
@@ -257,11 +258,10 @@ def _dv_asymptotic(nu, z: np.ndarray,
         D_nu(z) = e^{+- i pi nu} D_nu(-z)
                   + sqrt(2 pi)/Gamma(-nu) e^{+- i pi (nu+1)/2} D_{-nu-1}(-+ i z)
 
-    (upper signs for Im z >= 0) maps both evaluations into that sector.
-    Returns (value, error estimate): the smallest tail term of each series,
-    relative to the value.
+    (upper signs for Im z >= 0) maps both evaluations into that sector.  Each
+    series adds terms down to _SERIES_TOL.  Returns (value, error estimate):
+    the smallest tail term of each series, relative to the value.
     """
-    nu = np.broadcast_to(np.asarray(nu, dtype=complex), z.shape)
     near = np.abs(np.angle(z)) <= 0.5 * math.pi
     far = ~near
     zf, nf = z[far], nu[far]
@@ -269,13 +269,13 @@ def _dv_asymptotic(nu, z: np.ndarray,
     # one series call: each near entry as it is, each far one at -z and -+ i z
     order = np.concatenate([nu[near], nf, -nf - 1.0])
     arg = np.concatenate([z[near], -zf, -1j * sgn * zf])
-    s, e = _dv_tail_series(order, arg, tol)
+    s, e = _dv_tail_series(order, arg, _SERIES_TOL)
     dominant = np.exp(-0.25 * arg * arg + order * np.log(arg)) * s
     (v0, v1, v2), (e0, e1, e2) = (np.split(x, [len(z) - len(zf), len(z)]) for x in (dominant, e))
     val, err = np.empty_like(z), np.empty(z.shape)
     val[near], err[near] = v0, e0
     if len(zf):
-        c2 = SQRT_2PI * recip_gamma(-nf)
+        c2 = SQRT_2PI * rg_neg[far]
         t1 = np.exp(1j * math.pi * nf * sgn) * v1
         t2 = c2 * np.exp(1j * math.pi * 0.5 * (nf + 1.0) * sgn) * v2
         val[far] = t1 + t2
@@ -319,10 +319,22 @@ def _march_nodes(nu: np.ndarray) -> np.ndarray:
     return np.ceil(np.sqrt(16.0 * (np.abs(nu) + 4.0)) / _MARCH_STEP).astype(int)
 
 
-def _dv_at_zero(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D_nu(0) and D_nu'(0) in closed form, for an array of orders."""
+def _dv_at_zero(nu: np.ndarray, rg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D_nu(0) and D_nu'(0) in closed form, for an array of orders and the first two
+    rows of their _recip_gamma_table."""
     c = SQRT_PI * np.exp(0.5 * nu * math.log(2.0))
-    return c * recip_gamma(0.5 * (1.0 - nu)), -c * math.sqrt(2.0) * recip_gamma(-0.5 * nu)
+    return c * rg[0], -c * math.sqrt(2.0) * rg[1]
+
+
+def _recip_gamma_table(nu: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """1/Gamma at (1 - nu)/2, -nu/2 (D and D' at z = 0), -nu and -(nu - 1) (the
+    connection formula at the orders nu and nu - 1) for a 1-D array of orders, as
+    rows 0 .. 3, from one recip_gamma evaluation: the only one a Weber call makes.
+    Entries where need[row, order] is False are left 0."""
+    args = np.stack([0.5 * (1.0 - nu), -0.5 * nu, -nu, -(nu - 1.0)])
+    table = np.zeros_like(args)
+    table[need] = recip_gamma(args[need])
+    return table
 
 
 def _march_outward(d_end: np.ndarray, d_zero: np.ndarray) -> np.ndarray:
@@ -375,10 +387,11 @@ def _two_point(t_w: np.ndarray, t_v: np.ndarray,
                              "with every pair of end conditions")
 
 
-def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
+def _ray_march(nu: np.ndarray, direction: np.ndarray, rg: np.ndarray) -> np.ndarray:
     """Scaled Taylor coefficients of D_nu about the nodes z_n = n h e.
 
-    nu and direction (the unit e of each march) are 1-D, one entry per march.
+    nu and direction (the unit e of each march) are 1-D, one entry per march,
+    and rg[:, c] is the _recip_gamma_table column of march c.
     Returns table[k, n, c], the coefficient of s^k of D_nu(z_n + s h e) for
     n <= n_end(nu).  A march that misses its far end, or off the anti-Stokes
     rays falls in |D| by more than _MARCH_DECLINE, is replaced by the
@@ -396,13 +409,13 @@ def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
     p1 = 0.5 * z0 * step * s2
     p2 = 0.25 * s2 * s2
 
-    d_zero, d1_zero = _dv_at_zero(nu)
+    d_zero, d1_zero = _dv_at_zero(nu, rg)
     z_end = n_end * step
     # D' = nu D_{nu-1} - (z/2) D, not (z/2) D - D_{nu+1}: near nu = 0 the float
     # nu + 1 drops the low digits of nu, to which the weight 1/Gamma(-nu-1) of
     # the growing part of D_{nu+1} is proportional (nu = 1e-12 missed by 7e-5)
     d_pair, err = _dv_asymptotic(np.concatenate([nu, nu - 1.0]), np.tile(z_end, 2),
-                                 _SERIES_TOL)
+                                 rg[2:].ravel())
     if not np.all(np.maximum(err[:count], err[count:]) <= _ENDPOINT_ACCEPT):
         raise NonConvergentError("parabolic_cylinder_d: tail series failed at R_in")
     d_end, d_prev = d_pair[:count], d_pair[count:]
@@ -457,22 +470,24 @@ def _ray_march(nu: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return basis[:, 0] * w + basis[:, 1] * v
 
 
-def _dv_march(nu: np.ndarray, z: np.ndarray, ray: np.ndarray) -> np.ndarray:
+def _dv_march(orders: np.ndarray, rg: np.ndarray, order_id: np.ndarray, z: np.ndarray,
+              ray: np.ndarray) -> np.ndarray:
     """D_nu(z) for 0 < |z| < R_in(nu), Im z >= 0, one march per (order, direction).
 
-    A point flagged in ray marches along its anti-Stokes ray, any other point
-    along its own arg z.  Each value is formed elementwise, so it does not
-    depend on the other points of the call beyond the last digit.
+    Point i has the order orders[order_id[i]], whose _recip_gamma_table column
+    is rg[:, order_id[i]].  A point flagged in ray marches along its anti-Stokes
+    ray, any other point along its own arg z.  Each value is formed elementwise,
+    so it does not depend on the other points of the call beyond the last digit.
     """
     out = np.empty_like(z)
     unit = np.where(ray, _RAYS[(z.real < 0.0).astype(int)], np.exp(1j * np.angle(z)))
     dirs, dir_idx = np.unique(unit, return_inverse=True)
     n_dir = len(dirs)
-    orders, order_idx = np.unique(nu, return_inverse=True)
-    keys, march_idx = np.unique(n_dir * order_idx + dir_idx, return_inverse=True)
+    keys, march_idx = np.unique(n_dir * order_id + dir_idx, return_inverse=True)
     for first in range(0, len(keys), _MARCH_BATCH):
         batch = keys[first:first + _MARCH_BATCH]
-        table = _ray_march(orders[batch // n_dir], dirs[batch % n_dir])
+        march_ids = batch // n_dir
+        table = _ray_march(orders[march_ids], dirs[batch % n_dir], rg[:, march_ids])
         sel = np.flatnonzero((march_idx >= first) & (march_idx < first + len(batch)))
         zg = z[sel]
         node = np.rint(np.abs(zg) / _MARCH_STEP).astype(int)
@@ -526,18 +541,25 @@ def parabolic_cylinder_d(nu, z):
             f"{_ORDER_RE_MIN:g} <= Re nu <= {_ORDER_RE_MAX:g}, |Im nu| <= {_ORDER_IM_MAX:g} "
             f"(|nu| <= {_RAY_ORDER_MAX:g} on the anti-Stokes rays)")
 
-    out = np.zeros_like(zc)
     at_zero = r == 0.0
-    if np.any(at_zero):
-        out[at_zero] = _dv_at_zero(nc[at_zero])[0]
     inner = ~at_zero
     inner[inner] = r[inner] < _MARCH_STEP * _march_nodes(nc[inner])
     beyond = ~(at_zero | inner)
+    orders, order_id = np.unique(nc, return_inverse=True)
+    # the rows each zone reads: 0 and 1 at z = 0, 2 beyond R_in, all four in a march
+    need = np.zeros((4, len(orders)), dtype=bool)
+    need[:2, order_id[at_zero]] = True
+    need[2, order_id[beyond]] = True
+    need[:, order_id[inner]] = True
+    rg = _recip_gamma_table(orders, need)
+    out = np.zeros_like(zc)
+    if np.any(at_zero):
+        out[at_zero] = _dv_at_zero(nc[at_zero], rg[:, order_id[at_zero]])[0]
     if np.any(beyond):
-        out[beyond], err = _dv_asymptotic(nc[beyond], zc[beyond], _SERIES_TOL)
+        out[beyond], err = _dv_asymptotic(nc[beyond], zc[beyond], rg[2, order_id[beyond]])
         if not np.all(err <= _ASYMPTOTIC_TOL):
             raise NonConvergentError("parabolic_cylinder_d: tail series failed beyond R_in")
-    out[inner] = _dv_march(nc[inner], zc[inner], ray[inner])
+    out[inner] = _dv_march(orders, rg, order_id[inner], zc[inner], ray[inner])
     out = np.where(flip, out.conj(), out)
     if not np.all(np.isfinite(out)):
         raise NonConvergentError("parabolic_cylinder_d: value outside the float range")

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -131,19 +132,44 @@ def test_pole_positions_b0_invariant():
 
 
 def test_pole_scan_calls_log_gamma_once(monkeypatch):
-    from swanson import continuum
+    # one real Lanczos sum, log Gamma(1/2 + y) over the whole grid; no complex log_gamma
+    from swanson import specfun
 
     calls = []
 
     def spy(z):
-        calls.append(np.size(z))
+        calls.append((np.size(z), z.dtype))
         return rule(z)
 
-    rule = continuum.log_gamma
-    monkeypatch.setattr(continuum, "log_gamma", spy)
+    rule = specfun._log_gamma_lanczos
+    assert continuum._log_gamma_lanczos is rule
+    for module in (specfun, continuum):
+        monkeypatch.setattr(module, "_log_gamma_lanczos", spy)
     report = pole_scan(pts.REGION_II_POINT, 3, 200)
-    assert calls == [800]
+    assert calls == [(800, np.float64)]
     assert len(report.detected_poles) == 4
+
+
+@pytest.mark.parametrize("n_scan", [3, 10, 60])
+def test_pole_scan_magnitude_against_mpmath(n_scan):
+    # the reflection form against a 40-digit oracle; the error follows log Gamma(1/2 + y),
+    # so it is bounded on the scale of the scan's largest magnitude
+    report = pole_scan(pts.REGION_II_POINT, n_scan)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.log10(abs(mpmath.gamma(0.5 - mpmath.mpf(y)))))
+                        for y in report.energies_imag])
+    err = np.abs(report.log_gamma_magnitude - ref)
+    assert err.max() <= 2e-15 + 5e-16 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_scan", [0, 3, 10])
+def test_pole_scan_detects_the_poles_of_the_complex_log_gamma(n_scan):
+    for samples in range(2, 401, 7):
+        report = pole_scan(pts.REGION_II_POINT, n_scan, samples)
+        y = report.energies_imag
+        logmag = log_gamma(0.5 - y).real / math.log(10.0)
+        interior = (logmag[1:-1] > logmag[:-2]) & (logmag[1:-1] > logmag[2:])
+        assert np.array_equal(report.detected_poles, y[1:-1][interior])
 
 
 @pytest.mark.parametrize("samples", [3, 5, 77, 201])

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 import warnings
@@ -27,6 +28,7 @@ from swanson import (
     evaluate,
     free_particle_states,
     pair,
+    stripped_discrete_function,
 )
 from swanson.eigensystems import (_cyl_fields, _inverse_sqrt_factorial, _taylor_rows,
                                   polynomial_pieces, taylor_coefficients)
@@ -103,6 +105,31 @@ def test_boundary_monomial_witness():
     assert s.right_fn.scale is None and s.right_fn.coeffs == (0.0, 0.0, 1.0)    # x^2
     assert s.right_fn.norm == pytest.approx(1.0 / math.sqrt(2.0))
     assert s.right_fn.gauss == pytest.approx(-2.0)    # -tau coefficient = -(a+b)/(a-b)
+
+
+def _bits(f: GaussPoly) -> tuple:
+    # bytes tell -0.0 from 0.0, which == does not
+    return tuple(np.asarray(v, dtype=complex).tobytes()
+                 for v in (f.gauss, f.norm, 0j if f.scale is None else f.scale, f.coeffs))
+
+
+def test_discrete_states_are_the_stripped_states_dressed_bit_for_bit():
+    # each state is built dressed; it must equal the stripped state with its Gaussian
+    # shifted by the similarity coefficient, +cu on the right and -cu on the left
+    for p in pts.REGION_I_POINTS + pts.REGION_III_POINTS + [pts.REGION_II_POINT,
+                                                              pts.REGION_IV_POINT]:
+        d = derive(p)
+        for s in discrete_states(p, 12):
+            if s.region in (RegionLabel.REGION_II, RegionLabel.REGION_IV):
+                stripped = {b: stripped_discrete_function(p, s.n, b) for b in "+-"}
+                right, left = stripped[s.branch], stripped["-" if s.branch == "+" else "+"]
+            else:
+                right = left = GaussPoly(-d.sigma ** 2, (0.0,) * s.n + (1.0,),
+                                         math.sqrt(d.sigma / (p.b0 * math.sqrt(math.pi))), d.sigma)
+            assert _bits(s.right_fn) == _bits(dataclasses.replace(right, gauss=d.upsilon_coeff
+                                                                  + right.gauss))
+            assert _bits(s.left_fn) == _bits(dataclasses.replace(left, gauss=-d.upsilon_coeff
+                                                                 + left.gauss))
 
 
 def test_left_energy_is_conjugate():

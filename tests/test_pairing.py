@@ -255,6 +255,19 @@ def test_single_pairings_past_the_finite_rules_are_typed_errors(single, n):
         {"pair": pair, "metric_pair": metric_pair}[single](*args, p)
 
 
+def test_rule_whose_weights_underflow_is_a_typed_error():
+    # hermgauss gives order 371 weights that are all 0.0; the pairing, whose value
+    # is 1, read 0j with no error because every entry of the block was finite
+    p = pts.REGION_I_POINTS[0]
+    with np.errstate(over="ignore"):
+        assert not gauss_hermite(371).weights.any()
+    state = discrete_states(p, 2)[2]
+    assert pair(state.left_fn, state.right_fn, p, DirectGaussHermite(370)) == pytest.approx(1.0)
+    with pytest.raises(NonConvergentError,
+                       match="Gauss-Hermite pairing of order 371 leaves the float range"):
+        pair(state.left_fn, state.right_fn, p, DirectGaussHermite(371))
+
+
 def test_quadrature_order_doubling_stability():
     p = pts.REGION_I_POINTS[0]
     states = discrete_states(p, 5)

@@ -150,6 +150,23 @@ def test_gamma_array_calls_equal_scalar_calls_bit_for_bit():
         assert np.array_equal(recip_gamma(z[start:stop]), rg[start:stop])
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 49, 800])
+def test_lanczos_sum_equals_the_term_loop_bit_for_bit(n):
+    # the partial fractions are formed as one (14, n) division and added row by row
+    # in the order of a loop over the coefficients, real and complex arguments alike
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.5, 70.0, n)
+    for z in (x, x + 1j * rng.uniform(-30.0, 30.0, n)):
+        zm1 = z - 1.0
+        s = specfun._LANCZOS_C[0]
+        for k in range(1, len(specfun._LANCZOS_C)):
+            s = s + float(specfun._LANCZOS_C[k]) / (zm1 + k)
+        t = zm1 + specfun._LANCZOS_G + 0.5
+        loop = 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * np.log(t) - t + np.log(s)
+        got = specfun._log_gamma_lanczos(z)
+        assert got.dtype == z.dtype and got.tobytes() == loop.tobytes()
+
+
 def test_gamma_array_errors():
     with pytest.raises(PoleError):
         log_gamma(np.array([0.5 + 1.0j, 2.5, -3.0]))
@@ -597,6 +614,65 @@ def test_d_gamma_calls_do_not_grow_with_the_orders(monkeypatch):
         parabolic_cylinder_d(nu[:, None], z[None, :])
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _count_gamma_work(monkeypatch) -> dict:
+    # recip_gamma calls (each one a Lanczos evaluation) and Lanczos evaluations in all
+    counts = {"recip_gamma": 0, "lanczos": 0}
+    recip, lanczos = specfun.recip_gamma, specfun._log_gamma_lanczos
+
+    def recip_spy(z):
+        counts["recip_gamma"] += 1
+        return recip(z)
+
+    def lanczos_spy(z):
+        counts["lanczos"] += 1
+        return lanczos(z)
+
+    monkeypatch.setattr(specfun, "recip_gamma", recip_spy)
+    monkeypatch.setattr(specfun, "_log_gamma_lanczos", lanczos_spy)
+    return counts
+
+
+def test_d_takes_one_recip_gamma_per_call(monkeypatch):
+    # the z = 0 closed form, every march start and both connection formulas read
+    # one table of 1/Gamma for the call's distinct orders
+    counts = _count_gamma_work(monkeypatch)
+    up, left = cmath.exp(0.25j * math.pi), cmath.exp(0.75j * math.pi)
+    z = np.concatenate([[0.0], np.linspace(0.3, 25.0, 12) * up, np.linspace(0.3, 25.0, 12) * left,
+                        [3.0 + 1.0j, -4.0 + 0.5j, -30.0 + 2.0j]])
+    nu = np.array([-0.5 - 2.3j, 1.5 + 0.4j, -3.0, 2.0])
+    assert np.any(np.abs(z) > specfun._MARCH_STEP * specfun._march_nodes(nu).max())   # beyond R_in
+    for orders, args in ((nu[:, None], z[None, :]), (nu[0], z), (-0.5 + 1.0j, 0.0),
+                         (2.0 - 1.0j, -20.0 + 1.0j)):
+        counts.update(recip_gamma=0, lanczos=0)
+        parabolic_cylinder_d(orders, args)
+        assert counts == {"recip_gamma": 1, "lanczos": 1}
+
+    # the probe's one Weber call: 49 energies times two orders, at the box ends
+    from swanson import ModelParams, continuum, delta_normalization_probe
+
+    weber, shapes = continuum.parabolic_cylinder_d, []
+
+    def weber_spy(order, arg):
+        shapes.append(np.broadcast_shapes(np.shape(order), np.shape(arg)))
+        return weber(order, arg)
+
+    monkeypatch.setattr(continuum, "parabolic_cylinder_d", weber_spy)
+    counts.update(recip_gamma=0)
+    delta_normalization_probe(ModelParams(1.0, -2.0, -0.5), 0.0, 0.346)
+    assert shapes == [(2, 49, 2)] and counts["recip_gamma"] == 1
+
+
+def test_continuum_state_takes_two_lanczos_evaluations(monkeypatch):
+    # log Gamma(nu + 1) of the prefactor and the Weber call's 1/Gamma table
+    from swanson import ModelParams, continuum_state, derive, evaluate
+
+    p = ModelParams(1.0, -2.0, -0.5)
+    state = continuum_state(p, 2.5)
+    counts = _count_gamma_work(monkeypatch)
+    evaluate(state, np.linspace(-6.0, 6.0, 201) * p.b0 / derive(p).sigma, p)
+    assert counts == {"recip_gamma": 1, "lanczos": 2}
 
 
 def test_d_orders_outside_the_box_raise_before_any_march(monkeypatch):
