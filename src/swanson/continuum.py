@@ -229,37 +229,40 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
 # Windowed delta-normalization probe
 # ---------------------------------------------------------------------------
 
-def _weber_reduced(eps: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _weber_reduced(eps: np.ndarray, gamma: np.ndarray,
+                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, f') for f_eps(u) = Gamma(nu+1) D_mu(c u), c = -sqrt(2) e^{-i pi/4},
     mu = -nu-1 = i eps - 1/2: the side-+ family in reduced coordinates
-    u = sigma x / b0, one row per reduced energy in eps.
+    u = sigma x / b0, one row per reduced energy in eps, gamma = Gamma(nu+1) per row.
 
     f_eps solves f'' + (u^2 + 2 eps) f = 0; f' = c Gamma(nu+1) (mu D_{mu-1} -
     (c u/2) D_mu), with both orders of the ladder in one Weber call.
     """
-    nu = -1j * eps - 0.5
-    mu = (-nu - 1.0)[:, None]
-    pref = np.exp(log_gamma(nu + 1.0))[:, None]
+    mu = (1j * eps - 0.5)[:, None]
+    pref = gamma[:, None]
     c = -math.sqrt(2.0) * ROT
     z = c * u
     d_mu, d_m1 = parabolic_cylinder_d(mu - np.arange(2.0)[:, None, None], z)
     return pref * d_mu, c * pref * (mu * d_m1 - 0.5 * z * d_mu)
 
 
-def _interior_integrals(eps_p: np.ndarray, eps0: float, box: float) -> np.ndarray:
-    """The integrals of conj(f_eps') f_eps0 over |u| <= box, one per eps' in eps_p.
+def _interior_integrals(eps_p: np.ndarray, eps0: float, box: float,
+                        gamma: np.ndarray) -> np.ndarray:
+    """The integrals of conj(f_eps') f_eps0 over |u| <= box, one per eps' in eps_p;
+    gamma is Gamma(nu+1) = Gamma(1/2 - i eps) of eps_p with eps0 appended.
 
     The Weber equation has real coefficients, so conj(f_eps') solves it at
     eps' and the integrand is a Wronskian derivative (DLMF 12.2):
     [f_eps0' conj(f_eps') - f_eps0 conj(f_eps')']_{-box}^{box} / (2 (eps' - eps0)).
     """
-    f, df = _weber_reduced(np.append(eps_p, eps0), np.array([-box, box]))
+    f, df = _weber_reduced(np.append(eps_p, eps0), gamma, np.array([-box, box]))
     wronskian = df[-1] * np.conjugate(f[:-1]) - f[-1] * np.conjugate(df[:-1])
     return (wronskian[:, 1] - wronskian[:, 0]) / (2.0 * (eps_p - eps0))
 
 
-def _tail_coefficient_data(eps_p: np.ndarray, eps0: float):
-    """Asymptotic tail data of conj(f_eps_p) f_eps0, for an array of energies eps_p.
+def _tail_coefficient_data(eps_p: np.ndarray, eps0: float, gamma: np.ndarray):
+    """Asymptotic tail data of conj(f_eps_p) f_eps0, for an array of energies eps_p;
+    gamma is Gamma(1/2 - i eps) of eps_p with eps0 appended.
 
     Each tail piece behaves like C * u^(-1 + s i Delta) * (1 + g / u^2) for
     u -> +infinity (after folding the left tail onto positive u); returns a
@@ -268,8 +271,7 @@ def _tail_coefficient_data(eps_p: np.ndarray, eps0: float):
     delta = eps_p - eps0
     mu_p_bar = -1j * eps_p - 0.5          # conj of the order i eps' - 1/2
     mu0 = 1j * eps0 - 0.5
-    gbar = np.exp(log_gamma(0.5 + 1j * eps_p))     # conj Gamma(nu'+1), real energies
-    g0 = cmath.exp(log_gamma(0.5 - 1j * eps0))
+    gbar, g0 = np.conjugate(gamma[:-1]), gamma[-1]     # conj Gamma(nu'+1), real energies
     two_minus = 2.0 ** (0.5 * (-1.0 - 1j * delta))
     two_plus = 2.0 ** (0.5 * (-1.0 + 1j * delta))
     quarter = math.pi * (eps_p + eps0) / 4.0
@@ -345,9 +347,11 @@ def _probe_value(eps0: float, w: float, cen: float, box: float) -> complex:
     bump = np.exp(-((eps_p - cen) / w) ** 2 / 2.0)
     bump0 = math.exp(-((eps0 - cen) / w) ** 2 / 2.0)
 
-    inner = _interior_integrals(eps_p, eps0, box)
-    tails = _tail_coefficient_data(eps_p, eps0)
-    tails0 = [c[0] for c, _, _ in _tail_coefficient_data(np.array([eps0]), eps0)]
+    # Gamma(nu+1) = Gamma(1/2 - i eps) once for all; Gamma(1/2 + i eps) is its conjugate
+    gamma = np.exp(log_gamma(0.5 - 1j * np.append(eps_p, eps0)))
+    inner = _interior_integrals(eps_p, eps0, box, gamma)
+    tails = _tail_coefficient_data(eps_p, eps0, gamma)
+    tails0 = [c[0] for c, _, _ in _tail_coefficient_data(np.array([eps0]), eps0, gamma[[-1, -1]])]
 
     # delta part: integral bump * C_p(eps') * pi * delta(eps' - eps0)
     value = math.pi * sum(c.real for c in tails0) * bump0 if abs(eps0 - cen) <= 6.0 * w else 0.0

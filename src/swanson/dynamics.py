@@ -3,8 +3,8 @@
 In the real-spectrum regions the metric-dressed right states form an
 orthonormal ladder: X = b0/(sigma sqrt 2) (a + a^dagger) and
 P = i hbar sigma/(sqrt 2 b0) (a^dagger - a) in the annihilation operator a.
-Expectation values evolve by the bi-orthogonal double sum with phases
-exp(i (E_m - E_n) t / hbar).
+Expectation values evolve by the bi-orthogonal double sum, which on the equally
+spaced ladder is a sum of at most five phases exp(i (E_m - E_n) t / hbar).
 
 In the barrier regions wave functions split into decaying ('+' branch) and
 growing ('-' branch) resonant sectors evolving with rates |Omega| (n + 1/2);
@@ -90,28 +90,23 @@ def make_state(params: ModelParams, coeffs) -> StateVector:
     return StateVector(label, tuple(parts.view(complex) / math.sqrt(parts @ parts)), True)
 
 
-def _ladder_matrix(kind: ObservableKind, params: ModelParams, size: int,
-                   first: int = 0) -> np.ndarray:
-    """<phi~_m | U O | phi~_n> for first <= m, n < first + size (Regions I/III).
-
-    a = diag(sqrt(k), +1) spans one more level on each side of the window, so
-    X X and P P keep the a a^dagger terms of their edge entries when cut.
-    """
+def _bands(kind: ObservableKind, params: ModelParams, sigma: float, n) -> dict:
+    """{k: O_{n+k,n}} for the k in 0, 1, 2 that O couples, O_mn = <phi~_m | U O | phi~_n>, n an
+    index or an array: q sqrt(n+1) (times i for P), q^2 (2n+1) and +-q^2 sqrt((n+1)(n+2))
+    (- for P^2).  O_{n,n+k} = conj(O_{n+k,n}); all else is 0."""
     if not isinstance(kind, ObservableKind):
         raise TypeError(f"unknown observable {kind!r}")
-    sigma, lo = derive(params).sigma, max(first - 1, 0)
-    a = np.diag(np.sqrt(np.arange(lo + 1.0, first + size + 1.0)), 1)
-    if kind in (ObservableKind.X, ObservableKind.X2):
-        op = params.b0 / (sigma * math.sqrt(2.0)) * (a + a.T)
-    else:
-        op = 1j * params.hbar * sigma / (math.sqrt(2.0) * params.b0) * (a.T - a)
-    if kind in (ObservableKind.X2, ObservableKind.P2):
-        op = op @ op
-    return op[first - lo:, first - lo:][:size, :size]
+    root2, rung = math.sqrt(2.0), n + 1.0
+    position = kind in (ObservableKind.X, ObservableKind.X2)
+    q = params.b0 / (sigma * root2) if position else params.hbar * sigma / (root2 * params.b0)
+    if kind in (ObservableKind.X, ObservableKind.P):
+        return {1: (q if position else 1j * q) * np.sqrt(rung)}
+    return {0: q * q * (rung + n),
+            2: (q * q if position else -q * q) * np.sqrt(rung * (rung + 1.0))}
 
 
 def matrix_element(kind: ObservableKind, m: int, n: int, params: ModelParams) -> complex:
-    """<phi~_m | U O | phi~_n>, read from the ladder matrix (Regions I and III).
+    """<phi~_m | U O | phi~_n>, read from the bands of O (Regions I and III).
 
     X and P couple |m-n| = 1, X^2 and P^2 couple |m-n| in {0, 2}; every other
     element is an exact zero.  Validated against the sandwich quadrature
@@ -120,8 +115,8 @@ def matrix_element(kind: ObservableKind, m: int, n: int, params: ModelParams) ->
     _require_real_spectrum(params)
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
-    first = min(m, n)
-    return complex(_ladder_matrix(kind, params, abs(m - n) + 1, first)[m - first, n - first])
+    entry = _bands(kind, params, derive(params).sigma, min(m, n)).get(abs(m - n), 0.0)
+    return complex(entry if m >= n else np.conjugate(entry))
 
 
 def apply_observable(params: ModelParams, f: GeneralizedFunction,
@@ -147,18 +142,23 @@ def apply_observable(params: ModelParams, f: GeneralizedFunction,
 
 def evolve_expectation(state: StateVector, kind: ObservableKind, params: ModelParams,
                        t: float | np.ndarray) -> complex | np.ndarray:
-    """<I(t) | O |I(t)>_U = sum c_n conj(c_m) e^{i (E_m - E_n) t/hbar} O_mn.
+    """<I(t) | O |I(t)>_U = sum c_n conj(c_m) e^{i (E_m - E_n) t/hbar} O_mn
+    = M_0 + 2 Re sum_{k=1,2} M_k e^{i k omega t}, M_k = sum_n conj(c_{n+k}) O_{n+k,n} c_n.
 
-    t is a float (gives a complex) or an array of times (gives one value each).
+    Real (O is U-Hermitian), returned with imaginary part 0.0: a complex for a float t,
+    one per time for an array of times.
     """
     label = _require_real_spectrum(params)
     c = _finite(state.coeffs, "state coefficients")
     times = _finite(t, "times", float)
-    energies = _ladder_energy(label, derive(params), params.hbar, np.arange(len(c)))
-    amp = c * np.exp(-1j * np.multiply.outer(times, energies) / params.hbar)  # a row per time
-    # conj(amp_m) amp_n carries the printed e^{i(E_m - E_n) t/hbar} phases
-    values = np.sum((np.conjugate(amp) @ _ladder_matrix(kind, params, len(c))) * amp, axis=-1)
-    return complex(values) if times.ndim == 0 else values
+    d = derive(params)
+    omega = _ladder_energy(label, d, 1.0, 0.5)  # (E_{n+1} - E_n)/hbar: E_n at n = 1/2, hbar = 1
+    values = 0.0
+    for k, band in _bands(kind, params, d.sigma, np.arange(float(len(c)))).items():
+        upper = c[k:]
+        moment = np.vdot(upper, band[:upper.size] * c[:upper.size])
+        values += moment.real if k == 0 else 2.0 * (moment * np.exp(1j * (k * omega * times))).real
+    return complex(values) if times.ndim == 0 else values.astype(complex)
 
 
 def metric_norm(state: StateVector, params: ModelParams, t: float = 0.0) -> float:

@@ -512,7 +512,8 @@ def parabolic_cylinder_d(nu, z):
     z, and where the march fails its checks the same lattice is solved as a
     two-point problem.  Relative accuracy about 1e-8 or better for |z| <= 20
     (about 1e-10 on the rays).  NonConvergentError where the series or the
-    two-point solve misses its check, or a value leaves the float range.
+    two-point solve misses its check, or a value leaves the float range;
+    ValueError, before any arithmetic, for a non-finite order or argument.
 
     z and nu may be scalars or numpy arrays that broadcast against each
     other; an array of orders against a grid of arguments evaluates the
@@ -526,6 +527,9 @@ def parabolic_cylinder_d(nu, z):
     shape = np.broadcast_shapes(nu_arr.shape, z_arr.shape)
     nus = np.broadcast_to(nu_arr, shape).ravel()
     zs = np.broadcast_to(z_arr, shape).ravel()
+    for name, flat in (("order nu", nus), ("argument z", zs)):
+        if not np.isfinite(flat).all():
+            raise ValueError(f"parabolic_cylinder_d: {name} must be finite")
 
     flip = (zs.imag < 0.0) | ((zs == 0.0) & (nus.imag < 0.0))
     zc = np.where(flip, zs.conj(), zs)

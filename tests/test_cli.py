@@ -472,7 +472,7 @@ OPERATION_COVERAGE = {
     "continuum.pole_scan": "test_poles_csv_and_probe",
     "continuum.resonant_expansion": "test_reconstruct_resonant_sector",
     "continuum.delta_normalization_probe": "test_poles_csv_and_probe",
-    "dynamics.matrix_element": "test_evolve_expectation_series (the shared ladder matrix)",
+    "dynamics.matrix_element": "test_evolve_expectation_series (the shared band function)",
     "dynamics.evolve_expectation": "test_evolve_expectation_series",
     "dynamics.evolve_sector": "test_evolve_sector_profile",
     "ep_analysis.sweep_to_boundary_i_iii": "test_ep_sweep_modes",

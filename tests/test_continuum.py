@@ -358,8 +358,9 @@ def _weber_family(eps: np.ndarray, u: np.ndarray) -> np.ndarray:
     return pref[:, None] * parabolic_cylinder_d(1j * eps[:, None] - 0.5, z)
 
 
-def _quadrature_interior(eps_p: np.ndarray, eps0: float, box: float) -> np.ndarray:
-    """The interior integrals on 140 Gauss-Legendre nodes per unit of box (1400 at box 10)."""
+def _quadrature_interior(eps_p: np.ndarray, eps0: float, box: float, gamma=None) -> np.ndarray:
+    """The interior integrals on 140 Gauss-Legendre nodes per unit of box (1400 at box 10);
+    the gamma prefactors are the oracle's own, whatever the probe passes."""
     nodes, weights = np.polynomial.legendre.leggauss(int(round(140 * box)))
     u, uw = box * nodes, box * weights
     f0 = _weber_family(np.array([eps0]), u)[0]
@@ -372,7 +373,8 @@ def test_interior_integrals_are_wronskian_differences(eps0, box):
     # conj(f_eps') and f_eps0 solve f'' + (u^2 + 2 eps) f = 0 at their own energies, so
     # the interior integral is a difference of Wronskians over 2 (eps' - eps0)
     eps_p = eps0 + np.array([-1.3, -0.4, -0.05, -1e-3, 2e-3, 0.07, 0.6, 1.9])
-    closed = _interior_integrals(eps_p, eps0, box)
+    gamma = np.exp(log_gamma(0.5 - 1j * np.append(eps_p, eps0)))
+    closed = _interior_integrals(eps_p, eps0, box, gamma)
     oracle = _quadrature_interior(eps_p, eps0, box)
     assert np.max(np.abs(closed - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
@@ -412,6 +414,27 @@ def test_probe_value_asks_for_few_weber_points(monkeypatch):
     monkeypatch.setattr(continuum, "parabolic_cylinder_d", spy)
     delta_normalization_probe(pts.REGION_II_POINT, 0.0, 0.346 * OMEGA_SCALE)
     assert 0 < sum(points) <= 196
+
+
+def test_probe_value_evaluates_gamma_once(monkeypatch):
+    # one Lanczos sum for Gamma(1/2 - i eps) over the 48 window energies and E0 (the
+    # tails take Gamma(1/2 + i eps') from it by conjugation), one for the 1/Gamma table
+    # of the Weber call at u = +-box
+    from swanson import specfun
+
+    calls = []
+    rule = specfun._log_gamma_lanczos
+
+    def spy(z):
+        calls.append(np.size(z))
+        return rule(z)
+
+    monkeypatch.setattr(specfun, "_log_gamma_lanczos", spy)
+    delta_normalization_probe(pts.REGION_II_POINT, 0.0, 0.346 * OMEGA_SCALE)
+    assert len(calls) == 2 and calls[0] == 49
+    calls.clear()
+    delta_normalization_probe(pts.REGION_II_POINT, 0.0, 0.25 * OMEGA_SCALE, check_box=True)
+    assert len(calls) == 4 and calls[0] == calls[2] == 49
 
 
 def test_norm_constant_scaling():

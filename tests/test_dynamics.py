@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -205,7 +207,7 @@ def test_array_of_times_matches_scalar_calls(params):
 
 
 def test_evolve_expectation_builds_no_states(monkeypatch):
-    # one ladder matrix per call: no eigenstate objects, no per-element calls
+    # one band function per call: no eigenstate objects, no per-element calls
     def forbidden(*args, **kwargs):
         raise AssertionError("evolve_expectation must not call this")
 
@@ -232,6 +234,121 @@ def test_top_level_keeps_its_a_adagger_term(size):
         unit * (2 * size - 1), rel=1e-14)
     assert matrix_element(ObservableKind.X2, size - 1, size - 1, p) == pytest.approx(
         unit * (2 * size - 1), rel=1e-14)
+
+
+def _mp_expectation(params, coeffs, kind, times) -> list[complex]:
+    """The bi-orthogonal double sum at 30 digits: O from an mpmath ladder matrix one level
+    larger than the state (squared there, then cut) and e^{-i E_n t/hbar} per level, with
+    the sign of E_n taken from the eigenfamily."""
+    sign = 1 if discrete_states(params, 0)[0].energy.real > 0 else -1
+    with mpmath.workdps(30):
+        w, al, be, b0, hbar = (mpmath.mpf(v) for v in (params.omega, params.alpha, params.beta,
+                                                        params.b0, params.hbar))
+        omega_cap = mpmath.sqrt(w * w - 4 * al * be)
+        sigma = mpmath.sqrt(abs(omega_cap / (w - al - be)))     # sqrt(|m_eff Omega|/hbar) b0
+        size = len(coeffs)
+        a = mpmath.matrix(size + 1, size + 1)
+        for k in range(size):
+            a[k, k + 1] = mpmath.sqrt(k + 1)
+        if kind in (ObservableKind.X, ObservableKind.X2):
+            op = b0 / (sigma * mpmath.sqrt(2)) * (a + a.T)
+        else:
+            op = 1j * hbar * sigma / (mpmath.sqrt(2) * b0) * (a.T - a)
+        if kind in (ObservableKind.X2, ObservableKind.P2):
+            op = op * op
+        c = [mpmath.mpc(z) for z in coeffs]
+        values = []
+        for t in times:
+            amp = [c[n] * mpmath.exp(-1j * sign * omega_cap * (n + mpmath.mpf(0.5)) * mpmath.mpf(t))
+                   for n in range(size)]
+            values.append(complex(sum(mpmath.conj(amp[m]) * op[m, n] * amp[n]
+                                      for m in range(size) for n in range(size))))
+    return values
+
+
+@pytest.mark.parametrize("params", pts.REGION_I_POINTS + pts.REGION_III_POINTS
+                         + [ModelParams(2.0, 0.5, 0.2, b0=0.7, hbar=1.9)])
+def test_expectation_against_a_30_digit_double_sum(params):
+    # the five-phase band sum against the full double sum over the levels' own phases
+    rng = np.random.default_rng(18)
+    times = np.linspace(0.0, 10.0, 11)
+    for size in (1, 2, 3, 5, 8, 12):
+        state = make_state(params, rng.normal(size=size) + 1j * rng.normal(size=size))
+        for kind in ObservableKind:
+            oracle = np.array(_mp_expectation(params, state.coeffs, kind, times))
+            values = evolve_expectation(state, kind, params, times)
+            scale = max(np.max(np.abs(oracle)), 1e-300)
+            assert np.max(np.abs(values - oracle)) <= 1e-14 * scale, (size, kind)
+
+
+def test_expectation_is_real_with_an_exact_zero_imaginary_part():
+    p = pts.REGION_III_POINTS[1]
+    state = make_state(p, [0.3, 1j, -0.5 + 0.2j, 0.1, 0.7j])
+    for kind in ObservableKind:
+        value = evolve_expectation(state, kind, p, 2.3)
+        assert type(value) is complex and value.imag == 0.0
+        series = evolve_expectation(state, kind, p, np.linspace(0.0, 10.0, 7).reshape(7, 1))
+        assert series.dtype == complex and series.shape == (7, 1)
+        assert np.all(series.imag == 0.0)
+
+
+def test_many_modes_over_many_times_match_scalar_calls():
+    p = pts.REGION_I_POINTS[2]
+    rng = np.random.default_rng(116)
+    state = make_state(p, rng.normal(size=116) + 1j * rng.normal(size=116))
+    times = np.linspace(0.0, 10.0, 1001)
+    for kind in ObservableKind:
+        series = evolve_expectation(state, kind, p, times)
+        picked = times[::97]
+        scalar = np.array([evolve_expectation(state, kind, p, float(t)) for t in picked])
+        assert np.max(np.abs(series[::97] - scalar)) <= 1e-13 * np.max(np.abs(series))
+
+
+@pytest.mark.parametrize("params", [pts.REGION_I_POINTS[1], pts.REGION_III_POINTS[0]])
+def test_matrix_element_is_the_band_entry(params):
+    # O_{j+k,j} with q_X = b0/(sigma sqrt2), q_P = hbar sigma/(sqrt2 b0); the upper side is
+    # its conjugate and every other entry an exact zero
+    sigma = derive(params).sigma
+    qx, qp = params.b0 / (sigma * SQRT2), params.hbar * sigma / (SQRT2 * params.b0)
+
+    def lower(kind, j, k):
+        one, two = math.sqrt(j + 1), math.sqrt((j + 1) * (j + 2))
+        return {(ObservableKind.X, 1): qx * one, (ObservableKind.P, 1): 1j * qp * one,
+                (ObservableKind.X2, 0): qx ** 2 * (2 * j + 1), (ObservableKind.X2, 2): qx ** 2 * two,
+                (ObservableKind.P2, 0): qp ** 2 * (2 * j + 1),
+                (ObservableKind.P2, 2): -qp ** 2 * two}.get((kind, k), 0.0)
+
+    for kind in ObservableKind:
+        for m in range(10):
+            for n in range(10):
+                entry = matrix_element(kind, m, n, params)
+                band = lower(kind, n, m - n) if m >= n else np.conjugate(lower(kind, m, n - m))
+                if band == 0.0:
+                    assert entry == 0.0, (kind, m, n)
+                else:
+                    assert abs(entry - band) <= 4e-16 * abs(band), (kind, m, n)
+
+
+def test_expectation_builds_no_square_matrix():
+    # no (size, size) array at any point: at 1024 modes one would be 16 MB, the bands and
+    # the phases of five times take a few tens of kB
+    import swanson.dynamics as dynamics
+
+    assert not hasattr(dynamics, "_ladder_matrix")
+    p = pts.REGION_I_POINTS[0]
+    size = 1024
+    state = make_state(p, np.ones(size) + 0.5j)
+    times = np.linspace(0.0, 1.0, 5)
+    for kind in ObservableKind:
+        evolve_expectation(state, kind, p, times)
+        tracemalloc.start()
+        try:
+            evolve_expectation(state, kind, p, times)
+            evolve_expectation(state, kind, p, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size * size * 16 // 64
 
 
 @pytest.mark.parametrize("coeffs", [[1e200, 1e200], [1e-200, 1e-200], [5e-324],

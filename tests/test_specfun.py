@@ -178,6 +178,20 @@ def test_gamma_array_errors():
             recip_gamma(bad)
 
 
+@pytest.mark.parametrize("nu,z,name", [
+    (0.5, math.nan, "argument z"), (0.5, math.inf, "argument z"),
+    (0.5, complex(1.0, -math.inf), "argument z"), (math.nan, 1.0, "order nu"),
+    (complex(-0.5, math.inf), 0.0, "order nu"),
+    (np.array([0.5, 1.5]), np.array([1.0, math.nan]), "argument z"),
+    (np.array([-0.5 + 2j, math.nan]), np.linspace(0.0, 3.0, 4)[:, None], "order nu"),
+    (np.array([0.5, math.inf]), np.array([math.nan, 1.0]), "order nu"),
+])
+def test_weber_rejects_nonfinite_inputs_up_front(nu, z, name):
+    # under the suite's error::RuntimeWarning filter: the check runs before any arithmetic
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        parabolic_cylinder_d(nu, z)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature
 # ---------------------------------------------------------------------------
