@@ -368,7 +368,7 @@ def _cmd_poles(args) -> int:
 def _cmd_evolve(args) -> int:
     p = _params(args)
     label = core.classify(p)
-    barrier = label in (core.RegionLabel.REGION_II, core.RegionLabel.REGION_IV)
+    barrier = label in core.BARRIER
     _select_mode(args, _EVOLVE_MODES, "sector" if barrier else "expectation",
                  f"in {label.pretty()}")
     if barrier:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, RegionLabel, classify, derive
-from .errors import NonConvergentError, RegionError
+from .core import BARRIER, ModelParams, RegionLabel, _require_stratum, derive
+from .errors import NonConvergentError
 from .eigensystems import (
     CylinderState,
     GaussPoly,
@@ -33,7 +33,6 @@ from .eigensystems import (
     _finite,
     _stripped_barrier_pair,
     _superpose,
-    conjugate_function,
     evaluate,
 )
 from .pairing import _default_strategy, _pair_block, _require_paired_degree
@@ -56,24 +55,24 @@ DELTA_DENSITY_AT_ZERO = 2.0 * math.sqrt(2.0) * math.pi ** 2
 # at eps = 0 it equals 2 sqrt(2) pi^2, the frozen calibration value.
 
 
-def _require_barrier(params: ModelParams) -> RegionLabel:
-    label = classify(params)
-    if label not in (RegionLabel.REGION_II, RegionLabel.REGION_IV):
-        raise RegionError(f"continuum states require Region II or IV, got {label.pretty()}")
-    return label
-
-
-def _reduced_energy(params: ModelParams, energy: float, label: RegionLabel) -> float:
-    d = derive(params)
-    eps = energy / (params.hbar * abs(d.omega_cap))
+def _reduced_energy(energy: float, scale: float, label: RegionLabel) -> float:
+    """E/(hbar |Omega|), scale = hbar |Omega|, mirrored in Region IV."""
+    eps = energy / scale
     return eps if label is RegionLabel.REGION_II else -eps
+
+
+def _norm_constant(params: ModelParams, d) -> float:
+    """continuum_norm_constant from the caller's derive(params)."""
+    return math.sqrt(d.sigma / (params.b0 * params.hbar * abs(d.omega_cap) * DELTA_DENSITY_AT_ZERO))
 
 
 def continuum_norm_constant(params: ModelParams) -> float:
     """Calibration constant C making <psi_bar^E | phi_tilde^E'> = delta(E - E')."""
-    label = _require_barrier(params)
-    d = derive(params)
-    return math.sqrt(d.sigma / (params.b0 * params.hbar * abs(d.omega_cap) * DELTA_DENSITY_AT_ZERO))
+    _require_stratum(params, BARRIER, "continuum_norm_constant")
+    return _norm_constant(params, derive(params))
+
+
+_KINDS = ("phi", "eta", "phi_tilde", "psi_bar")
 
 
 def continuum_state(params: ModelParams, energy: float, side: str = "+",
@@ -88,25 +87,16 @@ def continuum_state(params: ModelParams, energy: float, side: str = "+",
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     _finite(energy, "energy")
-    label = _require_barrier(params)
+    label = _require_stratum(params, BARRIER, "continuum_state")
     d = derive(params)
-    eps = _reduced_energy(params, energy, label)
-    nu = -1j * eps - 0.5
-    arg_scale = math.sqrt(2.0) * ROT * d.sigma / params.b0
-    norm = continuum_norm_constant(params)
-    base = CylinderState(gauss=0.0 + 0.0j, nu=nu, arg_scale=arg_scale, side=side,
-                         conjugated=False, norm=norm)
-    if kind == "phi":
-        return base
-    if kind == "eta":
-        return conjugate_function(base)
-    if kind == "phi_tilde":
-        return CylinderState(gauss=complex(d.upsilon_coeff), nu=nu, arg_scale=arg_scale,
-                             side=side, conjugated=False, norm=norm)
-    if kind == "psi_bar":
-        return CylinderState(gauss=complex(-d.upsilon_coeff), nu=nu, arg_scale=arg_scale,
-                             side=side, conjugated=False, norm=norm)
-    raise ValueError("kind must be one of 'phi', 'eta', 'phi_tilde', 'psi_bar'")
+    if kind not in _KINDS:
+        raise ValueError("kind must be one of 'phi', 'eta', 'phi_tilde', 'psi_bar'")
+    eps = _reduced_energy(energy, params.hbar * abs(d.omega_cap), label)
+    # one family, told apart by its Gaussian; eta is phi conjugated
+    gauss = (0.0, 0.0, d.upsilon_coeff, -d.upsilon_coeff)[_KINDS.index(kind)]
+    return CylinderState(gauss=complex(gauss), nu=-1j * eps - 0.5,
+                         arg_scale=math.sqrt(2.0) * ROT * d.sigma / params.b0, side=side,
+                         conjugated=kind == "eta", norm=_norm_constant(params, d))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +134,7 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
     to the nearest pole.  d is exact (Sterbenz) wherever |d| < 1/4, so the sine
     is never formed from a rounded argument near its zero.
     """
-    _require_barrier(params)
+    _require_stratum(params, BARRIER, "pole_scan")
     if n_scan < 0 or samples_per_unit < 2:
         raise ValueError("need n_scan >= 0 and samples_per_unit >= 2")
     count = samples_per_unit * (n_scan + 1)
@@ -165,7 +155,7 @@ def stripped_discrete_function(params: ModelParams, n: int, branch: str) -> Gaus
     """The similarity-stripped discrete state phi_n^(+-) of the barrier regions."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    _require_barrier(params)
+    _require_stratum(params, BARRIER, "stripped_discrete_function")
     plus, minus = _stripped_barrier_pair(derive(params).sigma, params.b0, n)
     if branch == "+":
         return plus
@@ -192,18 +182,21 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     sector's decay class make the coefficient integrals divergent, which
     raises NonConvergentError.
     """
-    _require_barrier(params)
+    _require_stratum(params, BARRIER, "resonant_expansion")
     if sector not in ("minus", "plus"):
         raise ValueError("sector must be 'minus' or 'plus'")
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     _require_paired_degree(n_max, "n_max")
     pieces = _as_combination(target)
-    basis_branch = "-" if sector == "minus" else "+"
     dual_branch = "+" if sector == "minus" else "-"
     grid = np.linspace(-6.0 * params.b0, 6.0 * params.b0, 201)
 
-    duals = [stripped_discrete_function(params, n, dual_branch) for n in range(n_max + 1)]
+    # (phi_n^+, phi_n^-) per n: the duals are one branch, the basis the other
+    sigma = derive(params).sigma
+    plus, minus = map(list, zip(*(_stripped_barrier_pair(sigma, params.b0, n)
+                                  for n in range(n_max + 1))))
+    duals, basis = (plus, minus) if sector == "minus" else (minus, plus)
     coeffs = np.zeros(n_max + 1, dtype=complex)
     for c, f in pieces:
         try:
@@ -217,7 +210,6 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     target_vals = np.zeros_like(grid, dtype=complex)
     for c, f in pieces:
         target_vals += c * evaluate(f, grid, params)
-    basis = [stripped_discrete_function(params, n, basis_branch) for n in range(n_max + 1)]
     recon = evaluate(_superpose(coeffs, basis), grid, params)
     sup_error = float(np.max(np.abs(recon - target_vals)))
     if not math.isfinite(sup_error):
@@ -312,14 +304,13 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
     for name, value in (("e0", e0), ("width", width), ("center", center)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"delta_normalization_probe: {name} must be finite, got {value!r}")
-    label = _require_barrier(params)
-    d = derive(params)
-    scale = params.hbar * abs(d.omega_cap)
-    eps0 = _reduced_energy(params, e0, label)
+    label = _require_stratum(params, BARRIER, "delta_normalization_probe")
+    scale = params.hbar * abs(derive(params).omega_cap)
+    eps0 = _reduced_energy(e0, scale, label)
     w = width / scale
     if w <= 0:
         raise ValueError("width must be positive")
-    cen = eps0 if center is None else _reduced_energy(params, center, label)
+    cen = eps0 if center is None else _reduced_energy(center, scale, label)
 
     if check_box:
         a, b = (_probe_value(eps0, w, cen, f * _PROBE_BOX) for f in (1, 1.5))

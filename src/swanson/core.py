@@ -20,6 +20,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import RegionError
+
 DEFAULT_TOL = 1e-12
 
 # coupling scales whose squares neither overflow nor lose digits to underflow;
@@ -44,6 +46,12 @@ class RegionLabel(Enum):
         if self.name.startswith("BOUNDARY"):
             return f"Boundary {self.value}"
         return "Corner degenerate"
+
+
+# the strata that entry points serve, for _require_stratum and membership tests
+REAL_SPECTRUM = (RegionLabel.REGION_I, RegionLabel.REGION_III)
+BARRIER = (RegionLabel.REGION_II, RegionLabel.REGION_IV)
+OMEGA_ZERO = (RegionLabel.BOUNDARY_I_II, RegionLabel.BOUNDARY_III_IV)
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,7 @@ def derive(params: ModelParams, tol: float = DEFAULT_TOL) -> DerivedQuantities:
     outside 1e+-100 are computed in reduced couplings, so the labels, sigma
     and the coefficients are the same at every scale.
     """
-    if tol <= 0:
+    if not tol > 0:     # also NaN
         raise ValueError("tol must be positive")
     w, a, b = params.omega, params.alpha, params.beta
     scale = max(abs(w), abs(a), abs(b))
@@ -167,7 +175,7 @@ def classify(params: ModelParams, tol: float = DEFAULT_TOL) -> RegionLabel:
     Omega^2 indicator).  Scale-invariant under (omega, alpha, beta) -> s*(...)
     for s > 0, also where scale^2 would over- or underflow.
     """
-    if tol <= 0:
+    if not tol > 0:     # also NaN
         raise ValueError("tol must be positive")
     w, a, b = params.omega, params.alpha, params.beta
     scale = max(abs(w), abs(a), abs(b))
@@ -192,6 +200,18 @@ def classify(params: ModelParams, tol: float = DEFAULT_TOL) -> RegionLabel:
     if gap > 0:
         return RegionLabel.REGION_I if omega_sq > 0 else RegionLabel.REGION_II
     return RegionLabel.REGION_III if omega_sq > 0 else RegionLabel.REGION_IV
+
+
+def _require_stratum(where: ModelParams | RegionLabel, strata: tuple, what: str,
+                     tol: float = DEFAULT_TOL) -> RegionLabel:
+    """The label of where (classified with tol unless it is a label already), or
+    RegionError "<what> requires <A> or <B>, got <C>" when it is not one of strata."""
+    label = where if isinstance(where, RegionLabel) else classify(where, tol)
+    if label not in strata:
+        *rest, last = (s.pretty() for s in RegionLabel if s in strata)
+        needs = f"{', '.join(rest)} or {last}" if rest else last
+        raise RegionError(f"{what} requires {needs}, got {label.pretty()}")
+    return label
 
 
 @dataclass(frozen=True)
@@ -226,7 +246,7 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
         raise ValueError("n must be at least 2")
     if half_range <= 0:
         raise ValueError("half_range must be positive")
-    if tol <= 0:
+    if not tol > 0:     # also NaN
         raise ValueError("tol must be positive")
 
     coords = [-half_range + 2.0 * half_range * i / (n - 1) for i in range(n)]

@@ -15,12 +15,13 @@ plus-branch modes decay.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import ModelParams, RegionLabel, classify, derive
+from .core import BARRIER, REAL_SPECTRUM, ModelParams, RegionLabel, _require_stratum, derive
 from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     GaussPoly,
@@ -63,13 +64,6 @@ class StateVector:
     normalized: bool
 
 
-def _require_real_spectrum(params: ModelParams) -> RegionLabel:
-    label = classify(params)
-    if label not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
-        raise RegionError(f"observable algebra requires Region I or III, got {label.pretty()}")
-    return label
-
-
 def make_state(params: ModelParams, coeffs) -> StateVector:
     """Normalize coefficients to unit metric norm <I|I>_U = sum |c_n|^2 = 1.
 
@@ -78,7 +72,7 @@ def make_state(params: ModelParams, coeffs) -> StateVector:
     coefficients are divided by their largest part before they are squared,
     so neither huge nor tiny inputs leave the float range.
     """
-    label = _require_real_spectrum(params)
+    label = _require_stratum(params, REAL_SPECTRUM, "make_state")
     # real and imaginary parts side by side: neither |c| nor a complex divide can overflow
     parts = np.ascontiguousarray(coeffs, dtype=complex).view(float)
     peak = np.abs(parts).max(initial=0.0)
@@ -112,7 +106,11 @@ def matrix_element(kind: ObservableKind, m: int, n: int, params: ModelParams) ->
     element is an exact zero.  Validated against the sandwich quadrature
     oracle in the test suite.
     """
-    _require_real_spectrum(params)
+    _require_stratum(params, REAL_SPECTRUM, "matrix_element")
+    try:
+        m, n = operator.index(m), operator.index(n)
+    except TypeError:
+        raise ValueError(f"indices must be integers, got {m!r} and {n!r}") from None
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     entry = _bands(kind, params, derive(params).sigma, min(m, n)).get(abs(m - n), 0.0)
@@ -148,7 +146,7 @@ def evolve_expectation(state: StateVector, kind: ObservableKind, params: ModelPa
     Real (O is U-Hermitian), returned with imaginary part 0.0: a complex for a float t,
     one per time for an array of times.
     """
-    label = _require_real_spectrum(params)
+    label = _require_stratum(params, REAL_SPECTRUM, "evolve_expectation")
     c = _finite(state.coeffs, "state coefficients")
     times = _finite(t, "times", float)
     d = derive(params)
@@ -165,9 +163,11 @@ def metric_norm(state: StateVector, params: ModelParams, t: float = 0.0) -> floa
     """<I(t) | I(t)>_U = sum |c_n|^2, the same at every t for the real spectra.
 
     The metric Gram of the dressed basis is the identity and each mode only
-    gains the phase exp(-i E_n t / hbar), so t drops out.
+    gains the phase exp(-i E_n t / hbar), so t drops out; it must still be finite.
     """
-    _require_real_spectrum(params)
+    _require_stratum(params, REAL_SPECTRUM, "metric_norm")
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
     return float(np.sum(np.abs(np.asarray(state.coeffs, dtype=complex)) ** 2))
 
 
@@ -184,9 +184,7 @@ def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,
     NonConvergentError when a growth factor leaves the representable
     range, reporting its log-magnitude.
     """
-    label = classify(params)
-    if label not in (RegionLabel.REGION_II, RegionLabel.REGION_IV):
-        raise RegionError(f"sector evolution requires Region II or IV, got {label.pretty()}")
+    _require_stratum(params, BARRIER, "evolve_sector")
     cm = _finite(minus_coeffs, "minus-sector coefficients")
     cp = _finite(plus_coeffs, "plus-sector coefficients")
     t = float(_finite(t, "time", float))

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify, derive
+from .core import (DEFAULT_TOL, OMEGA_ZERO, REAL_SPECTRUM, ModelParams, RegionLabel,
+                   _require_stratum, classify, derive)
 from .errors import (DeltaDerivNotEvaluableError, NonConvergentError, RegionError,
                      SingularParameterError)
 from .specfun import SQRT_PI, hermite_rows, log_gamma, parabolic_cylinder_d
@@ -484,7 +485,7 @@ def _stripped_barrier_pair(sigma: float, b0: float, n: int) -> tuple[GaussPoly, 
 def _ladder_energy(label: RegionLabel, d, hbar: float, n):
     """E_n of Regions I-IV ('+' branch in II/IV) for an index or an array of them."""
     sign = 1.0 if label in (RegionLabel.REGION_I, RegionLabel.REGION_II) else -1.0
-    if label in (RegionLabel.REGION_I, RegionLabel.REGION_III):
+    if label in REAL_SPECTRUM:
         return sign * hbar * d.omega_cap.real * (n + 0.5)
     return sign * 1j * hbar * abs(d.omega_cap) * (n + 0.5)
 
@@ -504,7 +505,7 @@ def discrete_states(params: ModelParams, n_max: int,
     d = derive(params, tol)
     hbar, b0 = params.hbar, params.b0
 
-    if label in (RegionLabel.BOUNDARY_I_II, RegionLabel.BOUNDARY_III_IV):
+    if label in OMEGA_ZERO:
         raise RegionError(
             f"{label.pretty()} carries only the E = 0 coalescent pair and the free-particle "
             "continuum; use ep_states or free_particle_states")
@@ -517,7 +518,7 @@ def discrete_states(params: ModelParams, n_max: int,
         # Regions I-IV: the stripped states dressed by the similarity weight.  Their
         # Gaussian, norm and scale do not depend on n; each state is built dressed.
         sigma, cu = d.sigma, d.upsilon_coeff
-        if label in (RegionLabel.REGION_I, RegionLabel.REGION_III):
+        if label in REAL_SPECTRUM:
             phi = GaussPoly(gauss=-sigma ** 2, coeffs=(), norm=math.sqrt(sigma / (b0 * SQRT_PI)),
                             scale=sigma)
             families = [(None, phi, phi)]
@@ -566,9 +567,7 @@ def ep_states(params: ModelParams, c0: complex, c1: complex,
     """
     for name, value in (("c0", c0), ("c1", c1), ("d0", d0), ("d1", d1)):
         _finite(value, name)
-    label = classify(params, tol)
-    if label not in (RegionLabel.BOUNDARY_I_II, RegionLabel.BOUNDARY_III_IV):
-        raise RegionError(f"ep_states requires the Omega = 0 boundary, got {label.pretty()}")
+    label = _require_stratum(params, OMEGA_ZERO, "ep_states", tol)
     g = _ep_exponent(params, tol)
     right = GaussPoly(gauss=g, coeffs=(complex(c0), complex(c1)), norm=1.0)
     left = GaussPoly(gauss=-g, coeffs=(complex(d0), complex(d1)), norm=1.0)
@@ -585,9 +584,7 @@ def free_particle_states(params: ModelParams, energy: float, amp_plus: complex,
     """
     for name, value in (("energy", energy), ("amp_plus", amp_plus), ("amp_minus", amp_minus)):
         _finite(value, name)
-    label = classify(params, tol)
-    if label not in (RegionLabel.BOUNDARY_I_II, RegionLabel.BOUNDARY_III_IV):
-        raise RegionError(f"free_particle_states requires the Omega = 0 boundary, got {label.pretty()}")
+    label = _require_stratum(params, OMEGA_ZERO, "free_particle_states", tol)
     g = _ep_exponent(params, tol)
     gap = params.omega - params.alpha - params.beta
     k = cmath.sqrt(complex(2.0 * energy / (params.hbar * gap * params.b0 ** 2)))

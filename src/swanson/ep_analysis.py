@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ModelParams, RegionLabel, classify, derive
+from .core import (BARRIER, DEFAULT_TOL, REAL_SPECTRUM, ModelParams, RegionLabel,
+                   _require_stratum, derive)
 from .errors import NonConvergentError, RegionError, SingularParameterError
 from .eigensystems import (
     PlaneWaveGauss,
@@ -134,18 +135,15 @@ def _state(params: ModelParams, n: int, branch: str | None):
     return next(s for s in discrete_states(params, n) if s.n == n and s.branch == branch)
 
 
-def _sweep(values, name: str, swept_params, expected: RegionLabel, n: int,
+def _sweep(values, what: str, swept_params, expected: RegionLabel, n: int,
            branch: str | None, distance) -> LimitSweepReport:
-    """Distance to the limit and energy of state n at each swept point."""
+    """Distance to the limit and energy of state n at each swept point; what names
+    the sweep and its parameter, as in "sweep_to_ep at eps"."""
     distances = np.zeros(len(values))
     energies = np.zeros(len(values), dtype=complex)
     for i, value in enumerate(values):
         p = swept_params(value)
-        label = classify(p)
-        if label is not expected:
-            raise RegionError(
-                f"swept point at {name}={value:g} classifies as {label.pretty()}, not "
-                f"{expected.pretty()}")
+        _require_stratum(p, (expected,), f"{what}={value:g}")
         state = _state(p, n, branch)
         distances[i] = distance(state.right_fn, p)
         energies[i] = complex(state.energy)
@@ -193,7 +191,7 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
         eps = (alpha + beta + eps_sign * disc) / (g_val ** 2 - 1.0)
         return ModelParams(alpha + beta + eps, alpha, beta, b0, hbar)
 
-    return _sweep(g_values, "G", swept_params, expected, n, None, distance)
+    return _sweep(g_values, "sweep_to_boundary_i_iii at G", swept_params, expected, n, None, distance)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +231,7 @@ def sweep_to_ep(omega: float, beta: float, n: int, region_side: str, eps_values,
     limit = ep_states(p_ref, 1 - n % 2, n % 2, 0, 0).right_fn
 
     expected = RegionLabel.REGION_I if region_side == "I" else RegionLabel.REGION_II
-    return _sweep(eps_values, "eps",
+    return _sweep(eps_values, "sweep_to_ep at eps",
                   lambda eps: _ep_swept_params(omega, beta, eps, region_side, b0, hbar),
                   expected, n, None if region_side == "I" else branch,
                   _distance_to(limit, p_ref, battery=False))
@@ -267,11 +265,7 @@ def ep_spectrum_flow(omega: float, beta: float, n_max: int, eps_values,
         ladders = []
         for side in ("I", "II"):
             p = _ep_swept_params(omega, beta, eps, side, b0, hbar)
-            label = classify(p)
-            if label not in (RegionLabel.REGION_I, RegionLabel.REGION_II,
-                             RegionLabel.REGION_III, RegionLabel.REGION_IV):
-                raise RegionError(f"swept point at eps={eps:g} classifies as {label.pretty()}, "
-                                  "which has no discrete ladder")
+            label = _require_stratum(p, REAL_SPECTRUM + BARRIER, f"ep_spectrum_flow at eps={eps:g}")
             ladders.append((label, derive(p), p.hbar))
         for n in range(n_max + 1):
             e2 = _ladder_energy(*ladders[1], n)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, RegionLabel, classify, derive
+from .core import REAL_SPECTRUM, ModelParams, RegionLabel, _require_stratum, derive
 from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     CylinderState,
@@ -218,12 +218,12 @@ def pair(left: GeneralizedFunction, right: GeneralizedFunction, params: ModelPar
     return complex(_pair_block([left], [right], params, strategy)[0, 0])
 
 
-def _metric_dressed(a: GeneralizedFunction, params: ModelParams) -> GeneralizedFunction:
-    """a with the metric U = Upsilon^2 folded into its Gaussian exponent."""
-    d = derive(params)
-    if d.upsilon_coeff is None:
+def _metric_dressed(fs: list[GeneralizedFunction], params: ModelParams) -> list[GeneralizedFunction]:
+    """fs with the metric U = Upsilon^2 folded into their Gaussian exponents."""
+    c = derive(params).upsilon_coeff
+    if c is None:
         raise RegionError("metric undefined on the boundary omega = alpha + beta")
-    return dataclasses.replace(a, gauss=complex(a.gauss) - 2.0 * d.upsilon_coeff)
+    return [dataclasses.replace(f, gauss=complex(f.gauss) - 2.0 * c) for f in fs]
 
 
 def metric_pair(a: GeneralizedFunction, b: GeneralizedFunction, params: ModelParams,
@@ -234,7 +234,7 @@ def metric_pair(a: GeneralizedFunction, b: GeneralizedFunction, params: ModelPar
     corresponding left partner with b; at alpha = beta it is the ordinary
     inner product.
     """
-    return pair(_metric_dressed(a, params), b, params, strategy)
+    return pair(_metric_dressed([a], params)[0], b, params, strategy)
 
 
 @dataclass(frozen=True)
@@ -265,10 +265,9 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     if states[0].region is not RegionLabel.BOUNDARY_I_III:     # paired by quadrature
         _require_paired_degree(n_max, "n_max", " outside Boundary I-III")
     if which == "metric":
-        if classify(params) not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
-            raise RegionError("metric gram requires Region I or III")
+        _require_stratum(states[0].region, REAL_SPECTRUM, "gram(which='metric')")
         rights = [s.right_fn for s in states]
-        blocks = [_pair_block([_metric_dressed(r, params) for r in rights], rights, params)]
+        blocks = [_pair_block(_metric_dressed(rights, params), rights, params)]
     elif which == "right-left":
         blocks = []
         for br in sorted({s.branch for s in states}, key=lambda b: (b is None, b)):
@@ -293,9 +292,7 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
     Raises NonConvergentError when a coefficient or the deviation is not
     finite.
     """
-    label = classify(params)
-    if label not in (RegionLabel.REGION_I, RegionLabel.REGION_III):
-        raise RegionError("reconstruction over the discrete basis requires Region I or III")
+    _require_stratum(params, REAL_SPECTRUM, "reconstruct")
     _require_paired_degree(n_max, "n_max")
     states = discrete_states(params, n_max)
     grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)

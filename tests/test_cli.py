@@ -24,6 +24,14 @@ def test_classify_boundary():
     assert cp.stdout.strip() == "Boundary I-III"
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-12"])
+def test_classify_tol_that_is_not_positive_is_a_usage_error(tol):
+    cp = run_cli("classify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", f"--tol={tol}")
+    assert cp.returncode == 2
+    assert "tol must be positive" in cp.stderr
+    assert cp.stdout == ""
+
+
 def test_usage_error_exit_code():
     cp = run_cli("classify", "--omega", "1", "--alpha", "0.2")
     assert cp.returncode == 2

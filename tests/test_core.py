@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swanson import ModelParams, RegionLabel, classify, derive, surface_grid
+from swanson import (ModelParams, RegionLabel, classify, derive, discrete_states, ep_states,
+                     surface_grid)
 from swanson.core import DEFAULT_TOL
 
 finite_coupling = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -134,6 +135,21 @@ def test_derive_agrees_with_classify(p, tol):
 def test_derive_rejects_nonpositive_tol():
     with pytest.raises(ValueError):
         derive(ModelParams(1.0, 0.0, 0.0), tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda tol: classify(ModelParams(1.0, 0.2, 0.1), tol),
+    lambda tol: derive(ModelParams(1.0, 0.2, 0.1), tol),
+    lambda tol: surface_grid(2.0, 3, tol),
+    lambda tol: discrete_states(ModelParams(1.0, 0.2, 0.1), 2, tol=tol),
+    lambda tol: ep_states(ModelParams(1.0, -0.125, -2.0), 1.0, 0.0, 1.0, 0.0, tol),
+], ids=["classify", "derive", "surface_grid", "discrete_states", "ep_states"])
+def test_tol_that_is_not_positive_is_rejected(call, tol):
+    # NaN fails every comparison, so a check written tol <= 0 let it through:
+    # classify answered Region I while derive flagged the mass degenerate
+    with pytest.raises(ValueError, match="tol must be positive"):
+        call(tol)
 
 
 def test_surface_grid_mass_follows_tol():

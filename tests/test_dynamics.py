@@ -127,6 +127,19 @@ def test_matrix_element_region_guard():
         matrix_element(ObservableKind.X, -1, 0, pts.REGION_I_POINTS[0])
 
 
+@pytest.mark.parametrize("m,n", [(1.5, 0.5), (1, 0.5), (2.0, 1), ("1", 0)])
+def test_matrix_element_rejects_indices_that_are_not_integers(m, n):
+    # 1.5, 0.5 used to read the band at n = 0.5 and return 0.7398
+    with pytest.raises(ValueError, match="indices must be integers"):
+        matrix_element(ObservableKind.X, m, n, pts.REGION_I_POINTS[0])
+
+
+def test_matrix_element_takes_numpy_integers():
+    p = pts.REGION_I_POINTS[0]
+    assert matrix_element(ObservableKind.X2, np.int64(3), np.int32(1), p) \
+        == matrix_element(ObservableKind.X2, 3, 1, p)
+
+
 # ---------------------------------------------------------------------------
 # expectation-value evolution (Regions I/III)
 # ---------------------------------------------------------------------------
@@ -163,6 +176,14 @@ def test_metric_norm_conserved():
     state = make_state(p, [1.0, 0.5j, 0.3])
     for t in (0.0, 2.2, 13.7):
         assert metric_norm(state, p, t) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_metric_norm_rejects_a_nonfinite_time(t):
+    # t drops out of the value, so a NaN time used to return 1.0
+    p = pts.REGION_I_POINTS[0]
+    with pytest.raises(ValueError, match="time must be finite"):
+        metric_norm(make_state(p, [1.0, 0.5j]), p, t)
 
 
 @pytest.mark.parametrize("p", pts.REGION_I_POINTS + pts.REGION_III_POINTS)
