@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 1 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -280,15 +281,13 @@ def _cmd_states(args) -> int:
     states = discrete_states(p, args.nmax)
     records = [s.to_dict() for s in states]
     if args.format == "json":
-        body = _json_text({"params": {"omega": p.omega, "alpha": p.alpha, "beta": p.beta,
-                                      "b0": p.b0, "hbar": p.hbar},
-                           "states": records})
+        body = _json_text({"params": dataclasses.asdict(p), "states": records})
     else:
         body = _csv(["n", "branch", "energy_re", "energy_im", "variant"],
                     ((r["n"], r["branch"] or "", r["energy_re"], r["energy_im"], r["variant"])
                      for r in records))
     _write_text(args.output, body, f"{len(records)} states")
-    print(f"{core.classify(p).pretty()}: {len(records)} discrete states up to n = {args.nmax}")
+    print(f"{states[0].region.pretty()}: {len(records)} discrete states up to n = {args.nmax}")
     return 0
 
 
@@ -390,8 +389,7 @@ def _cmd_evolve(args) -> int:
                 zip(times.tolist(), values.real.tolist(), values.imag.tolist()))
     meta = _json_text({"kind": args.kind, "t_max": args.t_max, "t_steps": args.t_steps,
                        "metric_norm": dynamics.metric_norm(state, p),
-                       "params": {"omega": p.omega, "alpha": p.alpha, "beta": p.beta,
-                                  "b0": p.b0, "hbar": p.hbar}})
+                       "params": dataclasses.asdict(p)})
     _write_text(args.output, body, "expectation time series")
     print(meta, end="")
     return 0

@@ -28,11 +28,11 @@ from .eigensystems import (
     GeneralizedFunction,
     _finite,
     _gauss_derivative,
-    _ladder_energy,
+    _ladder,
+    _level_spacing,
     _superpose,
     _terms,
     _times_x,
-    discrete_states,
     evaluate,
 )
 
@@ -150,7 +150,7 @@ def evolve_expectation(state: StateVector, kind: ObservableKind, params: ModelPa
     c = _finite(state.coeffs, "state coefficients")
     times = _finite(t, "times", float)
     d = derive(params)
-    omega = _ladder_energy(label, d, 1.0, 0.5)  # (E_{n+1} - E_n)/hbar: E_n at n = 1/2, hbar = 1
+    omega = _level_spacing(label, d, 1.0)   # (E_{n+1} - E_n)/hbar
     values = 0.0
     for k, band in _bands(kind, params, d.sigma, np.arange(float(len(c)))).items():
         upper = c[k:]
@@ -184,20 +184,19 @@ def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,
     NonConvergentError when a growth factor leaves the representable
     range, reporting its log-magnitude.
     """
-    _require_stratum(params, BARRIER, "evolve_sector")
+    label = _require_stratum(params, BARRIER, "evolve_sector")
     cm = _finite(minus_coeffs, "minus-sector coefficients")
     cp = _finite(plus_coeffs, "plus-sector coefficients")
     t = float(_finite(t, "time", float))
-    n_max = max(len(cm), len(cp)) - 1
-    if n_max < 0:
+    if max(len(cm), len(cp)) == 0:
         raise ValueError("at least one coefficient is required")
-    states = discrete_states(params, n_max)
+    d = derive(params)
     grid = np.asarray(grid, dtype=float)
     out = np.zeros(len(grid), dtype=complex)
     for coeffs, branch in ((cm, "-"), (cp, "+")):
         if not np.any(coeffs):
             continue
-        sector = [s for s in states if s.branch == branch][: len(coeffs)]
+        sector = _ladder(label, d, params, branch, range(len(coeffs)))
         energies = np.array([s.energy for s in sector])
         log_factors = np.where(coeffs == 0, 0.0, 1j * energies * t / params.hbar)
         first = int(np.argmax(log_factors.real > 700.0))

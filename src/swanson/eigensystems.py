@@ -482,12 +482,61 @@ def _stripped_barrier_pair(sigma: float, b0: float, n: int) -> tuple[GaussPoly, 
     return plus, minus
 
 
-def _ladder_energy(label: RegionLabel, d, hbar: float, n):
-    """E_n of Regions I-IV ('+' branch in II/IV) for an index or an array of them."""
+def _level_spacing(label: RegionLabel, d, hbar: float):
+    """E_(n+1) - E_n of Regions I-IV ('+' branch in II/IV), so E_n = spacing (n + 1/2)."""
     sign = 1.0 if label in (RegionLabel.REGION_I, RegionLabel.REGION_II) else -1.0
     if label in REAL_SPECTRUM:
-        return sign * hbar * d.omega_cap.real * (n + 0.5)
-    return sign * 1j * hbar * abs(d.omega_cap) * (n + 0.5)
+        return sign * hbar * d.omega_cap.real
+    return sign * 1j * hbar * abs(d.omega_cap)
+
+
+def _ladder_stratum(params: ModelParams, n_max, tol: float = DEFAULT_TOL) -> tuple:
+    """(label, derive, indices 0 ... n_max, branches) of a point with a discrete ladder: the
+    checks of discrete_states, with its two worded refusals of the Omega = 0 strata."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    label, d = classify(params, tol), derive(params, tol)
+    if label in OMEGA_ZERO:
+        raise RegionError(
+            f"{label.pretty()} carries only the E = 0 coalescent pair and the free-particle "
+            "continuum; use ep_states or free_particle_states")
+    if label is RegionLabel.CORNER_DEGENERATE:
+        raise RegionError("corner-degenerate point (Omega = 0 and omega = alpha + beta) is unsupported")
+    return label, d, range(n_max + 1), (None,) if label in REAL_SPECTRUM else ("+", "-")
+
+
+def _ladder(label: RegionLabel, d, params: ModelParams, branch: str | None,
+            ns) -> list[EigenstateSpec]:
+    """States n in ns of one branch (None in Regions I/III, '+' or '-' in II/IV and on
+    Boundary I-III) at label, from the caller's derive d: the one place they are built.
+    Their Gaussians, norms and scale do not depend on n and are formed once a call.
+    Callers ask for range(n_max + 1) or its last index, so an empty ns is a negative n_max."""
+    if not ns:
+        raise ValueError("n_max must be non-negative")
+    states = []
+    if label is RegionLabel.BOUNDARY_I_III:     # the monomial carries g, the delta -g
+        g = d.tau_coeff if branch == "-" else -d.tau_coeff
+        spacing = params.hbar * (params.alpha - params.beta)
+        for n in ns:
+            rt_fact, energy = _inverse_sqrt_factorial(n), spacing * (n + 0.5)
+            mono, delta = GaussPoly(g, _unit(n), rt_fact), DeltaDeriv(-g, n, (-1.0) ** n * rt_fact)
+            states.append(EigenstateSpec(label, n, branch, energy, mono, delta) if branch == "+"
+                          else EigenstateSpec(label, n, branch, -energy, delta, mono))
+        return states
+    sigma, cu = d.sigma, d.upsilon_coeff    # Regions I-IV: stripped states, similarity-dressed
+    if label in REAL_SPECTRUM:
+        right = left = GaussPoly(-sigma ** 2, (), math.sqrt(sigma / (params.b0 * SQRT_PI)), sigma)
+    else:
+        plus, minus = _stripped_barrier_pair(sigma, params.b0, 0)
+        right, left = (plus, minus) if branch == "+" else (minus, plus)
+    g_right, g_left = cu + right.gauss, -cu + left.gauss
+    spacing = _level_spacing(label, d, params.hbar)
+    for n in ns:
+        e_n, unit = spacing * (n + 0.5), _unit(n)
+        states.append(EigenstateSpec(label, n, branch, -e_n if branch == "-" else e_n,
+                                     GaussPoly(g_right, unit, right.norm, right.scale),
+                                     GaussPoly(g_left, unit, left.norm, left.scale)))
+    return states
 
 
 def discrete_states(params: ModelParams, n_max: int,
@@ -499,55 +548,9 @@ def discrete_states(params: ModelParams, n_max: int,
     particle boundaries I-II / III-IV have no discrete family beyond the
     E = 0 pair; use ep_states / free_particle_states there.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    label = classify(params, tol)
-    d = derive(params, tol)
-    hbar, b0 = params.hbar, params.b0
-
-    if label in OMEGA_ZERO:
-        raise RegionError(
-            f"{label.pretty()} carries only the E = 0 coalescent pair and the free-particle "
-            "continuum; use ep_states or free_particle_states")
-    if label is RegionLabel.CORNER_DEGENERATE:
-        raise RegionError("corner-degenerate point (Omega = 0 and omega = alpha + beta) is unsupported")
-
-    states: list[EigenstateSpec] = []
-
-    if label is not RegionLabel.BOUNDARY_I_III:
-        # Regions I-IV: the stripped states dressed by the similarity weight.  Their
-        # Gaussian, norm and scale do not depend on n; each state is built dressed.
-        sigma, cu = d.sigma, d.upsilon_coeff
-        if label in REAL_SPECTRUM:
-            phi = GaussPoly(gauss=-sigma ** 2, coeffs=(), norm=math.sqrt(sigma / (b0 * SQRT_PI)),
-                            scale=sigma)
-            families = [(None, phi, phi)]
-        else:
-            plus, minus = _stripped_barrier_pair(sigma, b0, 0)
-            families = [("+", plus, minus), ("-", minus, plus)]
-        for n in range(n_max + 1):
-            e_n, unit = _ladder_energy(label, d, hbar, n), _unit(n)
-            for branch, right, left in families:
-                states.append(EigenstateSpec(
-                    label, n, branch, -e_n if branch == "-" else e_n,
-                    right_fn=GaussPoly(cu + right.gauss, unit, right.norm, right.scale),
-                    left_fn=GaussPoly(-cu + left.gauss, unit, left.norm, left.scale)))
-        return states
-
-    # boundary I-III: monomial / delta-derivative pair under the tau weight
-    ct = d.tau_coeff
-    for n in range(n_max + 1):
-        rt_fact = _inverse_sqrt_factorial(n)
-        energy = hbar * (params.alpha - params.beta) * (n + 0.5)
-        mono_minus = GaussPoly(gauss=-ct, coeffs=_unit(n), norm=rt_fact)
-        mono_plus = GaussPoly(gauss=ct, coeffs=_unit(n), norm=rt_fact)
-        delta_minus = DeltaDeriv(gauss=-ct, n=n, norm=(-1.0) ** n * rt_fact)
-        delta_plus = DeltaDeriv(gauss=ct, n=n, norm=(-1.0) ** n * rt_fact)
-        states.append(EigenstateSpec(label, n, "+", energy,
-                                     right_fn=mono_minus, left_fn=delta_plus))
-        states.append(EigenstateSpec(label, n, "-", -energy,
-                                     right_fn=delta_minus, left_fn=mono_plus))
-    return states
+    label, d, ns, branches = _ladder_stratum(params, n_max, tol)
+    ladders = [_ladder(label, d, params, branch, ns) for branch in branches]
+    return [s for rung in zip(*ladders) for s in rung]
 
 
 def _ep_exponent(params: ModelParams, tol: float) -> float:

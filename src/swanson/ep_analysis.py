@@ -4,7 +4,7 @@ Two families of sweeps exhibit the coalescence structure:
 
 * sweep_to_boundary_i_iii drives omega -> alpha + beta along the root
   epsilon(G) of r(eps)^2 = G^2 eps^2 with r(eps)^2 = (alpha-beta)^2
-  + 2 eps (alpha+beta) + eps^2, taking each swept state from discrete_states.
+  + 2 eps (alpha+beta) + eps^2, building only the swept state n of the ladder.
   The root of the sign of alpha - beta (eps > 0 for alpha > beta, Region I)
   carries the oscillator states onto the monomial eigenfunctions
   tau^-1 x^n / sqrt(n!); the other root carries them onto the
@@ -36,8 +36,9 @@ from .eigensystems import (
     PlaneWaveGauss,
     _ep_exponent,
     _finite,
-    _ladder_energy,
-    discrete_states,
+    _ladder,
+    _ladder_stratum,
+    _level_spacing,
     ep_states,
     evaluate,
 )
@@ -130,21 +131,16 @@ def _distance_to(limit, params: ModelParams, battery: bool):
     return lambda f, p: _normalized_distance(evaluate(f, x, p), limit_vals, w)
 
 
-def _state(params: ModelParams, n: int, branch: str | None):
-    """State n on the given branch (None in Regions I and III) of discrete_states."""
-    return next(s for s in discrete_states(params, n) if s.n == n and s.branch == branch)
-
-
 def _sweep(values, what: str, swept_params, expected: RegionLabel, n: int,
            branch: str | None, distance) -> LimitSweepReport:
     """Distance to the limit and energy of state n at each swept point; what names
-    the sweep and its parameter, as in "sweep_to_ep at eps"."""
+    the sweep and its parameter, as in "sweep_to_ep at eps"; only state n is built."""
     distances = np.zeros(len(values))
     energies = np.zeros(len(values), dtype=complex)
     for i, value in enumerate(values):
         p = swept_params(value)
-        _require_stratum(p, (expected,), f"{what}={value:g}")
-        state = _state(p, n, branch)
+        label = _require_stratum(p, (expected,), f"{what}={value:g}")
+        state, = _ladder(label, derive(p), p, branch, range(n + 1)[-1:])
         distances[i] = distance(state.right_fn, p)
         energies[i] = complex(state.energy)
     return LimitSweepReport(values, distances, energies)
@@ -178,7 +174,8 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
     if minus:       # before any work: the battery pairs the swept state by quadrature
         _require_paired_degree(n, "n", " on the minus branch")
     params_boundary = ModelParams(alpha + beta, alpha, beta, b0, hbar)
-    limit = _state(params_boundary, n, "-" if minus else "+").right_fn
+    label, d, ns, _ = _ladder_stratum(params_boundary, n)
+    limit = _ladder(label, d, params_boundary, "-" if minus else "+", ns[-1:])[0].right_fn
     distance = _distance_to(limit, params_boundary, battery=minus)
 
     # Region I (eps > 0) energies tend to hbar |alpha - beta| (n + 1/2), Region III
@@ -262,13 +259,13 @@ def ep_spectrum_flow(omega: float, beta: float, n_max: int, eps_values,
     _ep_exponent(_ep_swept_params(omega, beta, 0.0, "I", b0, hbar), DEFAULT_TOL)
     rows = []
     for eps in eps_values:
-        ladders = []
+        spacings = []
         for side in ("I", "II"):
             p = _ep_swept_params(omega, beta, eps, side, b0, hbar)
             label = _require_stratum(p, REAL_SPECTRUM + BARRIER, f"ep_spectrum_flow at eps={eps:g}")
-            ladders.append((label, derive(p), p.hbar))
+            spacings.append(_level_spacing(label, derive(p), p.hbar))
         for n in range(n_max + 1):
-            e2 = _ladder_energy(*ladders[1], n)
-            rows.append(FlowEntry(float(eps), n, float(np.real(_ladder_energy(*ladders[0], n))),
+            e2 = spacings[1] * (n + 0.5)
+            rows.append(FlowEntry(float(eps), n, float(np.real(spacings[0] * (n + 0.5))),
                                   complex(e2), complex(-e2)))
     return rows

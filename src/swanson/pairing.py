@@ -43,11 +43,12 @@ from .eigensystems import (
     GaussPoly,
     GeneralizedFunction,
     _inverse_sqrt_factorial,
+    _ladder,
+    _ladder_stratum,
     _stripped,
     _superpose,
     _taylor_rows,
     conjugate_function,
-    discrete_states,
     evaluate,
 )
 from .specfun import _GAUSS_HERMITE_MAX, SQRT_PI, gauss_hermite
@@ -218,9 +219,8 @@ def pair(left: GeneralizedFunction, right: GeneralizedFunction, params: ModelPar
     return complex(_pair_block([left], [right], params, strategy)[0, 0])
 
 
-def _metric_dressed(fs: list[GeneralizedFunction], params: ModelParams) -> list[GeneralizedFunction]:
-    """fs with the metric U = Upsilon^2 folded into their Gaussian exponents."""
-    c = derive(params).upsilon_coeff
+def _metric_dressed(fs: list[GeneralizedFunction], c: float | None) -> list[GeneralizedFunction]:
+    """fs with the metric U = Upsilon^2, of similarity coefficient c, in their Gaussian exponents."""
     if c is None:
         raise RegionError("metric undefined on the boundary omega = alpha + beta")
     return [dataclasses.replace(f, gauss=complex(f.gauss) - 2.0 * c) for f in fs]
@@ -234,7 +234,7 @@ def metric_pair(a: GeneralizedFunction, b: GeneralizedFunction, params: ModelPar
     corresponding left partner with b; at alpha = beta it is the ordinary
     inner product.
     """
-    return pair(_metric_dressed([a], params)[0], b, params, strategy)
+    return pair(_metric_dressed([a], derive(params).upsilon_coeff)[0], b, params, strategy)
 
 
 @dataclass(frozen=True)
@@ -261,18 +261,17 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     metric inner product (Regions I/III only, where U is positive).  Raises
     NonConvergentError when an entry is not finite.
     """
-    states = discrete_states(params, n_max)
-    if states[0].region is not RegionLabel.BOUNDARY_I_III:     # paired by quadrature
+    label, d, ns, branches = _ladder_stratum(params, n_max)
+    if label is not RegionLabel.BOUNDARY_I_III:     # paired by quadrature: no state built past it
         _require_paired_degree(n_max, "n_max", " outside Boundary I-III")
+    ladders = [_ladder(label, d, params, branch, ns) for branch in branches]
     if which == "metric":
-        _require_stratum(states[0].region, REAL_SPECTRUM, "gram(which='metric')")
-        rights = [s.right_fn for s in states]
-        blocks = [_pair_block(_metric_dressed(rights, params), rights, params)]
+        _require_stratum(label, REAL_SPECTRUM, "gram(which='metric')")
+        rights = [s.right_fn for s in ladders[0]]
+        blocks = [_pair_block(_metric_dressed(rights, d.upsilon_coeff), rights, params)]
     elif which == "right-left":
-        blocks = []
-        for br in sorted({s.branch for s in states}, key=lambda b: (b is None, b)):
-            sub = sorted((s for s in states if s.branch == br), key=lambda s: s.n)
-            blocks.append(_pair_block([s.left_fn for s in sub], [s.right_fn for s in sub], params))
+        blocks = [_pair_block([s.left_fn for s in ladder], [s.right_fn for s in ladder], params)
+                  for ladder in ladders]
     else:
         raise ValueError("which must be 'right-left' or 'metric'")
 
@@ -292,9 +291,9 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
     Raises NonConvergentError when a coefficient or the deviation is not
     finite.
     """
-    _require_stratum(params, REAL_SPECTRUM, "reconstruct")
+    label = _require_stratum(params, REAL_SPECTRUM, "reconstruct")
     _require_paired_degree(n_max, "n_max")
-    states = discrete_states(params, n_max)
+    states = _ladder(label, derive(params), params, None, range(n_max + 1))
     grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)
 
     if callable(target):

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 
-def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
+def run_cli(*args: str, env=None, timeout=None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "swanson", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_classify_stdout():
@@ -73,6 +73,13 @@ def test_index_past_the_pairing_rules_names_the_flag(args, name):
     assert cp.returncode == 2, cp.stderr
     assert f"usage error: {name} must be at most 115" in cp.stderr
     assert "order" not in cp.stderr and "Traceback" not in cp.stderr
+
+
+def test_gram_far_past_its_reach_is_a_usage_error():
+    cp = run_cli("gram", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--nmax", "3000",
+                 "-o", "/dev/null", timeout=60)
+    assert cp.returncode == 2, cp.stderr
+    assert "usage error: n_max must be at most 115" in cp.stderr
 
 
 @pytest.mark.parametrize("args", [

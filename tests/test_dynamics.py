@@ -237,8 +237,8 @@ def test_evolve_expectation_builds_no_states(monkeypatch):
 
     p = pts.REGION_I_POINTS[0]
     state = make_state(p, [1.0, 0.5j, 0.3])
-    for module, name in ((dynamics, "discrete_states"), (eigensystems, "discrete_states"),
-                         (dynamics, "matrix_element")):
+    for module, name in ((dynamics, "_ladder"), (eigensystems, "_ladder"),
+                         (eigensystems, "discrete_states"), (dynamics, "matrix_element")):
         monkeypatch.setattr(module, name, forbidden)
     for kind in ObservableKind:
         evolve_expectation(state, kind, p, 1.5)

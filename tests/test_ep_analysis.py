@@ -335,8 +335,9 @@ def test_boundary_sweep_past_the_rules_fails_before_any_work(monkeypatch):
     # n = 171 on the minus branch needs a rule of order 724: the index check
     # comes before the limit state or its battery distance is built
     def no_states(*args, **kwargs):
-        raise AssertionError("discrete_states called before the index check")
+        raise AssertionError("a state built before the index check")
 
-    monkeypatch.setattr(ep_analysis, "discrete_states", no_states)
+    for name in ("_ladder_stratum", "_ladder"):     # the limit's stratum, then its state
+        monkeypatch.setattr(ep_analysis, name, no_states)
     with pytest.raises(ValueError, match="n must be at most 115 on the minus branch, got 171"):
         sweep_to_boundary_i_iii(0.75, 0.25, 171, "minus", [10.0, 100.0])

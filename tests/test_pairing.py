@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -134,6 +135,21 @@ def test_gram_blocks_match_elementwise_pairs(p):
         sub = sorted((s for s in states if s.branch == br), key=lambda s: s.n)
         rows += [[pair(sm.left_fn, sn.right_fn, p) for sn in sub] for sm in sub]
     assert np.max(np.abs(gram(p, 10).matrix - np.array(rows))) <= 1e-13
+
+
+@pytest.mark.parametrize("which", ["right-left", "metric"])
+def test_gram_refuses_an_index_past_its_reach_before_building_a_state(which):
+    # each state's coefficient tuple has n + 1 entries, so building first costs O(n_max^2):
+    # tens of MB at 3000 (an n_max of 10^6 would exhaust memory rather than fail)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^n_max must be at most 115 outside Boundary I-III, "
+                                             "got 3000$"):
+            gram(pts.REGION_I_POINTS[0], 3000, which)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gram_fetches_one_rule_per_block(monkeypatch):
