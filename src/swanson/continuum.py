@@ -19,6 +19,7 @@ density at E = 0 and verified numerically by the windowed probe below.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,16 +27,8 @@ import numpy as np
 
 from .core import BARRIER, ModelParams, RegionLabel, _require_stratum, derive
 from .errors import NonConvergentError
-from .eigensystems import (
-    CylinderState,
-    GaussPoly,
-    GeneralizedFunction,
-    _finite,
-    _stripped_barrier_pair,
-    _superpose,
-    evaluate,
-)
-from .pairing import _default_strategy, _pair_block, _require_paired_degree
+from .eigensystems import CylinderState, EigenstateSpec, GaussPoly, _finite, _ladder
+from .pairing import _default_strategy, _expand, _require_paired_degree
 from .specfun import _gauss_legendre, _log_gamma_lanczos, log_gamma, parabolic_cylinder_d
 
 __all__ = [
@@ -151,23 +144,23 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
 # Resonant (Gamow-type) expansions
 # ---------------------------------------------------------------------------
 
+def _stripped_ladder(label: RegionLabel, params: ModelParams, ns) -> list[EigenstateSpec]:
+    """phi_n^+ as each right_fn and phi_n^- as each left_fn, n in ns: the '+' ladder of the
+    point without its similarity weight."""
+    return _ladder(label, dataclasses.replace(derive(params), upsilon_coeff=0.0), params, "+", ns)
+
+
 def stripped_discrete_function(params: ModelParams, n: int, branch: str) -> GaussPoly:
     """The similarity-stripped discrete state phi_n^(+-) of the barrier regions."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    _require_stratum(params, BARRIER, "stripped_discrete_function")
-    plus, minus = _stripped_barrier_pair(derive(params).sigma, params.b0, n)
+    label = _require_stratum(params, BARRIER, "stripped_discrete_function")
+    state, = _stripped_ladder(label, params, [n])
     if branch == "+":
-        return plus
+        return state.right_fn
     if branch == "-":
-        return minus
+        return state.left_fn
     raise ValueError("branch must be '+' or '-'")
-
-
-def _as_combination(target) -> list[tuple[complex, GeneralizedFunction]]:
-    if isinstance(target, (list, tuple)):
-        return [(complex(c), f) for c, f in target]
-    return [(1.0 + 0.0j, target)]
 
 
 def resonant_expansion(params: ModelParams, target, n_max: int,
@@ -182,39 +175,29 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     sector's decay class make the coefficient integrals divergent, which
     raises NonConvergentError.
     """
-    _require_stratum(params, BARRIER, "resonant_expansion")
+    label = _require_stratum(params, BARRIER, "resonant_expansion")
     if sector not in ("minus", "plus"):
         raise ValueError("sector must be 'minus' or 'plus'")
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     _require_paired_degree(n_max, "n_max")
-    pieces = _as_combination(target)
-    dual_branch = "+" if sector == "minus" else "-"
-    grid = np.linspace(-6.0 * params.b0, 6.0 * params.b0, 201)
-
-    # (phi_n^+, phi_n^-) per n: the duals are one branch, the basis the other
-    sigma = derive(params).sigma
-    plus, minus = map(list, zip(*(_stripped_barrier_pair(sigma, params.b0, n)
-                                  for n in range(n_max + 1))))
+    pieces = ([(complex(c), f) for c, f in target] if isinstance(target, (list, tuple))
+              else [(1.0 + 0.0j, target)])
+    ladder = _stripped_ladder(label, params, range(n_max + 1))
+    plus, minus = [s.right_fn for s in ladder], [s.left_fn for s in ladder]
     duals, basis = (plus, minus) if sector == "minus" else (minus, plus)
-    coeffs = np.zeros(n_max + 1, dtype=complex)
-    for c, f in pieces:
+    dual_branch = "+" if sector == "minus" else "-"
+
+    def strategy_of(f):
         try:
-            strategy = _default_strategy(duals, [f], params)
+            return _default_strategy(duals, [f], params)
         except NonConvergentError as exc:
             raise NonConvergentError(
                 f"sector mismatch: coefficients <phi_n^{dual_branch}|target> diverge "
                 f"({exc})") from exc
-        coeffs += c * _pair_block(duals, [f], params, strategy)[:, 0]
 
-    target_vals = np.zeros_like(grid, dtype=complex)
-    for c, f in pieces:
-        target_vals += c * evaluate(f, grid, params)
-    recon = evaluate(_superpose(coeffs, basis), grid, params)
-    sup_error = float(np.max(np.abs(recon - target_vals)))
-    if not math.isfinite(sup_error):
-        raise NonConvergentError(f"resonant expansion at n_max = {n_max} has a non-finite sup-error")
-    return coeffs, sup_error
+    grid = np.linspace(-6.0 * params.b0, 6.0 * params.b0, 201)
+    return _expand(duals, basis, pieces, strategy_of, grid, params, "resonant expansion")
 
 
 # ---------------------------------------------------------------------------

@@ -180,13 +180,16 @@ def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,
 
     (each mode carries exp(i E_n t / hbar), so in Region IV the roles swap
     with the relabeled energies).  Each sector is one GaussPoly evaluated once.
-    Non-finite coefficients or a non-finite time raise ValueError; raises
+    Scalar or non-finite coefficients, or a non-finite time, raise ValueError; raises
     NonConvergentError when a growth factor leaves the representable
     range, reporting its log-magnitude.
     """
     label = _require_stratum(params, BARRIER, "evolve_sector")
     cm = _finite(minus_coeffs, "minus-sector coefficients")
     cp = _finite(plus_coeffs, "plus-sector coefficients")
+    for coeffs, given, what in ((cm, minus_coeffs, "minus"), (cp, plus_coeffs, "plus")):
+        if coeffs.ndim == 0:
+            raise ValueError(f"{what}-sector coefficients must be a sequence, got {given!r}")
     t = float(_finite(t, "time", float))
     if max(len(cm), len(cp)) == 0:
         raise ValueError("at least one coefficient is required")

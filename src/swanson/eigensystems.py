@@ -467,21 +467,6 @@ def _unit(n: int) -> tuple:
     return (0.0,) * n + (1.0,)
 
 
-def _stripped_barrier_pair(sigma: float, b0: float, n: int) -> tuple[GaussPoly, GaussPoly]:
-    """The similarity-stripped Region II/IV states (phi_n^+, phi_n^-).
-
-    The '+' state carries exp(-i sigma^2 x^2/(2 b0^2)), h_n(e^{i pi/4} sigma x / b0)
-    and the prefactor sqrt(e^{i pi/4} sigma / (b0 sqrt(pi))); the '-' state is
-    its complex conjugate.
-    """
-    norm_plus = cmath.sqrt(ROOT_I) * math.sqrt(sigma / (b0 * SQRT_PI))
-    plus = GaussPoly(gauss=-1j * sigma ** 2, coeffs=_unit(n), norm=norm_plus,
-                     scale=ROOT_I * sigma)
-    minus = GaussPoly(gauss=1j * sigma ** 2, coeffs=_unit(n), norm=norm_plus.conjugate(),
-                      scale=ROOT_I.conjugate() * sigma)
-    return plus, minus
-
-
 def _level_spacing(label: RegionLabel, d, hbar: float):
     """E_(n+1) - E_n of Regions I-IV ('+' branch in II/IV), so E_n = spacing (n + 1/2)."""
     sign = 1.0 if label in (RegionLabel.REGION_I, RegionLabel.REGION_II) else -1.0
@@ -510,7 +495,9 @@ def _ladder(label: RegionLabel, d, params: ModelParams, branch: str | None,
     """States n in ns of one branch (None in Regions I/III, '+' or '-' in II/IV and on
     Boundary I-III) at label, from the caller's derive d: the one place they are built.
     Their Gaussians, norms and scale do not depend on n and are formed once a call.
-    Callers ask for range(n_max + 1) or its last index, so an empty ns is a negative n_max."""
+    Callers ask for range(n_max + 1) or its last index, so an empty ns is a negative n_max.
+    With d.upsilon_coeff = 0 the '+' ladder is the similarity-stripped resonant family:
+    phi_n^+ as each right_fn, phi_n^- as each left_fn."""
     if not ns:
         raise ValueError("n_max must be non-negative")
     states = []
@@ -526,8 +513,10 @@ def _ladder(label: RegionLabel, d, params: ModelParams, branch: str | None,
     sigma, cu = d.sigma, d.upsilon_coeff    # Regions I-IV: stripped states, similarity-dressed
     if label in REAL_SPECTRUM:
         right = left = GaussPoly(-sigma ** 2, (), math.sqrt(sigma / (params.b0 * SQRT_PI)), sigma)
-    else:
-        plus, minus = _stripped_barrier_pair(sigma, params.b0, 0)
+    else:   # '+': exp(-i sigma^2 x^2/(2 b0^2)) h_n(e^{i pi/4} sigma x/b0); '-': its conjugate
+        norm = cmath.sqrt(ROOT_I) * math.sqrt(sigma / (params.b0 * SQRT_PI))
+        plus = GaussPoly(-1j * sigma ** 2, (), norm, ROOT_I * sigma)
+        minus = GaussPoly(1j * sigma ** 2, (), norm.conjugate(), ROOT_I.conjugate() * sigma)
         right, left = (plus, minus) if branch == "+" else (minus, plus)
     g_right, g_left = cu + right.gauss, -cu + left.gauss
     spacing = _level_spacing(label, d, params.hbar)

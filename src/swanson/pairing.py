@@ -281,6 +281,27 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     return GramReport(n_max, which, np.vstack(blocks), max_off, max_diag)
 
 
+def _expand(duals: list[GaussPoly], basis: list[GaussPoly], pieces, strategy_of,
+            grid: np.ndarray, params: ModelParams, what: str,
+            target: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Expand the target sum_p c_p f_p over basis, duals[n] the dual of basis[n]: the
+    coefficients sum_p c_p <duals[n] | f_p>, one kernel block per piece (c_p, f_p) on the
+    strategy strategy_of(f_p), chosen as the block is formed, and the sup-norm deviation
+    on grid of their superposition from the target.  f_p may be a callable of real x, as
+    _pair_block takes it.  target holds the target on grid where the caller formed it
+    before any pairing; otherwise it is evaluated after the blocks.  NonConvergentError
+    naming what where the deviation is not finite."""
+    coeffs = sum(c * _pair_block(duals, f if callable(f) else [f], params, strategy_of(f))[:, 0]
+                 for c, f in pieces)
+    if target is None:
+        target = sum(c * evaluate(f, grid, params) for c, f in pieces)
+    recon = evaluate(_superpose(coeffs, basis), grid, params)
+    sup_error = float(np.max(np.abs(recon - target)))
+    if not math.isfinite(sup_error):
+        raise NonConvergentError(f"{what} at n_max = {len(basis) - 1} has a non-finite sup-error")
+    return coeffs, sup_error
+
+
 def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, float]:
     """Expand a decaying target over the Region I/III right-state basis.
 
@@ -295,17 +316,8 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
     _require_paired_degree(n_max, "n_max")
     states = _ladder(label, derive(params), params, None, range(n_max + 1))
     grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)
-
-    if callable(target):
-        right, target_vals = target, np.asarray(target(grid), dtype=complex)
-    else:
-        right, target_vals = [target], evaluate(target, grid, params)
-    order = max(_NODES_PER_DEGREE * n_max + _NODES_EXTRA, 160)
-    coeffs = _pair_block([s.left_fn for s in states], right, params, DirectGaussHermite(order))[:, 0]
-
-    recon = evaluate(_superpose(coeffs, [s.right_fn for s in states]), grid, params)
-    sup_error = float(np.max(np.abs(recon - target_vals)))
-    if not math.isfinite(sup_error):
-        raise NonConvergentError(f"reconstruction at n_max = {n_max} has a non-finite sup-error")
-    return coeffs, sup_error
-
+    values = (np.asarray(target(grid), dtype=complex) if callable(target)
+              else evaluate(target, grid, params))
+    rule = DirectGaussHermite(max(_NODES_PER_DEGREE * n_max + _NODES_EXTRA, 160))
+    return _expand([s.left_fn for s in states], [s.right_fn for s in states], [(1.0, target)],
+                   lambda _: rule, grid, params, "reconstruction", values)

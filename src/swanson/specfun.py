@@ -326,15 +326,11 @@ def _dv_at_zero(nu: np.ndarray, rg: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return c * rg[0], -c * math.sqrt(2.0) * rg[1]
 
 
-def _recip_gamma_table(nu: np.ndarray, need: np.ndarray) -> np.ndarray:
+def _recip_gamma_table(nu: np.ndarray) -> np.ndarray:
     """1/Gamma at (1 - nu)/2, -nu/2 (D and D' at z = 0), -nu and -(nu - 1) (the
     connection formula at the orders nu and nu - 1) for a 1-D array of orders, as
-    rows 0 .. 3, from one recip_gamma evaluation: the only one a Weber call makes.
-    Entries where need[row, order] is False are left 0."""
-    args = np.stack([0.5 * (1.0 - nu), -0.5 * nu, -nu, -(nu - 1.0)])
-    table = np.zeros_like(args)
-    table[need] = recip_gamma(args[need])
-    return table
+    rows 0 .. 3, from one recip_gamma evaluation: the only one a Weber call makes."""
+    return recip_gamma(np.stack([0.5 * (1.0 - nu), -0.5 * nu, -nu, -(nu - 1.0)]))
 
 
 def _march_outward(d_end: np.ndarray, d_zero: np.ndarray) -> np.ndarray:
@@ -550,12 +546,7 @@ def parabolic_cylinder_d(nu, z):
     inner[inner] = r[inner] < _MARCH_STEP * _march_nodes(nc[inner])
     beyond = ~(at_zero | inner)
     orders, order_id = np.unique(nc, return_inverse=True)
-    # the rows each zone reads: 0 and 1 at z = 0, 2 beyond R_in, all four in a march
-    need = np.zeros((4, len(orders)), dtype=bool)
-    need[:2, order_id[at_zero]] = True
-    need[2, order_id[beyond]] = True
-    need[:, order_id[inner]] = True
-    rg = _recip_gamma_table(orders, need)
+    rg = _recip_gamma_table(orders)
     out = np.zeros_like(zc)
     if np.any(at_zero):
         out[at_zero] = _dv_at_zero(nc[at_zero], rg[:, order_id[at_zero]])[0]

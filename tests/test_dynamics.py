@@ -444,6 +444,14 @@ def test_sector_overflow_flag():
         evolve_sector(p, [1.0], [], 1e4, np.array([0.0]))
 
 
+@pytest.mark.parametrize("minus,plus,name", [(1.0, [1.0], "minus"), ([1.0], 0.5, "plus"),
+                                              (np.float64(2.0), [], "minus")])
+def test_sector_scalar_coefficients_are_a_value_error_naming_the_argument(minus, plus, name):
+    # a scalar has no len(): it raised a bare TypeError("len() of unsized object")
+    with pytest.raises(ValueError, match=f"^{name}-sector coefficients must be a sequence"):
+        evolve_sector(pts.REGION_II_POINT, minus, plus, 0.5, np.array([0.0]))
+
+
 def test_sector_region_guard():
     with pytest.raises(RegionError):
         evolve_sector(pts.REGION_I_POINTS[0], [1.0], [], 0.0, np.array([0.0]))

@@ -232,6 +232,19 @@ def test_evolve_sector_builds_the_states_it_has_coefficients_for(built):
     assert built == [("-", [0, 1]), ("+", [0, 1, 2, 3, 4])]
 
 
+def test_stripped_state_is_one_rung_of_the_plus_ladder(built):
+    # phi_n^- is the left partner of the similarity-stripped '+' state
+    stripped_discrete_function(P2, 2, "-")
+    assert built == [("+", [2])]
+
+
+def test_resonant_expansion_builds_one_stripped_ladder(built):
+    target = stripped_discrete_function(P2, 1, "-")
+    built.clear()
+    resonant_expansion(P2, target, 5, "minus")
+    assert built == [("+", [0, 1, 2, 3, 4, 5])]
+
+
 @pytest.mark.parametrize("which", ["right-left", "metric"])
 def test_gram_builds_one_ladder_per_branch(built, which):
     gram(P1, 6, which)
