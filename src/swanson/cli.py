@@ -318,12 +318,9 @@ def _cmd_reconstruct(args) -> int:
     p = _params(args)
     label = core.classify(p)
     if args.sector is not None:
-        modes = []
-        for tok in args.modes.split(","):
-            idx, coeff = tok.split(":")
-            modes.append((complex(coeff),
-                          continuum.stripped_discrete_function(
-                              p, int(idx), "-" if args.sector == "minus" else "+")))
+        branch = "-" if args.sector == "minus" else "+"
+        modes = [(complex(coeff), continuum.stripped_discrete_function(p, int(idx), branch))
+                 for idx, coeff in (tok.split(":") for tok in args.modes.split(","))]
         coeffs, sup_error = continuum.resonant_expansion(p, modes, args.nmax, args.sector)
     else:
         center, width = _finite(args.center, "--center"), _finite(args.width, "--width")

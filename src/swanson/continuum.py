@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BARRIER, ModelParams, RegionLabel, _require_stratum, derive
+from .core import BARRIER, ModelParams, RegionLabel, _require_index, _require_stratum, derive
 from .errors import NonConvergentError
-from .eigensystems import CylinderState, EigenstateSpec, GaussPoly, _finite, _ladder
-from .pairing import _default_strategy, _expand, _require_paired_degree
+from .eigensystems import _LADDER_MAX, CylinderState, EigenstateSpec, GaussPoly, _finite, _ladder
+from .pairing import _PAIRED_DEGREE_MAX, _default_strategy, _expand
 from .specfun import _gauss_legendre, _log_gamma_lanczos, log_gamma, parabolic_cylinder_d
 
 __all__ = [
@@ -127,9 +127,10 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
     to the nearest pole.  d is exact (Sterbenz) wherever |d| < 1/4, so the sine
     is never formed from a rounded argument near its zero.
     """
+    n_scan = _require_index(n_scan, "n_scan")
+    if _require_index(samples_per_unit, "samples_per_unit") < 2:
+        raise ValueError(f"samples_per_unit must be at least 2, got {samples_per_unit}")
     _require_stratum(params, BARRIER, "pole_scan")
-    if n_scan < 0 or samples_per_unit < 2:
-        raise ValueError("need n_scan >= 0 and samples_per_unit >= 2")
     count = samples_per_unit * (n_scan + 1)
     y = (np.arange(count) + 0.5 + 0.25 * (samples_per_unit % 2)) / samples_per_unit
     d = y - np.rint(y - 0.5) - 0.5
@@ -151,9 +152,8 @@ def _stripped_ladder(label: RegionLabel, params: ModelParams, ns) -> list[Eigens
 
 
 def stripped_discrete_function(params: ModelParams, n: int, branch: str) -> GaussPoly:
-    """The similarity-stripped discrete state phi_n^(+-) of the barrier regions."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    """The similarity-stripped discrete state phi_n^(+-) of the barrier regions, n <= 300."""
+    n = _require_index(n, "n", _LADDER_MAX)
     label = _require_stratum(params, BARRIER, "stripped_discrete_function")
     state, = _stripped_ladder(label, params, [n])
     if branch == "+":
@@ -173,14 +173,12 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     (coefficient, function) pairs.  Returns (coefficients, sup-norm residual
     of the truncated reconstruction on 201 points over +-6 b0).  Targets outside the
     sector's decay class make the coefficient integrals divergent, which
-    raises NonConvergentError.
+    raises NonConvergentError; n_max is at most 115.
     """
+    n_max = _require_index(n_max, "n_max", _PAIRED_DEGREE_MAX)
     label = _require_stratum(params, BARRIER, "resonant_expansion")
     if sector not in ("minus", "plus"):
         raise ValueError("sector must be 'minus' or 'plus'")
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
-    _require_paired_degree(n_max, "n_max")
     pieces = ([(complex(c), f) for c, f in target] if isinstance(target, (list, tuple))
               else [(1.0 + 0.0j, target)])
     ladder = _stripped_ladder(label, params, range(n_max + 1))

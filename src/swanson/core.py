@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -212,6 +213,19 @@ def _require_stratum(where: ModelParams | RegionLabel, strata: tuple, what: str,
         needs = f"{', '.join(rest)} or {last}" if rest else last
         raise RegionError(f"{what} requires {needs}, got {label.pretty()}")
     return label
+
+
+def _require_index(value, name: str, top: int | None = None, where: str = "") -> int:
+    """The ladder index value as an int; ValueError naming it unless an integer in 0 ... top."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative, got {n}")
+    if top is not None and n > top:
+        raise ValueError(f"{name} must be at most {top}{where}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import BARRIER, REAL_SPECTRUM, ModelParams, RegionLabel, _require_stratum, derive
+from .core import BARRIER, REAL_SPECTRUM, ModelParams, RegionLabel, _require_index, _require_stratum, derive
 from .errors import NonConvergentError, RegionError
 from .eigensystems import (
+    _LADDER_MAX,
     GaussPoly,
     GeneralizedFunction,
     _finite,
@@ -180,19 +181,20 @@ def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,
 
     (each mode carries exp(i E_n t / hbar), so in Region IV the roles swap
     with the relabeled energies).  Each sector is one GaussPoly evaluated once.
-    Scalar or non-finite coefficients, or a non-finite time, raise ValueError; raises
-    NonConvergentError when a growth factor leaves the representable
-    range, reporting its log-magnitude.
+    Scalar or non-finite coefficients, more than 301 in a sector, or a non-finite
+    time raise ValueError; raises NonConvergentError when a growth factor leaves
+    the representable range, reporting its log-magnitude.
     """
-    label = _require_stratum(params, BARRIER, "evolve_sector")
     cm = _finite(minus_coeffs, "minus-sector coefficients")
     cp = _finite(plus_coeffs, "plus-sector coefficients")
     for coeffs, given, what in ((cm, minus_coeffs, "minus"), (cp, plus_coeffs, "plus")):
         if coeffs.ndim == 0:
             raise ValueError(f"{what}-sector coefficients must be a sequence, got {given!r}")
+        _require_index(max(len(coeffs) - 1, 0), f"{what}-sector index", _LADDER_MAX)  # the last index
     t = float(_finite(t, "time", float))
     if max(len(cm), len(cp)) == 0:
         raise ValueError("at least one coefficient is required")
+    label = _require_stratum(params, BARRIER, "evolve_sector")
     d = derive(params)
     grid = np.asarray(grid, dtype=float)
     out = np.zeros(len(grid), dtype=complex)

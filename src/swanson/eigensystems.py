@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, OMEGA_ZERO, REAL_SPECTRUM, ModelParams, RegionLabel,
-                   _require_stratum, classify, derive)
+                   _require_index, _require_stratum, classify, derive)
 from .errors import (DeltaDerivNotEvaluableError, NonConvergentError, RegionError,
                      SingularParameterError)
 from .specfun import SQRT_PI, hermite_rows, log_gamma, parabolic_cylinder_d
@@ -462,6 +462,9 @@ def _inverse_sqrt_factorial(n: int) -> float:
     return norm
 
 
+_LADDER_MAX = 300   # the last n whose 1/sqrt(n!) is a normal float: every ladder's reach
+
+
 def _unit(n: int) -> tuple:
     """Coefficients of the single basis polynomial p_n."""
     return (0.0,) * n + (1.0,)
@@ -475,11 +478,8 @@ def _level_spacing(label: RegionLabel, d, hbar: float):
     return sign * 1j * hbar * abs(d.omega_cap)
 
 
-def _ladder_stratum(params: ModelParams, n_max, tol: float = DEFAULT_TOL) -> tuple:
-    """(label, derive, indices 0 ... n_max, branches) of a point with a discrete ladder: the
-    checks of discrete_states, with its two worded refusals of the Omega = 0 strata."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+def _ladder_stratum(params: ModelParams, n_max: int, tol: float = DEFAULT_TOL) -> tuple:
+    """(label, derive, indices 0 ... n_max, branches) at a point with a ladder; the caller guards n_max."""
     label, d = classify(params, tol), derive(params, tol)
     if label in OMEGA_ZERO:
         raise RegionError(
@@ -495,11 +495,8 @@ def _ladder(label: RegionLabel, d, params: ModelParams, branch: str | None,
     """States n in ns of one branch (None in Regions I/III, '+' or '-' in II/IV and on
     Boundary I-III) at label, from the caller's derive d: the one place they are built.
     Their Gaussians, norms and scale do not depend on n and are formed once a call.
-    Callers ask for range(n_max + 1) or its last index, so an empty ns is a negative n_max.
     With d.upsilon_coeff = 0 the '+' ladder is the similarity-stripped resonant family:
     phi_n^+ as each right_fn, phi_n^- as each left_fn."""
-    if not ns:
-        raise ValueError("n_max must be non-negative")
     states = []
     if label is RegionLabel.BOUNDARY_I_III:     # the monomial carries g, the delta -g
         g = d.tau_coeff if branch == "-" else -d.tau_coeff
@@ -535,9 +532,9 @@ def discrete_states(params: ModelParams, n_max: int,
     Regions I and III return one state per n; Regions II/IV and boundary
     I-III return the two branches per n (2 (n_max+1) states).  The free-
     particle boundaries I-II / III-IV have no discrete family beyond the
-    E = 0 pair; use ep_states / free_particle_states there.
+    E = 0 pair; use ep_states / free_particle_states there.  n_max is at most 300.
     """
-    label, d, ns, branches = _ladder_stratum(params, n_max, tol)
+    label, d, ns, branches = _ladder_stratum(params, _require_index(n_max, "n_max", _LADDER_MAX), tol)
     ladders = [_ladder(label, d, params, branch, ns) for branch in branches]
     return [s for rung in zip(*ladders) for s in rung]
 

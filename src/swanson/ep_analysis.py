@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BARRIER, DEFAULT_TOL, REAL_SPECTRUM, ModelParams, RegionLabel,
-                   _require_stratum, derive)
+                   _require_index, _require_stratum, derive)
 from .errors import NonConvergentError, RegionError, SingularParameterError
 from .eigensystems import (
+    _LADDER_MAX,
     PlaneWaveGauss,
     _ep_exponent,
     _finite,
@@ -42,7 +43,7 @@ from .eigensystems import (
     ep_states,
     evaluate,
 )
-from .pairing import _pair_block, _require_paired_degree
+from .pairing import _PAIRED_DEGREE_MAX, _pair_block
 from .specfun import _gauss_legendre
 
 __all__ = [
@@ -140,7 +141,7 @@ def _sweep(values, what: str, swept_params, expected: RegionLabel, n: int,
     for i, value in enumerate(values):
         p = swept_params(value)
         label = _require_stratum(p, (expected,), f"{what}={value:g}")
-        state, = _ladder(label, derive(p), p, branch, range(n + 1)[-1:])
+        state, = _ladder(label, derive(p), p, branch, [n])
         distances[i] = distance(state.right_fn, p)
         energies[i] = complex(state.energy)
     return LimitSweepReport(values, distances, energies)
@@ -158,7 +159,7 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
     to hbar (alpha-beta)(n+1/2).  branch_target 'minus': distributional
     convergence onto the delta-derivative family, measured as the euclidean
     distance between normalized battery-pairing vectors (five displaced
-    Gaussians).
+    Gaussians).  n is at most 300, or 115 on the minus branch.
     """
     if alpha == beta:
         raise SingularParameterError("boundary sweep requires alpha != beta")
@@ -171,11 +172,11 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
         raise ValueError("G values must be increasing")
 
     minus = branch_target == "minus"
-    if minus:       # before any work: the battery pairs the swept state by quadrature
-        _require_paired_degree(n, "n", " on the minus branch")
+    top, where = (_PAIRED_DEGREE_MAX, " on the minus branch") if minus else (_LADDER_MAX, "")
+    n = _require_index(n, "n", top, where)      # before any work: the minus battery pairs by quadrature
     params_boundary = ModelParams(alpha + beta, alpha, beta, b0, hbar)
-    label, d, ns, _ = _ladder_stratum(params_boundary, n)
-    limit = _ladder(label, d, params_boundary, "-" if minus else "+", ns[-1:])[0].right_fn
+    label, d, _, _ = _ladder_stratum(params_boundary, n)
+    limit = _ladder(label, d, params_boundary, "-" if minus else "+", [n])[0].right_fn
     distance = _distance_to(limit, params_boundary, battery=minus)
 
     # Region I (eps > 0) energies tend to hbar |alpha - beta| (n + 1/2), Region III
@@ -213,7 +214,7 @@ def sweep_to_ep(omega: float, beta: float, n: int, region_side: str, eps_values,
     region_side 'I' approaches the boundary through the oscillator region
     (E = hbar eps (n+1/2)); side 'II' through the barrier region on the given
     branch (E = +-i hbar eps (n+1/2)).  Both converge to the same
-    (even: Gaussian, odd: x Gaussian) E = 0 limit function of ep_states.
+    (even: Gaussian, odd: x Gaussian) E = 0 limit function of ep_states.  n is at most 300.
     """
     if region_side not in ("I", "II"):
         raise ValueError("region_side must be 'I' or 'II'")
@@ -222,6 +223,7 @@ def sweep_to_ep(omega: float, beta: float, n: int, region_side: str, eps_values,
     eps_values = _finite(eps_values, "eps_values", float)
     if np.any(eps_values <= 0.0) or np.any(np.diff(eps_values) >= 0.0):
         raise ValueError("eps values must be positive and decreasing")
+    n = _require_index(n, "n", _LADDER_MAX)
     p_ref = _ep_swept_params(omega, beta, 0.0, "I", b0, hbar)
     # omega = 2 beta is singular; checked first, as ep_states sees the corner there
     _ep_exponent(p_ref, DEFAULT_TOL)
@@ -250,10 +252,9 @@ def ep_spectrum_flow(omega: float, beta: float, n_max: int, eps_values,
     Side I energies hbar eps (n+1/2) and side II energies +-i hbar eps (n+1/2)
     collapse to 0 simultaneously for every n: the coalescence is of infinite
     order.  The energies are the closed-form ladder eigenvalues; no state is
-    built.
+    built.  n_max is at most 300.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    n_max = _require_index(n_max, "n_max", _LADDER_MAX)
     eps_values = _finite(eps_values, "eps_values", float)
     # the closed forms are singular at omega = 2 beta, where _ep_exponent raises
     _ep_exponent(_ep_swept_params(omega, beta, 0.0, "I", b0, hbar), DEFAULT_TOL)

@@ -35,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import REAL_SPECTRUM, ModelParams, RegionLabel, _require_stratum, derive
+from .core import REAL_SPECTRUM, ModelParams, RegionLabel, _require_index, _require_stratum, derive
 from .errors import NonConvergentError, RegionError
 from .eigensystems import (
+    _LADDER_MAX,
     CylinderState,
     DeltaDeriv,
     GaussPoly,
@@ -67,12 +68,6 @@ __all__ = [
 
 _NODES_PER_DEGREE, _NODES_EXTRA = 4, 40    # a degree-n state is paired on 4 n + 40 nodes
 _PAIRED_DEGREE_MAX = (_GAUSS_HERMITE_MAX - _NODES_EXTRA) // _NODES_PER_DEGREE     # 115
-
-
-def _require_paired_degree(n: int, name: str, where: str = "") -> None:
-    """ValueError naming the caller's parameter where gauss_hermite has no rule for it."""
-    if n > _PAIRED_DEGREE_MAX:
-        raise ValueError(f"{name} must be at most {_PAIRED_DEGREE_MAX}{where}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -259,11 +254,12 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     which = 'right-left' pairs each left partner against every right state
     (the bi-orthogonality contract); 'metric' pairs right states under the
     metric inner product (Regions I/III only, where U is positive).  Raises
-    NonConvergentError when an entry is not finite.
+    NonConvergentError when an entry is not finite; n_max <= 115 (300 on Boundary I-III).
     """
-    label, d, ns, branches = _ladder_stratum(params, n_max)
-    if label is not RegionLabel.BOUNDARY_I_III:     # paired by quadrature: no state built past it
-        _require_paired_degree(n_max, "n_max", " outside Boundary I-III")
+    label, d, ns, branches = _ladder_stratum(params, _require_index(n_max, "n_max"))
+    closed = label is RegionLabel.BOUNDARY_I_III    # delta blocks in closed form, the rest by quadrature
+    n_max = _require_index(n_max, "n_max", _LADDER_MAX if closed else _PAIRED_DEGREE_MAX,
+                           "" if closed else " outside Boundary I-III")     # before any state is built
     ladders = [_ladder(label, d, params, branch, ns) for branch in branches]
     if which == "metric":
         _require_stratum(label, REAL_SPECTRUM, "gram(which='metric')")
@@ -310,10 +306,10 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
     max(4 n_max + 40, 160); returns (coefficients, sup-norm deviation of the
     truncated reconstruction from the target on 201 points over +-5 b0).
     Raises NonConvergentError when a coefficient or the deviation is not
-    finite.
+    finite; n_max is at most 115.
     """
+    n_max = _require_index(n_max, "n_max", _PAIRED_DEGREE_MAX)
     label = _require_stratum(params, REAL_SPECTRUM, "reconstruct")
-    _require_paired_degree(n_max, "n_max")
     states = _ladder(label, derive(params), params, None, range(n_max + 1))
     grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)
     values = (np.asarray(target(grid), dtype=complex) if callable(target)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _require_index
 from .errors import NonConvergentError, PoleError, RegionError
 
 __all__ = [
@@ -51,8 +52,7 @@ def hermite(n: int, z):
     Accepts scalars or numpy arrays; exact for polynomial degree (up to
     floating-point rounding in the coefficients).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _require_index(n, "n")
     z = np.asarray(z, dtype=complex)
     h_prev = np.ones_like(z)
     if n == 0:
@@ -71,8 +71,7 @@ def hermite_rows(n: int, z) -> np.ndarray:
     at every point of z.  For real x, |h_k(x)| e^{-x^2/2} < 1.09 (Cramer's
     bound), so the rows stay in the float range where H_k(x) leaves it.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _require_index(n, "n")
     z = np.asarray(z, dtype=complex)
     rows = np.empty((n + 1,) + z.shape, dtype=complex)
     rows[0] = 1.0
@@ -85,11 +84,7 @@ def hermite_rows(n: int, z) -> np.ndarray:
 
 def hermite_coefficients(n: int) -> np.ndarray:
     """Power-series coefficients of H_n, ascending order."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    basis = np.zeros(n + 1)
-    basis[n] = 1.0
-    return np.polynomial.hermite.herm2poly(basis)
+    return np.polynomial.hermite.herm2poly((0.0,) * _require_index(n, "n") + (1.0,))
 
 
 # ---------------------------------------------------------------------------

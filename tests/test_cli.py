@@ -75,6 +75,25 @@ def test_index_past_the_pairing_rules_names_the_flag(args, name):
     assert "order" not in cp.stderr and "Traceback" not in cp.stderr
 
 
+@pytest.mark.parametrize("args,name", [
+    (["states", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--nmax", "301"], "n_max"),
+    (["ep-sweep", "--mode", "ep", "--n", "301"], "n"),
+    (["ep-sweep", "--mode", "spectrum", "--nmax", "301"], "n_max"),
+    (["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--sector", "minus",
+      "--modes", "301:1"], "n"),
+    (["evolve", "--omega", "1", "--alpha", "-2", "--beta", "-0.5",
+      "--plus-coeffs", ",".join(["1"] * 302)], "plus-sector index"),
+], ids=["states", "ep-sweep-ep", "ep-sweep-spectrum", "reconstruct-modes", "evolve-sector"])
+def test_index_past_the_ladder_reach_is_refused_at_once(tmp_path, args, name):
+    # 300 is the last n whose Boundary I-III norm 1/sqrt(n!) is a normal float; past it
+    # each of these grew memory with the index instead of refusing it
+    out = tmp_path / "out.csv"
+    cp = run_cli(*args, "-o", str(out), timeout=30)
+    assert cp.returncode == 2, cp.stderr
+    assert f"usage error: {name} must be at most 300, got 301" in cp.stderr
+    assert cp.stdout == "" and not out.exists()
+
+
 def test_gram_far_past_its_reach_is_a_usage_error():
     cp = run_cli("gram", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--nmax", "3000",
                  "-o", "/dev/null", timeout=60)

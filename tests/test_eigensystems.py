@@ -30,7 +30,7 @@ from swanson import (
     pair,
     stripped_discrete_function,
 )
-from swanson.eigensystems import (_cyl_fields, _inverse_sqrt_factorial, _taylor_rows,
+from swanson.eigensystems import (_LADDER_MAX, _cyl_fields, _inverse_sqrt_factorial, _taylor_rows,
                                   polynomial_pieces, taylor_coefficients)
 from swanson.specfun import hermite, parabolic_cylinder_d
 
@@ -464,8 +464,16 @@ def test_boundary_norms_past_the_factorial_float_range():
     with mpmath.workdps(30):
         ref = float(1 / mpmath.sqrt(mpmath.factorial(171)))
     assert _inverse_sqrt_factorial(171) == pytest.approx(ref, rel=1e-15)
-    with pytest.raises(NonConvergentError):
+    # 300 is the last n whose norm is a normal float, so it is every ladder's reach: the
+    # index guard refuses n_max 400 by name before any state is built
+    assert _inverse_sqrt_factorial(_LADDER_MAX) >= sys.float_info.min
+    with pytest.raises(ValueError, match="^n_max must be at most 300, got 400$"):
         discrete_states(ModelParams(1.0, 0.6, 0.4), 400)
+    # the norm keeps its own check, which a user-built delta functional still reaches
+    with pytest.raises(NonConvergentError, match="n = 301"):
+        _inverse_sqrt_factorial(_LADDER_MAX + 1)
+    with pytest.raises(NonConvergentError, match="n = 400"):
+        pair(DeltaDeriv(0.0, 400, 1.0), GaussPoly(-1.0, (1.0,), 1.0), ModelParams(1.0, 0.6, 0.4))
 
 
 def test_delta_guards():

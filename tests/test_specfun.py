@@ -590,18 +590,27 @@ def test_continuum_state_past_the_cliff_avoids_mpmath():
        angle=st.floats(min_value=-math.pi, max_value=math.pi))
 @settings(max_examples=500, deadline=None)
 @example(re_nu=1e-12, im_nu=0.0, r=1.0, angle=3.0)     # the march end lost nu to nu + 1
+@example(re_nu=0.0, im_nu=1.4376079026738313e-37, r=12.0, angle=3.0)  # dD/dnu ~ 2e14
 def test_d_box_property(re_nu, im_nu, r, angle):
     nu = complex(re_nu, im_nu)
     z = r * cmath.exp(1j * angle)
     val = parabolic_cylinder_d(nu, z)
-    # the oracle at the drawn point with parts below 1e-30 set to 0: mpmath's pcfd takes
-    # longer the smaller a nonzero part (1.1 s at 1e-100, 13-51 s at subnormal ones), and
-    # D moves by about |dD| 1e-30 there, far below the bound's 1e-14 |D'|
+    # the oracle at the drawn point with parts below 1e-30 set to 0, carried back to the
+    # drawn point to first order: mpmath's pcfd takes longer the smaller a nonzero part
+    # (1.1 s at 1e-100, 13-51 s at subnormal ones).  The nu term is needed: for
+    # |arg z| > 3pi/4 the growing solution enters D_nu with weight 1/Gamma(-nu) ~ -nu, so
+    # at nu = 1.4e-37i, z = 12 e^{3i} it moves D = 9.7e-16 by 3.1e-23 (dD/dnu ~ 2e14)
     nu_o, z_o = (complex(*(0.0 if abs(c) < 1e-30 else c for c in (w.real, w.imag)))
                  for w in (nu, z))
     ref = mp_d(nu_o, z_o)
-    # relative to |D|; at a zero of D (D_2(1) = 0) to 1e-6 |D'| instead
     slope = 0.5 * z_o * ref - mp_d(nu_o + 1.0, z_o)
+    if nu != nu_o:
+        with mpmath.workdps(30):
+            d_nu = complex(mpmath.diff(lambda v: mpmath.pcfd(v, mpmath.mpc(z_o)),
+                                       mpmath.mpc(nu_o)))
+        ref += d_nu * (nu - nu_o)
+    ref += slope * (z - z_o)
+    # relative to |D|; at a zero of D (D_2(1) = 0) to 1e-6 |D'| instead
     assert abs(val - ref) <= 1e-8 * (abs(ref) + 1e-6 * abs(slope)), (nu, z, val, ref)
 
 

@@ -1,9 +1,12 @@
 """The one stratum guard: every entry point that serves only some strata raises
 RegionError "<entry> requires <strata>, got <stratum>", and each decides its
 stratum once, from one classify and one derive, and builds only the discrete
-states it reads."""
+states it reads.  The one index guard: every entry point that takes a ladder
+index refuses one outside its domain with ValueError naming the argument, before
+it classifies or builds a state."""
 
 import inspect
+import pickle
 import sys
 from collections import Counter
 
@@ -20,6 +23,7 @@ from swanson import (
     continuum_state,
     core,
     delta_normalization_probe,
+    discrete_states,
     eigensystems,
     ep_spectrum_flow,
     ep_states,
@@ -33,6 +37,7 @@ from swanson import (
     pole_scan,
     reconstruct,
     resonant_expansion,
+    specfun,
     stripped_discrete_function,
     sweep_to_boundary_i_iii,
     sweep_to_ep,
@@ -253,3 +258,129 @@ def test_gram_builds_one_ladder_per_branch(built, which):
     if which == "right-left":
         gram(P2, 6, which)
         assert built == [("+", list(range(7))), ("-", list(range(7)))]
+
+
+# ---------------------------------------------------------------------------
+# The one index guard: every entry point that takes a ladder index refuses one
+# outside 0 ... top with ValueError naming the argument, before it classifies
+# ---------------------------------------------------------------------------
+
+def _sector(n):
+    """evolve_sector with n + 1 plus-sector coefficients: its last index is n."""
+    return evolve_sector(P2, [], [1.0] * (n + 1), 0.5, GRID)
+
+
+B13 = pts.BOUNDARY_I_III_POINT
+
+# (row id, call of the index, argument name, top or None, what follows the top in the
+# message, (classify, derive) calls made before a top is refused): gram's top depends
+# on its stratum (pairings by quadrature reach 115, the closed-form delta blocks of
+# Boundary I-III the ladder's 300), so it is the one entry point that classifies first
+INDEXED = [
+    ("discrete_states", lambda n: discrete_states(P1, n), "n_max", 300, "", (0, 0)),
+    ("gram[I]", lambda n: gram(P1, n), "n_max", 115, " outside Boundary I-III", (1, 1)),
+    ("gram[I-III]", lambda n: gram(B13, n), "n_max", 300, "", (1, 1)),
+    ("reconstruct", lambda n: reconstruct(P1, GAUSSIAN, n), "n_max", 115, "", (0, 0)),
+    ("resonant_expansion", lambda n: resonant_expansion(P2, GAUSSIAN, n, "plus"),
+     "n_max", 115, "", (0, 0)),
+    ("stripped_discrete_function", lambda n: stripped_discrete_function(P2, n, "+"),
+     "n", 300, "", (0, 0)),
+    ("sweep_to_boundary_i_iii[plus]",
+     lambda n: sweep_to_boundary_i_iii(0.75, 0.25, n, "plus", [10.0, 100.0]), "n", 300, "", (0, 0)),
+    ("sweep_to_boundary_i_iii[minus]",
+     lambda n: sweep_to_boundary_i_iii(0.75, 0.25, n, "minus", [10.0, 100.0]),
+     "n", 115, " on the minus branch", (0, 0)),
+    ("sweep_to_ep", lambda n: sweep_to_ep(1.0, -0.2, n, "II", [0.1, 0.01]), "n", 300, "", (0, 0)),
+    ("ep_spectrum_flow", lambda n: ep_spectrum_flow(1.0, -0.2, n, [0.1, 0.01]),
+     "n_max", 300, "", (0, 0)),
+    ("evolve_sector", _sector, "plus-sector index", 300, "", (0, 0)),
+    ("pole_scan", lambda n: pole_scan(P2, n), "n_scan", None, "", None),
+    ("pole_scan[samples_per_unit]", lambda n: pole_scan(P2, 1, n), "samples_per_unit", None, "", None),
+    ("hermite", lambda n: specfun.hermite(n, GRID), "n", None, "", None),
+    ("hermite_rows", lambda n: specfun.hermite_rows(n, GRID), "n", None, "", None),
+    ("hermite_coefficients", specfun.hermite_coefficients, "n", None, "", None),
+]
+# evolve_sector's index is the length of a sequence, never a non-integer or negative
+TYPED = [row for row in INDEXED if row[0] != "evolve_sector"]
+TOPPED = [row for row in INDEXED if row[3] is not None]
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0)], ids=["float", "np.float64"])
+@pytest.mark.parametrize("name,call,arg,top,where,counts", TYPED, ids=[r[0] for r in TYPED])
+def test_a_non_integer_index_is_refused_by_name_before_classify(calls, name, call, arg, top,
+                                                                where, counts, value):
+    # a non-integer index raised a bare TypeError, or (pole_scan) scanned to n_scan + 1
+    calls.clear()
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer, got "):
+        call(value)
+    assert (calls["classify"], calls["derive"]) == (0, 0)
+
+
+@pytest.mark.parametrize("name,call,arg,top,where,counts", TYPED, ids=[r[0] for r in TYPED])
+def test_a_negative_index_is_refused_by_name_before_classify(calls, name, call, arg, top,
+                                                             where, counts):
+    calls.clear()
+    with pytest.raises(ValueError, match=f"^{arg} must be non-negative, got -1$"):
+        call(-1)
+    assert (calls["classify"], calls["derive"]) == (0, 0)
+
+
+@pytest.mark.parametrize("name,call,arg,top,where,counts", TOPPED, ids=[r[0] for r in TOPPED])
+def test_an_index_past_its_top_is_refused_by_name_before_any_state(calls, built, name, call,
+                                                                   arg, top, where, counts):
+    calls.clear()
+    with pytest.raises(ValueError, match=f"^{arg} must be at most {top}{where}, got {top + 1}$"):
+        call(top + 1)
+    assert (calls["classify"], calls["derive"]) == counts
+    assert built == []
+
+
+def test_pole_scan_keeps_its_sample_count_floor():
+    with pytest.raises(ValueError, match="^samples_per_unit must be at least 2, got 1$"):
+        pole_scan(P2, 3, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: discrete_states(P1, 300),
+    lambda: discrete_states(P2, 300),
+    lambda: discrete_states(B13, 300),
+    lambda: stripped_discrete_function(P2, 300, "-"),
+    lambda: _sector(300),
+], ids=["discrete_states[I]", "discrete_states[II]", "discrete_states[I-III]",
+        "stripped_discrete_function", "evolve_sector"])
+def test_the_top_itself_is_served(call):
+    assert call() is not None
+
+
+def test_a_plus_branch_sweep_reaches_the_top():
+    # (at G = 1000 the n = 300 swept state itself leaves the float range near |x| = 8 and
+    # the sweep raises NonConvergentError, as it does from n = 250 there)
+    report = sweep_to_boundary_i_iii(0.75, 0.25, 300, "plus", [10.0, 100.0])
+    assert np.isfinite(report.distances).all()
+    limit = 0.5 * 300.5     # hbar (alpha - beta) (n + 1/2)
+    assert report.distances[1] < report.distances[0]
+    assert abs(report.energies[1] - limit) < abs(report.energies[0] - limit)
+
+
+# a valid index per row, small enough to be quick
+VALID = {"gram[I-III]": 4, "reconstruct": 4, "resonant_expansion": 4, "pole_scan": 2,
+         "pole_scan[samples_per_unit]": 7}
+
+
+@pytest.mark.parametrize("name,call,arg,top,where,counts", TYPED, ids=[r[0] for r in TYPED])
+def test_numpy_integer_indices_give_bit_equal_results(name, call, arg, top, where, counts):
+    n = VALID.get(name, 3)
+    assert pickle.dumps(call(np.int64(n))) == pickle.dumps(call(n))
+
+
+def test_the_index_table_covers_every_entry_point_that_takes_an_index():
+    # matrix_element keeps its own typed check of two indices; surface_grid's n is a grid
+    # size and gauss_hermite's a rule order, neither a ladder index
+    others = {"matrix_element", "surface_grid", "gauss_hermite"}
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("swanson.")]
+    takes_index = {name for mod in [swanson, *modules] for name, fn in vars(mod).items()
+                   if inspect.isfunction(fn) and not name.startswith("_")
+                   and fn.__module__.startswith("swanson")
+                   and {"n", "n_max", "n_scan"} & set(inspect.signature(fn).parameters)}
+    assert {"discrete_states", "hermite_rows", "pole_scan"} <= takes_index
+    assert takes_index - others <= {row[0].split("[")[0] for row in INDEXED}

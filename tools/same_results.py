@@ -1,12 +1,15 @@
-"""Compare the results of this tree's swanson package with those of a git revision.
+"""Compare the results of this tree's swanson package, or of a second git revision's,
+with those of a git revision.
 
-    python tools/same_results.py <rev>
+    python tools/same_results.py <rev> [<new>]
 
 The script unpacks `git archive <rev> src/swanson` as the package
-`swanson_parent` in a temporary directory. The package imports itself by
-relative imports, so both trees import side by side in one process. One call
-table runs on both: the public entry points at points of every stratum, with
-the refused inputs among them.
+`swanson_parent` in a temporary directory, and with <new> that revision's
+package as `swanson_new`, which then stands in for this tree. Each package
+imports itself by relative imports, so both import side by side in one
+process. One call table runs on both: the public entry points at points of
+every stratum, with the refused inputs among them, ladder indices outside
+their domain included.
 
 Values compare byte for byte, dtypes, shapes and signed zeros included; a
 refusal compares by error type and message. The script prints one JSON
@@ -55,7 +58,7 @@ def load_revision(rev: str, into: Path, name: str = "swanson_parent"):
     """src/swanson of the git revision rev, unpacked from `git archive` and imported as name."""
     tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev, "src/swanson"],
                          capture_output=True, check=True).stdout
-    unpacked = into / "archive"
+    unpacked = into / f"{name}_archive"
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(unpacked, filter="data")
     return load_tree(unpacked / "src" / "swanson", name, into)
@@ -243,6 +246,10 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("log_gamma[pole]", S.log_gamma, -2.0)
     add("gauss_hermite[40]", S.gauss_hermite, 40)
     add("hermite_rows[12]", S.specfun.hermite_rows, 12, grid)
+    for n in (0, 1, 7):
+        add(f"hermite[{n}]", S.hermite, n, grid + 0.5j)
+        add(f"hermite[{n},scalar]", S.hermite, n, -0.0 + 1.5j)
+        add(f"hermite_coefficients[{n}]", S.specfun.hermite_coefficients, n)
 
     # dynamics
     state = S.make_state(pts["I"], [1.0, 0.5, 0.25j])
@@ -272,6 +279,35 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("sweep_to_boundary_i_iii[G]", S.sweep_to_boundary_i_iii, 0.75, 0.25, 3, "plus", [0.5])
     add("ep_spectrum_flow", S.ep_spectrum_flow, 1.0, -0.2, 3, eps)
     add("ep_spectrum_flow[boundary]", S.ep_spectrum_flow, 1.0, 0.2, 2, [1e-9])
+
+    # ladder indices: a non-integer, -1, and the top and one past it where there is a top
+    indexed = [
+        ("discrete_states[I]", lambda n: S.discrete_states(pts["I"], n), 300),
+        ("discrete_states[II]", lambda n: S.discrete_states(pts["II"], n), 300),
+        ("discrete_states[I-III]", lambda n: S.discrete_states(pts["I-III"], n), 300),
+        ("gram[I]", lambda n: S.gram(pts["I"], n), 115),
+        ("gram[I-III]", lambda n: S.gram(pts["I-III"], n), 300),
+        ("reconstruct", lambda n: S.reconstruct(pts["I"], shifted, n), 115),
+        ("resonant_expansion", lambda n: S.resonant_expansion(pts["II"], gaussian, n, "plus"), 115),
+        ("stripped_discrete_function", lambda n: S.stripped_discrete_function(pts["II"], n, "+"), 300),
+        ("sweep_to_boundary_i_iii[plus]",
+         lambda n: S.sweep_to_boundary_i_iii(0.75, 0.25, n, "plus", [10.0, 100.0]), 300),
+        ("sweep_to_boundary_i_iii[minus]",
+         lambda n: S.sweep_to_boundary_i_iii(0.75, 0.25, n, "minus", [10.0, 100.0]), 115),
+        ("sweep_to_ep", lambda n: S.sweep_to_ep(1.0, -0.2, n, "II", eps), 300),
+        ("ep_spectrum_flow", lambda n: S.ep_spectrum_flow(1.0, -0.2, n, eps), 300),
+        ("pole_scan", lambda n: S.pole_scan(pts["II"], n), None),
+        ("pole_scan[samples_per_unit]", lambda n: S.pole_scan(pts["II"], 1, n), None),
+        ("hermite", lambda n: S.hermite(n, grid), None),
+        ("hermite_rows", lambda n: S.specfun.hermite_rows(n, grid), None),
+        ("hermite_coefficients", S.specfun.hermite_coefficients, None),
+    ]
+    for name, call, top in indexed:
+        for n in (2.5, np.float64(2.0), -1) + (() if top is None else (top, top + 1)):
+            add(f"{name}[index {n!r}]", call, n)
+    for n in (300, 301):    # a sector's last index is its coefficient count less one
+        add(f"evolve_sector[{n + 1} coefficients]", S.evolve_sector, pts["II"], [], [1.0] * (n + 1),
+            0.5, grid)
     return rows
 
 
@@ -365,14 +401,16 @@ def compare(new_pkg, old_pkg, quick: bool = False) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("rev", help="git revision whose src/swanson is compared with this tree's")
+    parser.add_argument("rev", help="git revision whose src/swanson is the old side")
+    parser.add_argument("new", nargs="?", help="git revision for the new side (default: this tree)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(REPO / "src"))
     import swanson
 
     with tempfile.TemporaryDirectory() as tmp:
         parent = load_revision(args.rev, Path(tmp))
-        summary = {"rev": args.rev, **compare(swanson, parent)}
+        new = swanson if args.new is None else load_revision(args.new, Path(tmp), "swanson_new")
+        summary = {"rev": args.rev, "new": args.new or "this tree", **compare(new, parent)}
     print(json.dumps(summary, indent=1))
     return 0 if summary["equal"] == summary["compared"] else 1
 
