@@ -96,6 +96,10 @@ def continuum_state(params: ModelParams, energy: float, side: str = "+",
 # Gamma-pole (resonance) scan
 # ---------------------------------------------------------------------------
 
+# the most samples pole_scan takes in all: each costs about 264 bytes at peak (tracemalloc)
+_POLE_SCAN_SAMPLES_MAX = 1_000_000
+
+
 @dataclass(frozen=True)
 class PoleScanReport:
     """|Gamma(nu+1)| magnitude along the resonant half-line.
@@ -112,7 +116,8 @@ class PoleScanReport:
 
 
 def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> PoleScanReport:
-    """Scan the gamma-prefactor magnitude over |Im E|/(hbar |Omega|) in (0, n_scan+1].
+    """Scan the gamma-prefactor magnitude over |Im E|/(hbar |Omega|) in (0, n_scan+1],
+    on at most 10^6 samples in all.
 
     The samples are y = (k + 1/2)/s for an even count s per unit, and
     y = (k + 3/4)/s for an odd one: 4k + 3 = 2s(2n + 1) has no solution, so no
@@ -130,8 +135,11 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
     n_scan = _require_index(n_scan, "n_scan")
     if _require_index(samples_per_unit, "samples_per_unit") < 2:
         raise ValueError(f"samples_per_unit must be at least 2, got {samples_per_unit}")
-    _require_stratum(params, BARRIER, "pole_scan")
     count = samples_per_unit * (n_scan + 1)
+    if count > _POLE_SCAN_SAMPLES_MAX:
+        raise ValueError(f"samples_per_unit * (n_scan + 1) must be at most {_POLE_SCAN_SAMPLES_MAX}, "
+                         f"got {samples_per_unit} * {n_scan + 1} = {count}")
+    _require_stratum(params, BARRIER, "pole_scan")
     y = (np.arange(count) + 0.5 + 0.25 * (samples_per_unit % 2)) / samples_per_unit
     d = y - np.rint(y - 0.5) - 0.5
     logmag = (math.log(math.pi) - np.log(np.abs(np.sin(math.pi * d)))

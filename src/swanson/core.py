@@ -13,11 +13,13 @@ and of the squared frequency Omega^2 = omega^2 - 4 alpha beta, which split the
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -228,13 +230,17 @@ def _require_index(value, name: str, top: int | None = None, where: str = "") ->
     return n
 
 
-@dataclass(frozen=True)
-class SurfaceRow:
+# the largest grid side surface_grid serves: about 10^6 rows, 145 MB at 145 bytes a row
+_SURFACE_N_MAX = 1001
+
+
+class SurfaceRow(NamedTuple):
     """One grid point of the classification surface, in reduced units.
 
     omega_sq is Omega^2/omega^2 and mass is m*omega*b0^2/hbar (None within the
     relative tolerance of the mass discontinuity plane alpha + beta = omega,
-    where region is Boundary I-III or the corner).
+    where region is Boundary I-III or the corner).  An immutable named tuple,
+    so a row costs no per-instance dict and no __init__.
     """
 
     alpha_over_omega: float
@@ -244,20 +250,31 @@ class SurfaceRow:
     region: RegionLabel
 
 
+_new_row = functools.partial(tuple.__new__, SurfaceRow)   # a row from one 5-tuple, in C
+
+# the label of classify by the code 8*(not massive) + 4*on_omega + 2*(gap > 0) + (Omega^2 > 0)
+_SURFACE_LABELS = np.array(
+    [RegionLabel.REGION_IV, RegionLabel.REGION_III, RegionLabel.REGION_II, RegionLabel.REGION_I]
+    + [RegionLabel.BOUNDARY_III_IV] * 2 + [RegionLabel.BOUNDARY_I_II] * 2
+    + [RegionLabel.BOUNDARY_I_III] * 4 + [RegionLabel.CORNER_DEGENERATE] * 4, dtype=object)
+
+
 def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[SurfaceRow]:
     """Sample the reduced (alpha/omega, beta/omega) plane on an n x n grid.
 
     Rows are emitted row-major with alpha/omega as the outer (slow) index.
     Omega^2/omega^2 varies continuously; the reduced mass changes sign only
     across the line alpha/omega + beta/omega = 1, where it is undefined.
+    n is an integer in 2 ... 1001.
 
     Each alpha row is computed with numpy in one pass, making the
     floating-point operations of derive and classify in their order, reduced
     couplings above a scale of 1e100 included; so every row is bit-identical
     to derive(ModelParams(1.0, a, b), tol) and classify(ModelParams(1.0, a, b), tol).
     """
+    n = _require_index(n, "n", _SURFACE_N_MAX)
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise ValueError(f"n must be at least 2, got {n}")
     if half_range <= 0:
         raise ValueError("half_range must be positive")
     if not tol > 0:     # also NaN
@@ -268,7 +285,6 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
     if not np.all(np.isfinite(b)):
         raise ValueError(f"grid coordinates must be finite, got half_range = {half_range}")
     abs_b = np.abs(b)
-    L = RegionLabel
     rows = []
     # a subnormal gap gives mass inf and scale^2 past 1e154 gives omega_sq inf, as in derive
     with np.errstate(over="ignore", divide="ignore"):
@@ -280,18 +296,12 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
             omega_sq = wr * wr - 4.0 * ar * br
             gap = wr - ar - br
             tol_gap = tol * r_scale
-            abs_gap = np.abs(gap)
+            massive = np.abs(gap) > tol_gap     # the test of derive; classify's on_gap is its negation
             on_omega = np.abs(omega_sq) <= tol_gap * r_scale
-            on_gap = abs_gap <= tol_gap
-            gap_pos, sq_pos = gap > 0, omega_sq > 0
-            region = np.where(  # the decision chain of classify
-                on_gap, np.where(on_omega, L.CORNER_DEGENERATE, L.BOUNDARY_I_III),
-                np.where(on_omega, np.where(gap_pos, L.BOUNDARY_I_II, L.BOUNDARY_III_IV),
-                         np.where(gap_pos, np.where(sq_pos, L.REGION_I, L.REGION_II),
-                                  np.where(sq_pos, L.REGION_III, L.REGION_IV))))
-            mass = (1.0 / gap / s).astype(object)
-            mass[~(abs_gap > tol_gap)] = None  # the test of derive
-            rows.extend(map(SurfaceRow, itertools.repeat(a), coords,
-                            (omega_sq * s * s).tolist(), mass.tolist(),
-                            region.tolist()))
+            code = (~massive << 3) | (on_omega << 2) | ((gap > 0) << 1) | (omega_sq > 0)
+            mass = (1.0 / gap / s).tolist()
+            for i in np.flatnonzero(~massive).tolist():
+                mass[i] = None
+            rows.extend(map(_new_row, zip(itertools.repeat(a), coords, (omega_sq * s * s).tolist(),
+                                          mass, _SURFACE_LABELS[code].tolist())))
     return rows

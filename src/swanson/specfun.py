@@ -173,11 +173,14 @@ class QuadratureRule:
     order: int
 
 
-@functools.lru_cache(maxsize=64)
+# typed: np.float64(3.0) would otherwise find the entry of a cached np.int64(3) and skip the check
+@functools.lru_cache(maxsize=64, typed=True)
 def gauss_hermite(n: int) -> QuadratureRule:
-    """Gauss-Hermite rule of order n; exact for polynomials of degree 2n-1."""
-    if not 1 <= n <= _GAUSS_HERMITE_MAX:
-        raise ValueError(f"order must be between 1 and {_GAUSS_HERMITE_MAX}")
+    """Gauss-Hermite rule of order n, an integer in 1 ... 500; exact for polynomials of
+    degree 2n-1."""
+    n = _require_index(n, "order", _GAUSS_HERMITE_MAX)
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
     nodes, weights = np.polynomial.hermite.hermgauss(n)
     nodes.setflags(write=False)
     weights.setflags(write=False)

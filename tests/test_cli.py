@@ -94,6 +94,20 @@ def test_index_past_the_ladder_reach_is_refused_at_once(tmp_path, args, name):
     assert cp.stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["surface", "--n", "1002"], "n must be at most 1001, got 1002"),
+    (["poles", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--nscan", "100000"],
+     "samples_per_unit * (n_scan + 1) must be at most 1000000, got 200 * 100001 = 20000200"),
+], ids=["surface", "poles"])
+def test_grid_and_scan_sizes_past_their_tops_are_refused_at_once(tmp_path, args, message):
+    # a 1002-point grid side holds about 10^6 rows; the scan asked for about 5 GB
+    out = tmp_path / "out.csv"
+    cp = run_cli(*args, "-o", str(out), timeout=30)
+    assert cp.returncode == 2, cp.stderr
+    assert f"usage error: {message}" in cp.stderr
+    assert cp.stdout == "" and not out.exists()
+
+
 def test_gram_far_past_its_reach_is_a_usage_error():
     cp = run_cli("gram", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--nmax", "3000",
                  "-o", "/dev/null", timeout=60)

@@ -1,13 +1,15 @@
 import cmath
 import math
+import pickle
+import re
 import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swanson import (ModelParams, RegionLabel, classify, derive, discrete_states, ep_states,
-                     surface_grid)
+from swanson import (ModelParams, RegionLabel, SurfaceRow, classify, cli, derive, discrete_states,
+                     ep_states, surface_grid)
 from swanson.core import DEFAULT_TOL
 
 finite_coupling = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -212,6 +214,31 @@ def test_surface_grid_matches_scalar_property(half_range, n, tol):
 def test_surface_grid_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
         surface_grid(*args)
+
+
+@pytest.mark.parametrize("n,message", [
+    ("3", "n must be an integer, got '3'"),
+    (1, "n must be at least 2, got 1"),
+], ids=["str", "one"])
+def test_surface_grid_refuses_a_grid_size_outside_its_domain(n, message):
+    # a non-integer n raised a bare TypeError from range; floats, negatives and the top
+    # are rows of the index table in test_strata
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        surface_grid(2.0, n)
+
+
+def test_surface_rows_are_immutable_records(tmp_path):
+    out = tmp_path / "surface.csv"
+    assert cli.main(["surface", "--range", "2", "--n", "3", "--format", "csv", "-o", str(out)]) == 0
+    assert SurfaceRow._fields == tuple(out.read_text().splitlines()[0].split(","))
+    row = surface_grid(2.0, 3)[4]
+    assert (row.alpha_over_omega, row.beta_over_omega, row.mass) == (0.0, 0.0, 1.0)
+    with pytest.raises(AttributeError):
+        row.mass = 2.0
+    with pytest.raises(AttributeError):
+        row.extra = 2.0
+    copy = pickle.loads(pickle.dumps(row))
+    assert type(copy) is SurfaceRow and copy == row
 
 
 @pytest.mark.parametrize("params,label", [

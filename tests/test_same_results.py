@@ -36,3 +36,6 @@ def test_the_comparison_sees_signed_zeros_dtypes_and_messages():
     # absolute and relative to the larger magnitude; None where the results do not line up
     assert harness._change(np.array([1.0, 2.0]), np.array([1.0, 2.5])) == (0.5, 0.2)
     assert harness._change(np.zeros(2), np.zeros(3)) == (None, None)
+    # equal infinities and NaNs are no change; an infinity against a number is
+    assert harness._change(np.array([np.inf, np.nan]), np.array([np.inf, np.nan])) == (0.0, 0.0)
+    assert harness._change(np.array([np.inf]), np.array([1.0]))[0] == np.inf

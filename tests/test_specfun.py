@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -195,6 +196,27 @@ def test_weber_rejects_nonfinite_inputs_up_front(nu, z, name):
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("order,message", [
+    ("3", "order must be an integer, got '3'"),
+    (0, "order must be at least 1, got 0"),
+], ids=["str", "zero"])
+def test_rule_order_outside_its_domain_is_refused_by_name(order, message):
+    # a non-integer order passed the range test and numpy's hermgauss raised a bare TypeError;
+    # floats, negatives and the top are rows of the index table in test_strata
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gauss_hermite(order)
+
+
+@pytest.mark.parametrize("cached,order", [(3, 3.0), (np.int64(3), np.float64(3.0))],
+                         ids=["float", "np.float64"])
+def test_a_float_order_is_refused_even_when_its_integer_rule_is_cached(cached, order):
+    # np.float64(3.0) and np.int64(3) make equal keys of an untyped cache, which then
+    # handed back the rule of order 3
+    assert gauss_hermite(cached).order == 3
+    with pytest.raises(ValueError, match="^order must be an integer, got "):
+        gauss_hermite(order)
+
 
 def test_rule_n1():
     rule = gauss_hermite(1)

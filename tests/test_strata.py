@@ -19,6 +19,7 @@ from swanson import (
     GaussPoly,
     ObservableKind,
     RegionError,
+    continuum,
     continuum_norm_constant,
     continuum_state,
     core,
@@ -39,6 +40,7 @@ from swanson import (
     resonant_expansion,
     specfun,
     stripped_discrete_function,
+    surface_grid,
     sweep_to_boundary_i_iii,
     sweep_to_ep,
 )
@@ -299,6 +301,8 @@ INDEXED = [
     ("hermite", lambda n: specfun.hermite(n, GRID), "n", None, "", None),
     ("hermite_rows", lambda n: specfun.hermite_rows(n, GRID), "n", None, "", None),
     ("hermite_coefficients", specfun.hermite_coefficients, "n", None, "", None),
+    ("surface_grid", lambda n: surface_grid(2.0, n), "n", 1001, "", (0, 0)),
+    ("gauss_hermite", specfun.gauss_hermite, "order", 500, "", (0, 0)),
 ]
 # evolve_sector's index is the length of a sequence, never a non-integer or negative
 TYPED = [row for row in INDEXED if row[0] != "evolve_sector"]
@@ -340,6 +344,26 @@ def test_pole_scan_keeps_its_sample_count_floor():
         pole_scan(P2, 3, 1)
 
 
+@pytest.mark.parametrize("n_scan,samples_per_unit", [(4999, 201), (5000, 200), (99999, 200)])
+def test_pole_scan_refuses_a_sample_count_past_its_top_before_classify(calls, n_scan,
+                                                                       samples_per_unit):
+    # each sample costs about 264 bytes at peak: n_scan 10^5 asked for about 5 GB
+    calls.clear()
+    count = samples_per_unit * (n_scan + 1)
+    with pytest.raises(ValueError, match=rf"^samples_per_unit \* \(n_scan \+ 1\) must be at most "
+                                         rf"1000000, got {samples_per_unit} \* {n_scan + 1} = {count}$"):
+        pole_scan(P2, n_scan, samples_per_unit)
+    assert (calls["classify"], calls["derive"]) == (0, 0)
+
+
+def test_pole_scan_serves_its_sample_top_itself(monkeypatch):
+    # the top is inclusive; a smaller top keeps the check quick and small
+    monkeypatch.setattr(continuum, "_POLE_SCAN_SAMPLES_MAX", 800)
+    assert len(pole_scan(P2, 3, 200).energies_imag) == 800
+    with pytest.raises(ValueError, match="must be at most 800, got 201 \\* 4 = 804$"):
+        pole_scan(P2, 3, 201)
+
+
 @pytest.mark.parametrize("call", [
     lambda: discrete_states(P1, 300),
     lambda: discrete_states(P2, 300),
@@ -374,9 +398,9 @@ def test_numpy_integer_indices_give_bit_equal_results(name, call, arg, top, wher
 
 
 def test_the_index_table_covers_every_entry_point_that_takes_an_index():
-    # matrix_element keeps its own typed check of two indices; surface_grid's n is a grid
-    # size and gauss_hermite's a rule order, neither a ladder index
-    others = {"matrix_element", "surface_grid", "gauss_hermite"}
+    # matrix_element keeps its own typed check of two indices; surface_grid's grid side n
+    # and gauss_hermite's rule order pass the one guard too, as rows of the table
+    others = {"matrix_element"}
     modules = [mod for name, mod in sys.modules.items() if name.startswith("swanson.")]
     takes_index = {name for mod in [swanson, *modules] for name, fn in vars(mod).items()
                    if inspect.isfunction(fn) and not name.startswith("_")

@@ -97,6 +97,12 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
         add(f"derive[{key}]", S.derive, p)
     add("classify[tol=nan]", S.classify, pts["I"], math.nan)
     add("surface_grid[3,5]", S.surface_grid, 3.0, 5)
+    for tol in (1e-12, 1e-2):
+        add(f"surface_grid[2,201,{tol:g}]", S.surface_grid, 2.0, 201, tol)
+    add("surface_grid[1e300,40]", S.surface_grid, 1e300, 40)
+    add("surface_grid[2,9,0.3]", S.surface_grid, 2.0, 9, 0.3)
+    for n in (2.5, "3", 1, 1002):
+        add(f"surface_grid[n {n!r}]", S.surface_grid, 2.0, n)
     add("ModelParams[b0=0]", M, 1.0, 0.2, 0.1, 0.0)
 
     # discrete states, evaluation, the Hamiltonian
@@ -224,6 +230,8 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
         add(f"pole_scan[{key},3]", S.pole_scan, pts[key], 3)
         add(f"pole_scan[{key},10,201]", S.pole_scan, pts[key], 10, 201)
     add("pole_scan[-1]", S.pole_scan, pts["II"], -1)
+    # one sample past the top: a tree without the top scans them, about 265 MB at peak
+    add("pole_scan[4999,201]", S.pole_scan, pts["II"], 4999, 201)
 
     # the Weber function: random points of the order box, and grids on the rays
     rng = np.random.default_rng(20)
@@ -245,6 +253,9 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("log_gamma", S.log_gamma, np.array([0.5 - 3.0j, 2.5, -1.5 + 0.1j]))
     add("log_gamma[pole]", S.log_gamma, -2.0)
     add("gauss_hermite[40]", S.gauss_hermite, 40)
+    # np.float64(40.0) right after np.int64(40), an equal key of an untyped cache
+    for order in (np.int64(40), np.float64(40.0), 2.5, 0, 501):
+        add(f"gauss_hermite[{order!r}]", S.gauss_hermite, order)
     add("hermite_rows[12]", S.specfun.hermite_rows, 12, grid)
     for n in (0, 1, 7):
         add(f"hermite[{n}]", S.hermite, n, grid + 0.5j)
@@ -378,8 +389,8 @@ def _change(new, old) -> tuple[float | None, float | None]:
         diff = np.abs(x - y)
         scale = np.maximum(np.abs(x), np.abs(y))
         rel = np.where(diff > 0.0, diff / scale, 0.0)
-    both_nan = np.isnan(x) & np.isnan(y)
-    diff, rel = np.where(both_nan, 0.0, diff), np.where(both_nan, 0.0, rel)
+    same = (x == y) | (np.isnan(x) & np.isnan(y))     # equal infinities differ by NaN
+    diff, rel = np.where(same, 0.0, diff), np.where(same, 0.0, rel)
     return float(np.max(diff)), float(np.max(rel))
 
 
