@@ -18,16 +18,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import continuum, core, dynamics, ep_analysis, pairing
+# the rest of the library, and numpy, load in the commands that use them
+from . import core
 from .core import ModelParams
-from .eigensystems import (
-    discrete_states,
-    ep_states,
-    evaluate,
-    free_particle_states,
-)
 from .errors import NonConvergentError, RegionError, SwansonError
 
 SCHEMA = 1
@@ -50,21 +43,27 @@ def _resolve_output(path: str | None) -> str | None:
     return path
 
 
-def _write_text(path: str | None, text: str, what: str) -> None:
+def _write_text(path: str | None, text, what: str) -> None:
+    """text, one str or an iterable of them written in turn, to path or to stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     path = _resolve_output(path)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         print(f"wrote {what} to {path}")
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
+def _csv_lines(header: list[str], rows):
+    """The lines of the CSV table, one at a time, each ending in a newline."""
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join(_fmt(v, field) for field, v in zip(header, row)))
-    return "\n".join(lines) + "\n"
+        yield ",".join(_fmt(v, field) for field, v in zip(header, row)) + "\n"
+
+
+def _csv(header: list[str], rows) -> str:
+    return "".join(_csv_lines(header, rows))
 
 
 def _nonfinite_field(obj, path: str = "") -> str | None:
@@ -197,13 +196,18 @@ def _cmd_derive(args) -> int:
 def _cmd_surface(args) -> int:
     rows = core.surface_grid(args.range, args.n)
     if args.format == "csv":
-        body = _csv(
+        # the text is streamed (a 1001 x 1001 grid is 76 MB), so the error _fmt would raise
+        # comes first, before any byte: surface_grid refuses a non-finite coordinate itself
+        isfinite = math.isfinite
+        for r in rows:
+            if not (isfinite(r.omega_sq) and (r.mass is None or isfinite(r.mass))):
+                _fmt(r.omega_sq, "omega_sq")
+                _fmt(r.mass, "mass")
+        body = _csv_lines(
             ["alpha_over_omega", "beta_over_omega", "omega_sq", "mass", "region"],
-            (
-                (r.alpha_over_omega, r.beta_over_omega, r.omega_sq,
-                 "" if r.mass is None else r.mass, r.region.value)
-                for r in rows
-            ),
+            ((r.alpha_over_omega, r.beta_over_omega, r.omega_sq,
+              "" if r.mass is None else r.mass, r.region.value)
+             for r in rows),
         )
     else:
         body = _json_text({"rows": [
@@ -216,7 +220,9 @@ def _cmd_surface(args) -> int:
     return 0
 
 
-def _grid(args) -> np.ndarray:
+def _grid(args):
+    import numpy as np
+
     grid_max = _finite(args.grid_max, "--grid-max")
     return np.linspace(-grid_max, grid_max, _count(args.grid_points, "--grid-points"))
 
@@ -253,6 +259,9 @@ def _cmd_states(args) -> int:
     _select_mode(args, _STATES_MODES)
     p = _params(args)
     if args.continuum_energy is not None:
+        from . import continuum
+        from .eigensystems import evaluate
+
         state = continuum.continuum_state(p, args.continuum_energy, args.side, args.kind)
         x = _grid(args)
         vals = evaluate(state, x, p)
@@ -262,14 +271,18 @@ def _cmd_states(args) -> int:
         print(f"continuum state at E={args.continuum_energy:g}, side {args.side}, kind {args.kind}")
         return 0
     if args.ep is not None:
+        from .eigensystems import ep_states
+
         c0, c1, d0, d1 = args.ep
         spec = ep_states(p, c0, c1, d0, d1)
         body = _json_text({"states": [spec.to_dict()],
-                           "exponent_coefficient": float(np.real(spec.right_fn.gauss))})
+                           "exponent_coefficient": float(spec.right_fn.gauss.real)})
         _write_text(args.output, body, "exceptional-point state")
         print("E = 0 coalescent pair emitted")
         return 0
     if args.free_energy is not None:
+        from .eigensystems import free_particle_states
+
         spec = free_particle_states(p, args.free_energy, args.amp_plus, args.amp_minus)
         k = complex(spec.right_fn.k_wave)
         body = _json_text({"states": [spec.to_dict()], "k_re": k.real, "k_im": k.imag,
@@ -277,6 +290,8 @@ def _cmd_states(args) -> int:
         _write_text(args.output, body, "free-particle state")
         print(f"free-particle state, k = {k.real:g}{k.imag:+g}i")
         return 0
+
+    from .eigensystems import discrete_states
 
     states = discrete_states(p, args.nmax)
     records = [s.to_dict() for s in states]
@@ -292,6 +307,8 @@ def _cmd_states(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    from . import pairing
+
     p = _params(args)
     report = pairing.gram(p, args.nmax, args.which)
     if args.format == "json":
@@ -318,11 +335,17 @@ def _cmd_reconstruct(args) -> int:
     p = _params(args)
     label = core.classify(p)
     if args.sector is not None:
+        from . import continuum
+
         branch = "-" if args.sector == "minus" else "+"
         modes = [(complex(coeff), continuum.stripped_discrete_function(p, int(idx), branch))
                  for idx, coeff in (tok.split(":") for tok in args.modes.split(","))]
         coeffs, sup_error = continuum.resonant_expansion(p, modes, args.nmax, args.sector)
     else:
+        import numpy as np
+
+        from . import pairing
+
         center, width = _finite(args.center, "--center"), _finite(args.width, "--width")
         if width <= 0.0:
             raise ValueError(f"--width must be positive, got {width!r}")
@@ -339,6 +362,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_poles(args) -> int:
+    from . import continuum
+
     _select_mode(args, _POLES_MODES)
     p = _params(args)
     if args.probe_width is not None:
@@ -362,6 +387,8 @@ def _cmd_poles(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from . import dynamics
+
     p = _params(args)
     label = core.classify(p)
     barrier = label in core.BARRIER
@@ -376,6 +403,8 @@ def _cmd_evolve(args) -> int:
         _write_text(args.output, body, "sector evolution profile")
         print(f"{label.pretty()}: sector profile at t = {args.time:g}")
         return 0
+
+    import numpy as np
 
     coeffs = _complex_list(args.coeffs)
     state = dynamics.make_state(p, coeffs)
@@ -393,6 +422,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_ep_sweep(args) -> int:
+    from . import ep_analysis
+
     _select_mode(args, _EP_SWEEP_MODES, args.mode, f"with --mode {args.mode}")
     if args.mode == "boundary":
         report = ep_analysis.sweep_to_boundary_i_iii(
@@ -496,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("evolve", help="expectation-value or resonant-sector time evolution")
     _add_params(c)
     c.add_argument("--coeffs", help="state coefficients (Regions I/III)")
-    c.add_argument("--kind", choices=[k.value for k in dynamics.ObservableKind])
+    c.add_argument("--kind", choices=[k.value for k in core.ObservableKind])
     c.add_argument("--t-max", type=float)
     c.add_argument("--t-steps", type=int)
     c.add_argument("--minus-coeffs", help="growing-sector coefficients (II/IV)")

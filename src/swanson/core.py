@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import RegionError
 
 DEFAULT_TOL = 1e-12
@@ -49,6 +47,14 @@ class RegionLabel(Enum):
         if self.name.startswith("BOUNDARY"):
             return f"Boundary {self.value}"
         return "Corner degenerate"
+
+
+# the observables of swanson.dynamics, here so the command line reads them without numpy
+class ObservableKind(Enum):
+    X = "X"
+    P = "P"
+    X2 = "X2"
+    P2 = "P2"
 
 
 # the strata that entry points serve, for _require_stratum and membership tests
@@ -252,11 +258,18 @@ class SurfaceRow(NamedTuple):
 
 _new_row = functools.partial(tuple.__new__, SurfaceRow)   # a row from one 5-tuple, in C
 
-# the label of classify by the code 8*(not massive) + 4*on_omega + 2*(gap > 0) + (Omega^2 > 0)
-_SURFACE_LABELS = np.array(
-    [RegionLabel.REGION_IV, RegionLabel.REGION_III, RegionLabel.REGION_II, RegionLabel.REGION_I]
-    + [RegionLabel.BOUNDARY_III_IV] * 2 + [RegionLabel.BOUNDARY_I_II] * 2
-    + [RegionLabel.BOUNDARY_I_III] * 4 + [RegionLabel.CORNER_DEGENERATE] * 4, dtype=object)
+
+@functools.cache
+def _surface_labels():
+    """The label of classify by the code 8*(not massive) + 4*on_omega + 2*(gap > 0)
+    + (Omega^2 > 0), as an object array; built once, on the first surface_grid call,
+    so that importing core loads no numpy."""
+    import numpy as np
+
+    return np.array(
+        [RegionLabel.REGION_IV, RegionLabel.REGION_III, RegionLabel.REGION_II, RegionLabel.REGION_I]
+        + [RegionLabel.BOUNDARY_III_IV] * 2 + [RegionLabel.BOUNDARY_I_II] * 2
+        + [RegionLabel.BOUNDARY_I_III] * 4 + [RegionLabel.CORNER_DEGENERATE] * 4, dtype=object)
 
 
 def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[SurfaceRow]:
@@ -279,7 +292,9 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
         raise ValueError("half_range must be positive")
     if not tol > 0:     # also NaN
         raise ValueError("tol must be positive")
+    import numpy as np
 
+    labels = _surface_labels()
     coords = [-half_range + 2.0 * half_range * i / (n - 1) for i in range(n)]
     b = np.array(coords)
     if not np.all(np.isfinite(b)):
@@ -303,5 +318,5 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
             for i in np.flatnonzero(~massive).tolist():
                 mass[i] = None
             rows.extend(map(_new_row, zip(itertools.repeat(a), coords, (omega_sq * s * s).tolist(),
-                                          mass, _SURFACE_LABELS[code].tolist())))
+                                          mass, labels[code].tolist())))
     return rows

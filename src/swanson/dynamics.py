@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import BARRIER, REAL_SPECTRUM, ModelParams, RegionLabel, _require_index, _require_stratum, derive
+from .core import (BARRIER, REAL_SPECTRUM, ModelParams, ObservableKind, RegionLabel, _require_index,
+                   _require_stratum, derive)
 from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     _LADDER_MAX,
@@ -47,13 +47,6 @@ __all__ = [
     "metric_norm",
     "evolve_sector",
 ]
-
-
-class ObservableKind(Enum):
-    X = "X"
-    P = "P"
-    X2 = "X2"
-    P2 = "P2"
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,13 @@ def test_nonfinite_output_exits_one(tmp_path: Path, args, field):
     assert not out.exists()
 
 
+def test_nonfinite_surface_prints_no_csv():
+    # the CSV streams, so the whole grid is checked before its header goes out
+    cp = run_cli("surface", "--range", "1e300", "--n", "3")
+    assert cp.returncode == 1
+    assert cp.stdout == "" and "'omega_sq'" in cp.stderr
+
+
 @pytest.mark.parametrize("scale", [["--b0", "1e-170"], ["--hbar", "1e101"]])
 def test_length_and_action_scales_outside_the_band_exit_two(scale):
     # b0 = 1e-170 used to end in a ZeroDivisionError traceback from derive

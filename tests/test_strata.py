@@ -199,9 +199,15 @@ def test_each_entry_point_classifies_and_derives_once_a_point(calls, name, args,
     assert _counted(calls, lambda: getattr(swanson, name)(*args)) == counts
 
 
+def _public():
+    """(name, object) of every public name of the package, each imported if need be: the
+    names load on first use, so vars(swanson) holds only those used so far."""
+    return [(name, getattr(swanson, name)) for name in swanson.__all__]
+
+
 def test_the_count_table_covers_every_entry_point_that_takes_params():
-    takes_params = {name for name, fn in vars(swanson).items()
-                    if inspect.isfunction(fn) and not name.startswith("_")
+    takes_params = {name for name, fn in _public()
+                    if inspect.isfunction(fn)
                     and any(arg.annotation in ("ModelParams", core.ModelParams)
                             for arg in inspect.signature(fn).parameters.values())}
     assert takes_params
@@ -402,7 +408,8 @@ def test_the_index_table_covers_every_entry_point_that_takes_an_index():
     # and gauss_hermite's rule order pass the one guard too, as rows of the table
     others = {"matrix_element"}
     modules = [mod for name, mod in sys.modules.items() if name.startswith("swanson.")]
-    takes_index = {name for mod in [swanson, *modules] for name, fn in vars(mod).items()
+    named = _public() + [item for mod in modules for item in vars(mod).items()]
+    takes_index = {name for name, fn in named
                    if inspect.isfunction(fn) and not name.startswith("_")
                    and fn.__module__.startswith("swanson")
                    and {"n", "n_max", "n_scan"} & set(inspect.signature(fn).parameters)}

@@ -9,10 +9,12 @@ package as `swanson_new`, which then stands in for this tree. Each package
 imports itself by relative imports, so both import side by side in one
 process. One call table runs on both: the public entry points at points of
 every stratum, with the refused inputs among them, ladder indices outside
-their domain included.
+their domain included, and the README's command lines through `cli.main`.
 
 Values compare byte for byte, dtypes, shapes and signed zeros included; a
-refusal compares by error type and message. The script prints one JSON
+refusal compares by error type and message. A command line compares by its
+exit code, standard output and error, and the bytes of every file it writes
+into an empty $SWANSON_OUTDIR. The script prints one JSON
 summary: calls compared, calls equal, and for each call that differs its name
 and its largest absolute and relative change (relative to the larger of the
 two magnitudes; null where the two results do not line up), or, where either
@@ -40,6 +42,8 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "tests"))
+from readme_cases import readme_cases, run_case  # noqa: E402  (the README's examples)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,15 @@ def load_revision(rev: str, into: Path, name: str = "swanson_parent"):
 # ---------------------------------------------------------------------------
 # The call table
 # ---------------------------------------------------------------------------
+
+def run_command_line(cli, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr, {file name: bytes}) of cli.main(argv), run in an empty
+    $SWANSON_OUTDIR."""
+    with tempfile.TemporaryDirectory() as outdir:
+        result = run_case(cli.main, argv, Path(outdir))
+        files = {path.name: path.read_bytes() for path in sorted(Path(outdir).iterdir())}
+    return (*result, files)
+
 
 def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     """(name, thunk) per call, every object built from the package S itself: the classes of
@@ -319,6 +332,11 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     for n in (300, 301):    # a sector's last index is its coefficient count less one
         add(f"evolve_sector[{n + 1} coefficients]", S.evolve_sector, pts["II"], [], [1.0] * (n + 1),
             0.5, grid)
+
+    # the command line; imported by name, since a package need not import its cli itself
+    cli = importlib.import_module(f"{S.__name__}.cli")
+    for name, argv, _ in readme_cases():
+        add(f"cli[{name}]", run_command_line, cli, argv)
     return rows
 
 
@@ -346,7 +364,7 @@ def canonical(value):
         return ("ndarray", value.dtype.str, value.shape, np.ascontiguousarray(value).tobytes())
     if isinstance(value, enum.Enum):
         return ("enum", type(value).__name__, value.value)
-    if isinstance(value, (bool, int, str, type(None))):
+    if isinstance(value, (bool, int, str, bytes, type(None))):
         return (type(value).__name__, value)
     if isinstance(value, (float, complex, np.number)):
         return (type(value).__name__, np.asarray(value).tobytes())
