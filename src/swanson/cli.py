@@ -56,10 +56,19 @@ def _write_text(path: str | None, text, what: str) -> None:
 
 
 def _csv_lines(header: list[str], rows):
-    """The lines of the CSV table, one at a time, each ending in a newline."""
+    """The lines of the CSV table, one at a time, each ending in a newline, as _fmt writes
+    each value: a row is one % template for the types of its values.  A line that reads
+    inf or nan is written again through _fmt, which names a non-finite column."""
     yield ",".join(header) + "\n"
+    templates = {}
     for row in rows:
-        yield ",".join(_fmt(v, field) for field, v in zip(header, row)) + "\n"
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+        line = templates[kinds] % tuple(row)
+        if "inf" in line or "nan" in line:     # a non-finite float, or text that reads like one
+            line = ",".join(_fmt(v, field) for field, v in zip(header, row)) + "\n"
+        yield line
 
 
 def _csv(header: list[str], rows) -> str:

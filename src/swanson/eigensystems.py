@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -145,24 +146,35 @@ def _terms(fs: list[GeneralizedFunction]) -> tuple[np.ndarray, complex | None, n
     """Each f in fs as terms exp(drift_r x) sum_k coeffs[r, k] p_k(x) times its Gaussian:
     (coeffs with the norm folded in, the basis scale as in GaussPoly, the drifts, the
     first row of each f).  A GaussPoly is one term with drift 0, a PlaneWaveGauss two
-    constant monomial terms with drifts +-i k_wave; TypeError for other variants or bases."""
-    rows, drift, first = [], [], []
+    constant monomial terms with drifts +-i k_wave; TypeError for other variants or bases.
+    The coefficients of all terms are read as one array, each polynomial's times its norm."""
+    rows, norms, drift, first, waves = [], [], [], [], []
     for f in fs:
         first.append(len(rows))
         if isinstance(f, GaussPoly):
-            rows.append(f.norm * np.asarray(f.coeffs, dtype=complex))
+            rows.append(f.coeffs)
+            norms.append(f.norm)
             drift.append(0.0)
         elif isinstance(f, PlaneWaveGauss):
-            rows += [[f.amp_plus], [f.amp_minus]]
+            waves += [len(rows), len(rows) + 1]
+            rows += [(f.amp_plus,), (f.amp_minus,)]
+            norms += [1.0, 1.0]
             drift += [1j * f.k_wave, -1j * f.k_wave]
         else:
             raise TypeError(f"{type(f).__name__} is not a Gaussian times a polynomial or plane wave")
     scales = {getattr(f, "scale", None) for f in fs}     # a plane wave's basis is the monomials
     if len(scales) > 1:
         raise TypeError("functions of one term matrix must share their polynomial basis")
-    coeffs = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
-    for out, row in zip(coeffs, rows):
-        out[: len(row)] = row
+    lengths, norms = [len(row) for row in rows], np.array(norms, dtype=complex)
+    values = np.fromiter(itertools.chain.from_iterable(rows), dtype=complex, count=sum(lengths))
+    width = max(lengths)
+    if len(values) == len(rows) * width:    # rows of one length: the values are the matrix
+        coeffs = values.reshape(len(rows), width) * norms[:, None]
+    else:       # row r takes its lengths[r] values, each times its norm, zeros after them
+        coeffs = np.zeros((len(rows), width), dtype=complex)
+        coeffs[np.arange(width) < np.array(lengths)[:, None]] = values * np.repeat(norms, lengths)
+    if waves:       # each amplitude as given: a product with 1 can flip a signed zero or make a NaN
+        coeffs[waves, 0] = [rows[r][0] for r in waves]
     return coeffs, scales.pop(), np.array(drift, dtype=complex), first
 
 
@@ -207,13 +219,18 @@ def _superpose(weights, fs: list[GaussPoly]) -> GaussPoly:
     return GaussPoly(fs[0].gauss, tuple((np.asarray(weights, dtype=complex) @ coeffs).tolist()), 1.0, scale)
 
 
-def _stripped(fs: list[GeneralizedFunction], x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """f(x) with its Gaussian factor exp(gauss x^2/(2 b0^2)) removed, one row per f in fs:
-    the term matrix times one set of basis rows, each term times exp(drift x), the
-    terms of each f summed.  The pairing kernel samples a whole side this way."""
-    coeffs, scale, drift, first = _terms(fs)
-    values = np.tensordot(coeffs, _basis_rows(scale, x, params, coeffs.shape[1] - 1), axes=1)
-    if len(coeffs) == len(fs):      # one term each, all of drift 0: the rows are the values
+def _stripped(terms: tuple, x: np.ndarray, params: ModelParams,
+              rows: np.ndarray | None = None) -> np.ndarray:
+    """f(x) with its Gaussian factor exp(gauss x^2/(2 b0^2)) removed, one row per f of the
+    term data terms (as _terms returns it): the term matrix times the basis rows at x,
+    each term times exp(drift x), the terms of each f summed.  rows may hold the basis
+    rows of the terms' scale at x to at least their degree; otherwise they are sampled
+    here.  The pairing kernel samples a whole side this way."""
+    coeffs, scale, drift, first = terms
+    if rows is None:
+        rows = _basis_rows(scale, x, params, coeffs.shape[1] - 1)
+    values = np.tensordot(coeffs, rows[: coeffs.shape[1]], axes=1)
+    if len(coeffs) == len(first):   # one term each, all of drift 0: the rows are the values
         return values
     return np.add.reduceat(values * np.exp(np.multiply.outer(drift, x)), first)
 

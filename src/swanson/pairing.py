@@ -23,8 +23,10 @@ block, a reconstruction or a resonant-expansion column shares one combined
 exponent, so the block takes one strategy, one contour angle, one rule and
 one weighted matrix product; a single pairing is the 1 x 1 case.  A side of
 smooth closed forms with one basis is its term matrix times the basis rows
-(normalized Hermite polynomials or monomials) sampled once at the nodes, so
-no state re-runs a recurrence.
+(normalized Hermite polynomials or monomials) sampled at the nodes, so no
+state re-runs a recurrence.  The left side is read once and conjugated as
+term data, and when conj of its basis scale is the right side's, as in every
+Regions I-IV right-left and metric block, one set of basis rows serves both.
 """
 
 from __future__ import annotations
@@ -43,12 +45,14 @@ from .eigensystems import (
     DeltaDeriv,
     GaussPoly,
     GeneralizedFunction,
+    _basis_rows,
     _inverse_sqrt_factorial,
     _ladder,
     _ladder_stratum,
     _stripped,
     _superpose,
     _taylor_rows,
+    _terms,
     conjugate_function,
     evaluate,
 )
@@ -156,11 +160,14 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     combined exponent: one strategy, one contour angle and one Gauss-Hermite
     rule (order 4 * highest degree + 40 unless the strategy names one), and
     one weighted product of the stripped closed forms sampled at the shared
-    nodes; a side is its term matrix (eigensystems._terms) times one set of
-    basis rows.  rights may instead be a callable of
-    real x with no Gaussian factor, sampled at the real nodes; it needs a
-    DirectGaussHermite strategy.
-    Blocks with delta-derivative functionals are paired in closed form.
+    nodes; a side is its term matrix (eigensystems._terms) times its basis
+    rows.  The left side's term data are conjugated as arrays (the basis
+    polynomials have real coefficients), and where the two sides then share a
+    basis scale its rows are sampled once, to the higher degree.  rights may
+    instead be a callable of real x with no Gaussian factor, sampled at the real
+    nodes; it needs a DirectGaussHermite strategy.
+    Blocks with delta-derivative functionals are paired in closed form, on
+    conjugated functions.
     Every block is checked here: NonConvergentError names the rule of a non-finite one.
     """
     sampled = callable(rights)
@@ -169,11 +176,11 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
         raise NonConvergentError(
             "continuum states are delta-normalized distributions; use "
             "continuum.delta_normalization_probe for their pairings")
-    lefts_conj = [conjugate_function(f) for f in lefts]
     rule_sound = True
     if strategy is None:
         strategy = _default_strategy(lefts, rights, params)
     if isinstance(strategy, DistributionalExact):
+        lefts_conj = [conjugate_function(f) for f in lefts]
         if all(isinstance(f, DeltaDeriv) for f in lefts_conj):
             block = _delta_block(lefts_conj, rights, params).T
         else:
@@ -192,9 +199,19 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
         x = np.exp(1j * theta) * t / s
         # residual oscillation left after absorbing exp(-t^2): exp(i t^2 Im(a_rot)/s^2)
         residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
-        left_rows = _stripped(lefts_conj, x, params)
-        right_rows = (np.asarray(rights(t / s), dtype=complex)[None, :] if sampled
-                      else _stripped(rights, x, params))
+        # conj p_k(x) is p_k at the conjugate scale
+        coeffs, scale, drift, first = _terms(lefts)
+        left = (coeffs.conj(), None if scale is None else scale.conjugate(), drift.conj(), first)
+        if sampled:
+            left_rows = _stripped(left, x, params)
+            right_rows = np.asarray(rights(t / s), dtype=complex)[None, :]
+        else:
+            right = _terms(rights)
+            rows = None
+            if left[1] == right[1]:     # one basis: sampled once, to the higher degree
+                degree = max(coeffs.shape[1], right[0].shape[1]) - 1
+                rows = _basis_rows(right[1], x, params, degree)
+            left_rows, right_rows = _stripped(left, x, params, rows), _stripped(right, x, params, rows)
         block = (left_rows * (quadrature.weights * residual)) @ right_rows.T * (np.exp(1j * theta) / s)
         kind, order = "Gauss-Hermite", strategy.order
         # the weights sum to sqrt(pi); numpy's hermgauss gives all 0.0 at order 371, NaN from 372

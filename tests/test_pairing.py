@@ -13,6 +13,7 @@ from swanson import (
     GaussPoly,
     ModelParams,
     NonConvergentError,
+    PlaneWaveGauss,
     RegionError,
     RotatedContour,
     discrete_states,
@@ -179,6 +180,156 @@ def test_pair_block_rejects_mixed_exponents():
         _pair_block(mixed, mixed[:1], p)
     with pytest.raises(ValueError):
         _pair_block(mixed[:1], mixed, p)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's work, and its blocks against the reference algorithm: each left
+# conjugated as a function, each side sampled in its own basis, and the term
+# matrix read one function at a time
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the basis samplings (hermite_rows) and function conjugations the
+    library makes, spied where they are defined and where they are called."""
+    import swanson.eigensystems as eigensystems_module
+    import swanson.pairing as pairing_module
+    import swanson.specfun as specfun_module
+
+    calls = {"hermite_rows": 0, "conjugate_function": 0}
+    for name, modules in (("hermite_rows", (specfun_module, eigensystems_module)),
+                          ("conjugate_function", (eigensystems_module, pairing_module))):
+        def counting(*args, _real=getattr(modules[0], name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, blocks", [(pts.REGION_I_POINTS[0], 1), (pts.REGION_III_POINTS[0], 1),
+                                       (pts.REGION_II_POINT, 2), (pts.REGION_IV_POINT, 2)])
+def test_a_right_left_block_samples_one_basis_and_conjugates_no_function(kernel_calls, p, blocks):
+    gram(p, 12)
+    assert kernel_calls == {"hermite_rows": blocks, "conjugate_function": 0}
+
+
+@pytest.mark.parametrize("p", [pts.REGION_I_POINTS[0], pts.REGION_III_POINTS[0]])
+def test_a_metric_block_samples_one_basis_and_conjugates_no_function(kernel_calls, p):
+    gram(p, 12, "metric")
+    assert kernel_calls == {"hermite_rows": 1, "conjugate_function": 0}
+
+
+def test_reconstruct_samples_one_basis_for_its_block(kernel_calls):
+    p = pts.REGION_I_POINTS[0]
+    target = discrete_states(p, 3)[3].right_fn      # a right state: the duals' basis
+    reconstruct(p, target, 12)
+    # one for the block, two for the target and the reconstruction on the check grid
+    assert kernel_calls == {"hermite_rows": 3, "conjugate_function": 0}
+
+
+def test_a_delta_block_conjugates_its_left_functions(kernel_calls):
+    gram(pts.BOUNDARY_I_III_POINT, 6)       # two branch blocks of 7 closed-form pairings
+    assert kernel_calls == {"hermite_rows": 0, "conjugate_function": 2 * 7}
+
+
+def _reference_terms(fs):
+    rows, drift, first = [], [], []
+    for f in fs:
+        first.append(len(rows))
+        if isinstance(f, GaussPoly):
+            rows.append(f.norm * np.asarray(f.coeffs, dtype=complex))
+            drift.append(0.0)
+        else:
+            rows += [[f.amp_plus], [f.amp_minus]]
+            drift += [1j * f.k_wave, -1j * f.k_wave]
+    coeffs = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
+    for out, row in zip(coeffs, rows):
+        out[: len(row)] = row
+    return coeffs, {getattr(f, "scale", None) for f in fs}.pop(), np.array(drift, dtype=complex), first
+
+
+def _reference_stripped(fs, x, params):
+    from swanson.eigensystems import _basis_rows
+
+    coeffs, scale, drift, first = _reference_terms(fs)
+    values = np.tensordot(coeffs, _basis_rows(scale, x, params, coeffs.shape[1] - 1), axes=1)
+    if len(coeffs) == len(fs):
+        return values
+    return np.add.reduceat(values * np.exp(np.multiply.outer(drift, x)), first)
+
+
+def _reference_block(lefts, rights, params):
+    from swanson.eigensystems import conjugate_function
+    from swanson.pairing import _combined_exponent, _default_strategy
+
+    strategy = _default_strategy(lefts, rights, params)
+    a_rot = _combined_exponent(lefts, rights, params) * np.exp(2j * strategy.theta)
+    s = math.sqrt(-a_rot.real)
+    quadrature = gauss_hermite(strategy.order)
+    t = quadrature.nodes
+    x = np.exp(1j * strategy.theta) * t / s
+    residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
+    left_rows = _reference_stripped([conjugate_function(f) for f in lefts], x, params)
+    right_rows = _reference_stripped(rights, x, params)
+    return (left_rows * (quadrature.weights * residual)) @ right_rows.T * (np.exp(1j * strategy.theta) / s)
+
+
+def _ladder_blocks(p, n_max):
+    from swanson.core import derive
+    from swanson.pairing import _metric_dressed
+
+    states = discrete_states(p, n_max)
+    blocks = [([s.left_fn for s in states if s.branch == branch],
+               [s.right_fn for s in states if s.branch == branch])
+              for branch in dict.fromkeys(s.branch for s in states)]
+    if p in pts.REGION_I_POINTS + pts.REGION_III_POINTS:
+        rights = blocks[0][1]
+        blocks.append((_metric_dressed(rights, derive(p).upsilon_coeff), rights))
+    return blocks
+
+
+_GAUSSIAN = GaussPoly(gauss=-2.0, coeffs=(1.0,), norm=1.0)
+_WAVES = [PlaneWaveGauss(-1.0, 1.5, 0.5, 0.25j), PlaneWaveGauss(-1.0, 0.8j, complex(-0.0, -1.0), -0.0)]
+
+
+@pytest.mark.parametrize("n_max", [8, 40])
+@pytest.mark.parametrize("p", [pts.REGION_I_POINTS[0], pts.REGION_I_POINTS[1], pts.REGION_III_POINTS[0],
+                               pts.REGION_II_POINT, pts.REGION_IV_POINT])
+def test_kernel_blocks_equal_the_reference_byte_for_byte(p, n_max):
+    from swanson.pairing import _pair_block
+
+    for lefts, rights in _ladder_blocks(p, n_max):
+        assert _pair_block(lefts, rights, p).tobytes() == _reference_block(lefts, rights, p).tobytes()
+
+
+def test_kernel_blocks_of_two_bases_and_plane_waves_equal_the_reference_byte_for_byte():
+    from swanson.pairing import _pair_block
+
+    p = pts.REGION_I_POINTS[0]
+    left = discrete_states(p, 3)[3].left_fn
+    other = GaussPoly(gauss=-1.5, coeffs=(0.2, 0.0, -1.0j), norm=0.9, scale=1.3)
+    for lefts, rights in [([left], [other]), ([left], [_GAUSSIAN]), ([other], [left]),
+                          (_WAVES, [_GAUSSIAN]), ([_GAUSSIAN], _WAVES), (_WAVES[:1], _WAVES)]:
+        assert _pair_block(lefts, rights, p).tobytes() == _reference_block(lefts, rights, p).tobytes()
+
+
+@pytest.mark.parametrize("fs", [
+    [GaussPoly(-1.0, (1.0, -0.0, 2.5j), 0.7, 1.3),
+     GaussPoly(-1.0, (complex(-0.0, -1.0),), -0.3 + 0.2j, 1.3),
+     GaussPoly(-1.0, (0, 1, -2, 0.5, complex(1e-300, -0.0)), np.complex128(0.4 - 0.0j), 1.3),
+     GaussPoly(-1.0, (), -1.0, 1.3)],
+    [GaussPoly(-1.0, (-0.5, 0.25), -0.7), *_WAVES, GaussPoly(-1.0, (2.0,), np.float64(-0.0))],
+    [*_WAVES, GaussPoly(-1.0, (complex(-0.0, 2.0),), -0.3 + 0.2j)],
+    _WAVES,
+])
+def test_terms_equal_the_reference_byte_for_byte(fs):
+    from swanson.eigensystems import _terms
+
+    (coeffs, scale, drift, first), (ref_coeffs, ref_scale, ref_drift, ref_first) = _terms(fs), _reference_terms(fs)
+    assert coeffs.tobytes() == ref_coeffs.tobytes() and coeffs.shape == ref_coeffs.shape
+    assert drift.tobytes() == ref_drift.tobytes()
+    assert (scale, first) == (ref_scale, ref_first)
 
 
 @pytest.mark.parametrize("p", pts.REGION_I_POINTS + pts.REGION_III_POINTS)

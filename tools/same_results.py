@@ -141,6 +141,20 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("pair", S.pair, gaussian, shifted, pts["I"])
     add("metric_pair", S.metric_pair, gaussian, shifted, pts["I"])
     add("pair[no decay]", S.pair, S.GaussPoly(1.0, (1.0,), 1.0), gaussian, pts["I"])
+    # sides of two bases, each sampled in its own; decaying plane waves, their drifts
+    # conjugated on the left
+    other_scale = S.GaussPoly(gauss=-1.5, coeffs=(0.2, 0.0, -1.0j), norm=0.9, scale=1.3)
+    waves = {"wave": S.PlaneWaveGauss(-1.0, 1.5, 0.5, 0.25j),
+             "evanescent": S.PlaneWaveGauss(-1.0, 0.8j, complex(-0.0, -1.0), -0.0)}
+    for key in ("I", "III", "II"):
+        rows.append((f"pair[{key} left,other scale]", lambda p=pts[key]: S.pair(
+            S.discrete_states(p, 2)[-1].left_fn, other_scale, p)))
+        rows.append((f"pair[other scale,{key} right]", lambda p=pts[key]: S.pair(
+            other_scale, S.discrete_states(p, 2)[-1].right_fn, p)))
+    for what, wave in waves.items():
+        add(f"pair[{what},gaussian]", S.pair, wave, gaussian, pts["I"])
+        add(f"pair[gaussian,{what}]", S.pair, gaussian, wave, pts["I"])
+        add(f"pair[{what},other scale]", S.pair, wave, other_scale, pts["I"])
     for key in laddered:
         for n_max in (0, 8, 40):
             add(f"gram[{key},{n_max}]", S.gram, pts[key], n_max)
