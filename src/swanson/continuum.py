@@ -27,7 +27,8 @@ import numpy as np
 
 from .core import BARRIER, ModelParams, RegionLabel, _require_index, _require_stratum, derive
 from .errors import NonConvergentError
-from .eigensystems import _LADDER_MAX, CylinderState, EigenstateSpec, GaussPoly, _finite, _ladder
+from .eigensystems import (_LADDER_MAX, CylinderState, EigenstateSpec, GaussPoly,
+                           GeneralizedFunction, _finite, _ladder)
 from .pairing import _PAIRED_DEGREE_MAX, _default_strategy, _expand
 from .specfun import _gauss_legendre, _log_gamma_lanczos, log_gamma, parabolic_cylinder_d
 
@@ -177,18 +178,27 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
 
     sector 'minus' expands over phi_n^- with coefficients <phi_n^+ | target>
     (rotated-contour pairings against the opposite branch); 'plus' is the
-    mirror.  target is a stripped GeneralizedFunction or a list of
-    (coefficient, function) pairs.  Returns (coefficients, sup-norm residual
-    of the truncated reconstruction on 201 points over +-6 b0).  Targets outside the
-    sector's decay class make the coefficient integrals divergent, which
-    raises NonConvergentError; n_max is at most 115.
+    mirror.  target is a stripped GeneralizedFunction or a non-empty list of
+    (coefficient, function) pairs, else TypeError before any pairing.  Returns
+    (coefficients, sup-norm residual of the truncated reconstruction on 201
+    points over +-6 b0).  Targets outside the sector's decay class make the
+    coefficient integrals divergent, which raises NonConvergentError; n_max is
+    at most 115.
     """
     n_max = _require_index(n_max, "n_max", _PAIRED_DEGREE_MAX)
     label = _require_stratum(params, BARRIER, "resonant_expansion")
     if sector not in ("minus", "plus"):
         raise ValueError("sector must be 'minus' or 'plus'")
-    pieces = ([(complex(c), f) for c, f in target] if isinstance(target, (list, tuple))
-              else [(1.0 + 0.0j, target)])
+    try:
+        pieces = ([(complex(c), f) for c, f in target] if isinstance(target, (list, tuple))
+                  else [(1.0 + 0.0j, target)])
+    except (TypeError, ValueError):     # an entry that is not a (coefficient, function) pair
+        pieces = []
+    if not pieces or not all(isinstance(f, GeneralizedFunction) for _, f in pieces):
+        given = type(target).__name__ if callable(target) else repr(target)
+        raise TypeError("resonant_expansion: target must be a closed form or a non-empty list of "
+                        "(coefficient, closed form) pairs; a callable of real x cannot be sampled "
+                        f"on the rotated contour, got {given}")
     ladder = _stripped_ladder(label, params, range(n_max + 1))
     plus, minus = [s.right_fn for s in ladder], [s.left_fn for s in ladder]
     duals, basis = (plus, minus) if sector == "minus" else (minus, plus)
@@ -270,7 +280,7 @@ _PROBE_ENERGIES = 48       # Gauss-Legendre nodes over the window center +- 6 wi
 
 
 def delta_normalization_probe(params: ModelParams, e0: float, width: float,
-                              center: float | None = None, check_box: bool = False) -> complex:
+                              center: float | None = None) -> complex:
     """Windowed test of the continuum delta-normalization.
 
     Smears the dual pairings <psi_bar^{E'} | phi_tilde^{E0}> against a
@@ -284,11 +294,10 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
     x-integral is split at |u| = 10 (reduced units): the interior in closed
     form, as a difference of Weber-equation Wronskians at the two ends, the
     tails by their closed-form Mellin kernels (principal value plus delta
-    part), exact in the smeared limit.  check_box=True re-runs at 1.5 times
-    the box and raises NonConvergentError if the two disagree by more than
-    2e-2.  ValueError for a non-finite e0, width or center, for E0 on an edge
-    of the window, where the value diverges, and for E0 within 1e-6 widths of
-    an energy node, where the principal-value quotients lose their digits.
+    part), exact in the smeared limit.  ValueError for a non-finite e0, width
+    or center, for E0 on an edge of the window, where the value diverges, and
+    for E0 within 1e-6 widths of an energy node, where the principal-value
+    quotients lose their digits.
     """
     for name, value in (("e0", e0), ("width", width), ("center", center)):
         if value is not None and not math.isfinite(value):
@@ -300,14 +309,6 @@ def delta_normalization_probe(params: ModelParams, e0: float, width: float,
     if w <= 0:
         raise ValueError("width must be positive")
     cen = eps0 if center is None else _reduced_energy(center, scale, label)
-
-    if check_box:
-        a, b = (_probe_value(eps0, w, cen, f * _PROBE_BOX) for f in (1, 1.5))
-        if abs(a - b) > 2e-2:
-            raise NonConvergentError(
-                f"truncation box too small: probe values {a:.4f} vs {b:.4f} at boxes "
-                f"{_PROBE_BOX} and {1.5 * _PROBE_BOX}")
-        return b
     return _probe_value(eps0, w, cen, _PROBE_BOX)
 
 

@@ -128,6 +128,14 @@ class DerivedQuantities:
     tau_coeff: float | None
 
 
+def _gap(w, a, b):
+    """omega - (alpha + beta) on floats or arrays, the same bits for (a, b) and (b, a), and
+    rounded once where it cancels: a + b = s + e exactly (two-sum), and w - s is then exact."""
+    s = a + b
+    t = s - a
+    return (w - s) - ((a - (s - t)) + (b - t))
+
+
 def derive(params: ModelParams, tol: float = DEFAULT_TOL) -> DerivedQuantities:
     """Compute every derived scalar for a parameter point.
 
@@ -155,7 +163,7 @@ def derive(params: ModelParams, tol: float = DEFAULT_TOL) -> DerivedQuantities:
     omega_cap = cmath.sqrt(complex(omega_sq, 0.0))  # real or +i|Omega|
 
     # the comparisons of classify, inlined: a shared helper call would slow classify
-    gap = w - a - b
+    gap = _gap(w, a, b)
     if abs(gap) > tol * scale:
         m_eff = params.hbar / (gap * params.b0 ** 2)
         k_stiff = m_eff * omega_sq
@@ -194,7 +202,7 @@ def classify(params: ModelParams, tol: float = DEFAULT_TOL) -> RegionLabel:
         return classify(ModelParams(w / scale, a / scale, b / scale), tol)
 
     omega_sq = w * w - 4.0 * a * b
-    gap = w - a - b
+    gap = _gap(w, a, b)
 
     on_omega_boundary = abs(omega_sq) <= tol * scale * scale
     on_gap_boundary = abs(gap) <= tol * scale
@@ -211,11 +219,10 @@ def classify(params: ModelParams, tol: float = DEFAULT_TOL) -> RegionLabel:
     return RegionLabel.REGION_III if omega_sq > 0 else RegionLabel.REGION_IV
 
 
-def _require_stratum(where: ModelParams | RegionLabel, strata: tuple, what: str,
-                     tol: float = DEFAULT_TOL) -> RegionLabel:
-    """The label of where (classified with tol unless it is a label already), or
+def _require_stratum(where: ModelParams | RegionLabel, strata: tuple, what: str) -> RegionLabel:
+    """The label of where (classified unless it is a label already), or
     RegionError "<what> requires <A> or <B>, got <C>" when it is not one of strata."""
-    label = where if isinstance(where, RegionLabel) else classify(where, tol)
+    label = where if isinstance(where, RegionLabel) else classify(where)
     if label not in strata:
         *rest, last = (s.pretty() for s in RegionLabel if s in strata)
         needs = f"{', '.join(rest)} or {last}" if rest else last
@@ -309,7 +316,7 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
             wr, ar, br = 1.0 / s, a / s, b / s
             r_scale = np.maximum(np.maximum(np.abs(wr), np.abs(ar)), np.abs(br))
             omega_sq = wr * wr - 4.0 * ar * br
-            gap = wr - ar - br
+            gap = _gap(wr, ar, br)
             tol_gap = tol * r_scale
             massive = np.abs(gap) > tol_gap     # the test of derive; classify's on_gap is its negation
             on_omega = np.abs(omega_sq) <= tol_gap * r_scale

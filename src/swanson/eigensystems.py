@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, OMEGA_ZERO, REAL_SPECTRUM, ModelParams, RegionLabel,
-                   _require_index, _require_stratum, classify, derive)
+                   _gap, _require_index, _require_stratum, classify, derive)
 from .errors import (DeltaDerivNotEvaluableError, NonConvergentError, RegionError,
                      SingularParameterError)
 from .specfun import SQRT_PI, hermite_rows, log_gamma, parabolic_cylinder_d
@@ -367,8 +367,8 @@ def polynomial_pieces(f: GeneralizedFunction, params: ModelParams):
 def _h_coefficients(params: ModelParams) -> tuple[float, float, float]:
     """H^x f = -c2 f'' + c0 x^2 f + c1 (2 x f' + f)."""
     w, a, b = params.omega, params.alpha, params.beta
-    c2 = 0.5 * params.hbar * (w - a - b) * params.b0 ** 2
-    c0 = 0.5 * params.hbar * (w + a + b) / params.b0 ** 2
+    c2 = 0.5 * params.hbar * _gap(w, a, b) * params.b0 ** 2
+    c0 = 0.5 * params.hbar * (w + (a + b)) / params.b0 ** 2
     c1 = 0.5 * params.hbar * (a - b)
     return c2, c0, c1
 
@@ -495,9 +495,9 @@ def _level_spacing(label: RegionLabel, d, hbar: float):
     return sign * 1j * hbar * abs(d.omega_cap)
 
 
-def _ladder_stratum(params: ModelParams, n_max: int, tol: float = DEFAULT_TOL) -> tuple:
+def _ladder_stratum(params: ModelParams, n_max: int) -> tuple:
     """(label, derive, indices 0 ... n_max, branches) at a point with a ladder; the caller guards n_max."""
-    label, d = classify(params, tol), derive(params, tol)
+    label, d = classify(params), derive(params)
     if label in OMEGA_ZERO:
         raise RegionError(
             f"{label.pretty()} carries only the E = 0 coalescent pair and the free-particle "
@@ -542,8 +542,7 @@ def _ladder(label: RegionLabel, d, params: ModelParams, branch: str | None,
     return states
 
 
-def discrete_states(params: ModelParams, n_max: int,
-                    tol: float = DEFAULT_TOL) -> list[EigenstateSpec]:
+def discrete_states(params: ModelParams, n_max: int) -> list[EigenstateSpec]:
     """All discrete generalized eigenstates with index n <= n_max.
 
     Regions I and III return one state per n; Regions II/IV and boundary
@@ -551,21 +550,21 @@ def discrete_states(params: ModelParams, n_max: int,
     particle boundaries I-II / III-IV have no discrete family beyond the
     E = 0 pair; use ep_states / free_particle_states there.  n_max is at most 300.
     """
-    label, d, ns, branches = _ladder_stratum(params, _require_index(n_max, "n_max", _LADDER_MAX), tol)
+    label, d, ns, branches = _ladder_stratum(params, _require_index(n_max, "n_max", _LADDER_MAX))
     ladders = [_ladder(label, d, params, branch, ns) for branch in branches]
     return [s for rung in zip(*ladders) for s in rung]
 
 
-def _ep_exponent(params: ModelParams, tol: float) -> float:
+def _ep_exponent(params: ModelParams) -> float:
     w, b = params.omega, params.beta
     scale = max(abs(w), abs(params.alpha), abs(b))
-    if abs(w - 2.0 * b) <= tol * scale:
+    if abs(w - 2.0 * b) <= DEFAULT_TOL * scale:
         raise SingularParameterError("exceptional-point closed form is singular at omega = 2 beta")
     return -(w + 2.0 * b) / (w - 2.0 * b)
 
 
 def ep_states(params: ModelParams, c0: complex, c1: complex,
-              d0: complex, d1: complex, tol: float = DEFAULT_TOL) -> EigenstateSpec:
+              d0: complex, d1: complex) -> EigenstateSpec:
     """The E = 0 coalescent state pair on the Omega = 0 boundary.
 
     right_fn = (c1 x + c0) exp(-(omega+2 beta)/(omega-2 beta) x^2/(2 b0^2)),
@@ -573,15 +572,15 @@ def ep_states(params: ModelParams, c0: complex, c1: complex,
     """
     for name, value in (("c0", c0), ("c1", c1), ("d0", d0), ("d1", d1)):
         _finite(value, name)
-    label = _require_stratum(params, OMEGA_ZERO, "ep_states", tol)
-    g = _ep_exponent(params, tol)
+    label = _require_stratum(params, OMEGA_ZERO, "ep_states")
+    g = _ep_exponent(params)
     right = GaussPoly(gauss=g, coeffs=(complex(c0), complex(c1)), norm=1.0)
     left = GaussPoly(gauss=-g, coeffs=(complex(d0), complex(d1)), norm=1.0)
     return EigenstateSpec(label, 0, None, 0.0 + 0.0j, right, left)
 
 
 def free_particle_states(params: ModelParams, energy: float, amp_plus: complex,
-                         amp_minus: complex, tol: float = DEFAULT_TOL) -> EigenstateSpec:
+                         amp_minus: complex) -> EigenstateSpec:
     """Free-particle generalized eigenfunctions on the Omega = 0 boundary.
 
     The wavenumber is k = sqrt(2 E / (hbar (omega-alpha-beta) b0^2)); when
@@ -590,9 +589,9 @@ def free_particle_states(params: ModelParams, energy: float, amp_plus: complex,
     """
     for name, value in (("energy", energy), ("amp_plus", amp_plus), ("amp_minus", amp_minus)):
         _finite(value, name)
-    label = _require_stratum(params, OMEGA_ZERO, "free_particle_states", tol)
-    g = _ep_exponent(params, tol)
-    gap = params.omega - params.alpha - params.beta
+    label = _require_stratum(params, OMEGA_ZERO, "free_particle_states")
+    g = _ep_exponent(params)
+    gap = _gap(params.omega, params.alpha, params.beta)
     k = cmath.sqrt(complex(2.0 * energy / (params.hbar * gap * params.b0 ** 2)))
     right = PlaneWaveGauss(gauss=g, k_wave=k, amp_plus=complex(amp_plus), amp_minus=complex(amp_minus))
     left = PlaneWaveGauss(gauss=-g, k_wave=k, amp_plus=complex(amp_plus), amp_minus=complex(amp_minus))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BARRIER, DEFAULT_TOL, REAL_SPECTRUM, ModelParams, RegionLabel,
+from .core import (BARRIER, REAL_SPECTRUM, ModelParams, RegionLabel,
                    _require_index, _require_stratum, derive)
 from .errors import NonConvergentError, RegionError, SingularParameterError
 from .eigensystems import (
@@ -226,7 +226,7 @@ def sweep_to_ep(omega: float, beta: float, n: int, region_side: str, eps_values,
     n = _require_index(n, "n", _LADDER_MAX)
     p_ref = _ep_swept_params(omega, beta, 0.0, "I", b0, hbar)
     # omega = 2 beta is singular; checked first, as ep_states sees the corner there
-    _ep_exponent(p_ref, DEFAULT_TOL)
+    _ep_exponent(p_ref)
     limit = ep_states(p_ref, 1 - n % 2, n % 2, 0, 0).right_fn
 
     expected = RegionLabel.REGION_I if region_side == "I" else RegionLabel.REGION_II
@@ -257,7 +257,7 @@ def ep_spectrum_flow(omega: float, beta: float, n_max: int, eps_values,
     n_max = _require_index(n_max, "n_max", _LADDER_MAX)
     eps_values = _finite(eps_values, "eps_values", float)
     # the closed forms are singular at omega = 2 beta, where _ep_exponent raises
-    _ep_exponent(_ep_swept_params(omega, beta, 0.0, "I", b0, hbar), DEFAULT_TOL)
+    _ep_exponent(_ep_swept_params(omega, beta, 0.0, "I", b0, hbar))
     rows = []
     for eps in eps_values:
         spacings = []

@@ -1,18 +1,15 @@
 """Bilinear pairings <left | right> = integral conj(left) * right dx.
 
-Three integration strategies realize the formal integrals:
-
-* DirectGaussHermite: the combined Gaussian exponent already decays on the
-  real line; Gauss-Hermite nodes are scaled to it.
-* RotatedContour: purely oscillatory (or oscillation-dominated) combined
-  Gaussians are rotated x -> e^{i theta} y onto a decaying direction.  The
-  integrands are entire and Gaussian-bounded in the swept wedge whenever
-  Re(combined exponent) <= 0, which the auto-selector requires, so the
-  rotation is exact; theta = -+ pi/4 for the Region II/IV products.
-* DistributionalExact: delta-derivative functionals against smooth closed
-  forms, evaluated as exact derivatives at the origin with the Gaussian
-  prefactors combined analytically (never sampled), in each function's own
-  basis.
+The pair decides how it is paired.  A block with a delta-derivative
+functional (the Boundary I-III left states) is a functional evaluation in
+closed form: exact derivatives at the origin, the Gaussian prefactors
+combined analytically (never sampled), each function in its own basis; it
+takes no rule.  Every other block is an integral on one rule type,
+RotatedContour(theta, order): x -> e^{i theta} y turns the combined Gaussian
+onto a decaying direction, theta = 0 being the real line and theta = -+ pi/4
+the Region II/IV products.  The integrands are entire and Gaussian-bounded in
+the swept wedge whenever Re(combined exponent) <= 0, which the auto-selector
+requires, so the rotation is exact.
 
 The exponent bookkeeping is symbolic throughout: Gaussian coefficients add,
 they are never multiplied pointwise, so growing similarity factors cancel
@@ -20,8 +17,8 @@ before any number is evaluated.
 
 Pairings are computed a family at a time by one kernel: every pair of a Gram
 block, a reconstruction or a resonant-expansion column shares one combined
-exponent, so the block takes one strategy, one contour angle, one rule and
-one weighted matrix product; a single pairing is the 1 x 1 case.  A side of
+exponent, so the block takes one contour angle, one rule and one weighted
+matrix product; a single pairing is the 1 x 1 case.  A side of
 smooth closed forms with one basis is its term matrix times the basis rows
 (normalized Hermite polynomials or monomials) sampled at the nodes, so no
 state re-runs a recurrence.  The left side is read once and conjugated as
@@ -59,9 +56,7 @@ from .eigensystems import (
 from .specfun import _GAUSS_HERMITE_MAX, SQRT_PI, gauss_hermite
 
 __all__ = [
-    "DirectGaussHermite",
     "RotatedContour",
-    "DistributionalExact",
     "GramReport",
     "pair",
     "metric_pair",
@@ -75,12 +70,6 @@ _PAIRED_DEGREE_MAX = (_GAUSS_HERMITE_MAX - _NODES_EXTRA) // _NODES_PER_DEGREE   
 
 
 @dataclass(frozen=True)
-class DirectGaussHermite:
-    order: int
-    theta = 0.0     # the real line is the theta = 0 contour
-
-
-@dataclass(frozen=True)
 class RotatedContour:
     theta: float
     order: int
@@ -88,14 +77,6 @@ class RotatedContour:
     def __post_init__(self):
         if not -math.pi / 2 < self.theta < math.pi / 2:
             raise ValueError("rotation angle must lie in (-pi/2, pi/2)")
-
-
-@dataclass(frozen=True)
-class DistributionalExact:
-    pass
-
-
-PairingStrategy = DirectGaussHermite | RotatedContour | DistributionalExact
 
 
 def _shared_gauss(side: list[GeneralizedFunction]) -> complex:
@@ -112,12 +93,13 @@ def _combined_exponent(lefts: list[GeneralizedFunction], rights, params: ModelPa
 
 
 def _default_strategy(lefts: list[GeneralizedFunction], rights,
-                      params: ModelParams) -> PairingStrategy:
-    """The closed form for a block with delta functionals, else the contour its combined
-    exponent admits, on 4 n + 40 nodes for its highest degree n; NonConvergentError if none."""
+                      params: ModelParams) -> RotatedContour | None:
+    """None for a block with delta functionals (paired in closed form), else the contour
+    its combined exponent admits, on 4 n + 40 nodes for its highest degree n;
+    NonConvergentError if none."""
     functions = lefts if callable(rights) else [*lefts, *rights]
     if any(isinstance(f, DeltaDeriv) for f in functions):
-        return DistributionalExact()
+        return None
     degree = max((len(f.coeffs) - 1 for f in functions if isinstance(f, GaussPoly)), default=0)
     order = _NODES_PER_DEGREE * degree + _NODES_EXTRA
     a_tot = _combined_exponent(lefts, rights, params)
@@ -128,7 +110,7 @@ def _default_strategy(lefts: list[GeneralizedFunction], rights,
     if re > 1e-13 * mag:
         raise NonConvergentError("combined Gaussian exponent grows; no admissible contour")
     if re < 0.0 and abs(im) <= 0.5 * (-re):
-        return DirectGaussHermite(order)
+        return RotatedContour(0.0, order)
     angle = math.atan2(im, re)
     target = math.pi if angle >= 0.0 else -math.pi
     return RotatedContour(0.5 * (target - angle), order)
@@ -153,21 +135,20 @@ def _delta_block(deltas: list[GeneralizedFunction], smooth: list[GeneralizedFunc
 
 @np.errstate(all="ignore")
 def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
-                strategy: PairingStrategy | None = None) -> np.ndarray:
+                strategy: RotatedContour | None = None) -> np.ndarray:
     """Matrix of <lefts[i] | rights[j]>, the one quadrature kernel.
 
-    Each side shares one Gaussian exponent, so the whole block has one
-    combined exponent: one strategy, one contour angle and one Gauss-Hermite
-    rule (order 4 * highest degree + 40 unless the strategy names one), and
-    one weighted product of the stripped closed forms sampled at the shared
+    A block with delta-derivative functionals is paired in closed form, on
+    conjugated functions, and takes no strategy.  Every other block has one
+    combined exponent, as each side shares one Gaussian: one contour angle, one
+    Gauss-Hermite rule (order 4 * highest degree + 40 unless strategy names
+    one) and one weighted product of the stripped closed forms at the shared
     nodes; a side is its term matrix (eigensystems._terms) times its basis
     rows.  The left side's term data are conjugated as arrays (the basis
     polynomials have real coefficients), and where the two sides then share a
     basis scale its rows are sampled once, to the higher degree.  rights may
-    instead be a callable of real x with no Gaussian factor, sampled at the real
-    nodes; it needs a DirectGaussHermite strategy.
-    Blocks with delta-derivative functionals are paired in closed form, on
-    conjugated functions.
+    instead be a callable of real x with no Gaussian factor, sampled at the
+    real nodes of a theta = 0 rule.
     Every block is checked here: NonConvergentError names the rule of a non-finite one.
     """
     sampled = callable(rights)
@@ -177,9 +158,10 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
             "continuum states are delta-normalized distributions; use "
             "continuum.delta_normalization_probe for their pairings")
     rule_sound = True
-    if strategy is None:
-        strategy = _default_strategy(lefts, rights, params)
-    if isinstance(strategy, DistributionalExact):
+    if any(isinstance(f, DeltaDeriv) for f in functions):
+        if strategy is not None:
+            raise NonConvergentError("a delta-derivative pairing is a functional evaluation "
+                                     f"in closed form and takes no quadrature rule, got {strategy}")
         lefts_conj = [conjugate_function(f) for f in lefts]
         if all(isinstance(f, DeltaDeriv) for f in lefts_conj):
             block = _delta_block(lefts_conj, rights, params).T
@@ -187,8 +169,8 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
             block = _delta_block(rights, lefts_conj, params)
         kind, order = "delta-derivative", max(f.n for f in functions if isinstance(f, DeltaDeriv))
     else:
-        if any(isinstance(f, DeltaDeriv) for f in functions):
-            raise NonConvergentError("delta-derivative pairings require the DistributionalExact strategy")
+        if strategy is None:
+            strategy = _default_strategy(lefts, rights, params)
         theta = strategy.theta
         a_rot = _combined_exponent(lefts, rights, params) * np.exp(2j * theta)
         if a_rot.real >= 0.0:
@@ -222,11 +204,13 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
 
 
 def pair(left: GeneralizedFunction, right: GeneralizedFunction, params: ModelParams,
-         strategy: PairingStrategy | None = None) -> complex:
+         strategy: RotatedContour | None = None) -> complex:
     """<left | right> = integral conj(left(x)) right(x) dx.
 
-    With strategy None an admissible strategy is selected from the combined
-    Gaussian exponent; NonConvergentError is raised when none exists.
+    A pair with a delta-derivative functional is evaluated in closed form and
+    takes no strategy.  Otherwise, with strategy None, an admissible contour is
+    selected from the combined Gaussian exponent; NonConvergentError is raised
+    when none exists.
     """
     return complex(_pair_block([left], [right], params, strategy)[0, 0])
 
@@ -239,7 +223,7 @@ def _metric_dressed(fs: list[GeneralizedFunction], c: float | None) -> list[Gene
 
 
 def metric_pair(a: GeneralizedFunction, b: GeneralizedFunction, params: ModelParams,
-                strategy: PairingStrategy | None = None) -> complex:
+                strategy: RotatedContour | None = None) -> complex:
     """<a | b>_U with U = Upsilon^2, applied by exponent arithmetic.
 
     For dressed right-states this reduces to the bilinear pairing of the
@@ -273,20 +257,22 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     metric inner product (Regions I/III only, where U is positive).  Raises
     NonConvergentError when an entry is not finite; n_max <= 115 (300 on Boundary I-III).
     """
-    label, d, ns, branches = _ladder_stratum(params, _require_index(n_max, "n_max"))
-    closed = label is RegionLabel.BOUNDARY_I_III    # delta blocks in closed form, the rest by quadrature
-    n_max = _require_index(n_max, "n_max", _LADDER_MAX if closed else _PAIRED_DEGREE_MAX,
-                           "" if closed else " outside Boundary I-III")     # before any state is built
-    ladders = [_ladder(label, d, params, branch, ns) for branch in branches]
+    n_max = _require_index(n_max, "n_max")
+    if which not in ("right-left", "metric"):
+        raise ValueError("which must be 'right-left' or 'metric'")
+    label, d, ns, branches = _ladder_stratum(params, n_max)
     if which == "metric":
         _require_stratum(label, REAL_SPECTRUM, "gram(which='metric')")
+    closed = label is RegionLabel.BOUNDARY_I_III    # delta blocks in closed form, the rest by quadrature
+    _require_index(n_max, "n_max", _LADDER_MAX if closed else _PAIRED_DEGREE_MAX,
+                   "" if closed else " outside Boundary I-III")     # before any state is built
+    ladders = [_ladder(label, d, params, branch, ns) for branch in branches]
+    if which == "metric":
         rights = [s.right_fn for s in ladders[0]]
         blocks = [_pair_block(_metric_dressed(rights, d.upsilon_coeff), rights, params)]
-    elif which == "right-left":
+    else:
         blocks = [_pair_block([s.left_fn for s in ladder], [s.right_fn for s in ladder], params)
                   for ladder in ladders]
-    else:
-        raise ValueError("which must be 'right-left' or 'metric'")
 
     stack = np.stack(blocks)
     max_off = float(np.max(np.abs(stack * (1.0 - np.eye(n_max + 1)))))
@@ -331,6 +317,6 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
     grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)
     values = (np.asarray(target(grid), dtype=complex) if callable(target)
               else evaluate(target, grid, params))
-    rule = DirectGaussHermite(max(_NODES_PER_DEGREE * n_max + _NODES_EXTRA, 160))
+    rule = RotatedContour(0.0, max(_NODES_PER_DEGREE * n_max + _NODES_EXTRA, 160))
     return _expand([s.left_fn for s in states], [s.right_fn for s in states], [(1.0, target)],
                    lambda _: rule, grid, params, "reconstruction", values)

@@ -13,7 +13,6 @@ import pytest
 import conftest as pts
 from swanson import (
     DeltaDeriv,
-    DirectGaussHermite,
     ModelParams,
     ObservableKind,
     RotatedContour,

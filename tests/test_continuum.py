@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -22,7 +23,7 @@ from swanson import (
     resonant_expansion,
     stripped_discrete_function,
 )
-from swanson import GaussPoly, continuum
+from swanson import GaussPoly, continuum, pairing
 from swanson.continuum import _interior_integrals
 from swanson.specfun import _gauss_legendre, log_gamma, parabolic_cylinder_d
 
@@ -252,6 +253,30 @@ def test_foreign_target_large_residual_reported():
     assert sup_error > 1e-2
 
 
+_GAUSSIAN = GaussPoly(gauss=-2.0, coeffs=(1.0,), norm=1.0)
+NOT_CLOSED_FORMS = {
+    # a callable of real x cannot be sampled on the rotated contour
+    "callable": (lambda x: np.exp(-x ** 2), "got function"),
+    "float": (1.0, "got 1.0"),
+    "none": (None, "got None"),
+    "function-not-pair": ([_GAUSSIAN], f"got [{_GAUSSIAN!r}]"),
+    "short-pair": ([(1.0,)], "got [(1.0,)]"),
+    "empty-list": ([], "got []"),
+}
+
+
+@pytest.mark.parametrize("what", list(NOT_CLOSED_FORMS))
+def test_a_target_that_is_not_a_closed_form_is_refused_before_any_pairing(what, monkeypatch):
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("paired a target that is not a closed form")
+
+    monkeypatch.setattr(pairing, "_pair_block", no_pairing)
+    target, given = NOT_CLOSED_FORMS[what]
+    with pytest.raises(TypeError, match=r"^resonant_expansion: target must be a closed form .*"
+                                        + re.escape(given) + "$"):
+        resonant_expansion(pts.REGION_II_POINT, target, 5)
+
+
 def test_eta_phi_exchange_symmetry():
     # expanding the conjugated target in the plus sector conjugates the
     # minus-sector coefficients of the original target
@@ -305,9 +330,11 @@ def test_probe_narrower_window_sharpens():
 
 
 def test_probe_box_stability_check():
-    p = pts.REGION_II_POINT
-    value = delta_normalization_probe(p, 0.0, 0.25 * OMEGA_SCALE, check_box=True)
-    assert abs(value - 1.0) <= 0.05
+    # growing the closed-form interior by half moves the value by less than 2e-2
+    # (reduced units: width 0.25 hbar |Omega| at E0 = 0)
+    a, b = (continuum._probe_value(0.0, 0.25, 0.0, f * continuum._PROBE_BOX) for f in (1, 1.5))
+    assert abs(a - b) <= 2e-2
+    assert abs(b - 1.0) <= 0.05
 
 
 def test_probe_nonzero_reference_energy_density_profile():
@@ -390,7 +417,6 @@ PROBE_SETTINGS = {
     "e0-3": (pts.REGION_II_POINT, 3.0 * _OM, 0.2 * _OM, {}),
     "region-iv": (ModelParams(1.0, 2.0, 0.6), 0.0, 0.2 * _OM_IV, {}),
     "b0-1.7": (ModelParams(1.0, -2.0, -0.5, b0=1.7), 0.0, 0.2 * _OM, {}),
-    "check-box": (pts.REGION_II_POINT, 0.0, 0.25 * _OM, {"check_box": True}),
 }
 
 
@@ -432,9 +458,6 @@ def test_probe_value_evaluates_gamma_once(monkeypatch):
     monkeypatch.setattr(specfun, "_log_gamma_lanczos", spy)
     delta_normalization_probe(pts.REGION_II_POINT, 0.0, 0.346 * OMEGA_SCALE)
     assert len(calls) == 2 and calls[0] == 49
-    calls.clear()
-    delta_normalization_probe(pts.REGION_II_POINT, 0.0, 0.25 * OMEGA_SCALE, check_box=True)
-    assert len(calls) == 4 and calls[0] == calls[2] == 49
 
 
 def test_norm_constant_scaling():

@@ -3,13 +3,13 @@ import math
 import pickle
 import re
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swanson import (ModelParams, RegionLabel, SurfaceRow, classify, cli, derive, discrete_states,
-                     ep_states, surface_grid)
+from swanson import ModelParams, RegionLabel, SurfaceRow, classify, cli, derive, surface_grid
 from swanson.core import DEFAULT_TOL
 
 finite_coupling = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -61,11 +61,14 @@ def test_degenerate_flags_not_nan():
 @settings(max_examples=60, deadline=None)
 @example(w=1.0, a=1.0, b=5e-324)
 @example(w=1.0, a=1.0, b=2.2250738585e-313)
+@example(w=1.0, a=1.0, b=1e-10)     # w - (a + b) misses this gap by 8e-8 relative
+@example(w=1.0, a=1e-10, b=1.0)     # and (w - a) - b misses this one
 def test_derived_invariants(w, a, b):
     d = derive(ModelParams(w, a, b))
     assert d.omega_cap ** 2 == pytest.approx(w * w - 4 * a * b, abs=1e-12)
     if d.m_eff is not None:
-        assert d.m_eff * (w - a - b) == pytest.approx(1.0, rel=1e-12)
+        gap = float(Fraction(w) - Fraction(a) - Fraction(b))    # exact, rounded once
+        assert d.m_eff * gap == pytest.approx(1.0, rel=1e-12)
         assert d.k_stiff == pytest.approx(d.m_eff * d.omega_sq, rel=1e-12, abs=1e-12)
 
 
@@ -144,9 +147,7 @@ def test_derive_rejects_nonpositive_tol():
     lambda tol: classify(ModelParams(1.0, 0.2, 0.1), tol),
     lambda tol: derive(ModelParams(1.0, 0.2, 0.1), tol),
     lambda tol: surface_grid(2.0, 3, tol),
-    lambda tol: discrete_states(ModelParams(1.0, 0.2, 0.1), 2, tol=tol),
-    lambda tol: ep_states(ModelParams(1.0, -0.125, -2.0), 1.0, 0.0, 1.0, 0.0, tol),
-], ids=["classify", "derive", "surface_grid", "discrete_states", "ep_states"])
+], ids=["classify", "derive", "surface_grid"])
 def test_tol_that_is_not_positive_is_rejected(call, tol):
     # NaN fails every comparison, so a check written tol <= 0 let it through:
     # classify answered Region I while derive flagged the mass degenerate
@@ -257,6 +258,8 @@ def test_classify_examples(params, label):
 
 @given(w=st.floats(min_value=0.5, max_value=3.0), a=finite_coupling, b=finite_coupling)
 @settings(max_examples=60, deadline=None)
+# (w - a) - b and (w - b) - a differed by an ulp here: Region III one way, Boundary I-III the other
+@example(w=0.99999, a=0.99999, b=1e-12)
 def test_classify_alpha_beta_symmetry(w, a, b):
     assert classify(ModelParams(w, a, b)) is classify(ModelParams(w, b, a))
 

@@ -21,12 +21,14 @@ from swanson import (
     RegionLabel,
     apply_hamiltonian,
     apply_oscillator,
+    classify,
     continuum_state,
     derive,
     discrete_states,
     ep_states,
     evaluate,
     free_particle_states,
+    gram,
     pair,
     stripped_discrete_function,
 )
@@ -493,16 +495,15 @@ def test_discrete_states_region_guards():
         discrete_states(pts.REGION_I_POINTS[0], -1)
 
 
-def test_discrete_states_threads_tol():
-    # gap 5e-13: Boundary I-III at the default tol, Region I at tol 1e-14
+def test_discrete_states_classifies_at_the_default_tol():
+    # gap 5e-13, within the default relative tolerance: Boundary I-III here, in
+    # classify and in gram alike, with no option to call it Region I
     p = ModelParams(1.0 + 5e-13, 0.6, 0.4)
-    boundary = discrete_states(p, 2)
-    assert {s.region for s in boundary} == {RegionLabel.BOUNDARY_I_III}
-    assert len(boundary) == 6
-    states = discrete_states(p, 2, tol=1e-14)
-    assert [s.region for s in states] == [RegionLabel.REGION_I] * 3
-    assert all(np.isfinite(s.energy) for s in states)
-    assert all(math.isfinite(s.right_fn.norm) for s in states)
+    assert classify(p) is RegionLabel.BOUNDARY_I_III
+    states = discrete_states(p, 2)
+    assert {s.region for s in states} == {RegionLabel.BOUNDARY_I_III}
+    assert len(states) == 6
+    assert gram(p, 2).max_diag_err <= 1e-12
 
 
 def test_state_counts():

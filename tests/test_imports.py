@@ -16,7 +16,7 @@ from swanson import ObservableKind
 from swanson.cli import build_parser, main
 from readme_cases import readme_cases
 
-# the names the package exported when it imported every module eagerly, by module
+# the public names of the package, by the module that defines them
 EXPORTS = {
     "core": {"DEFAULT_TOL", "DerivedQuantities", "ModelParams", "RegionLabel", "SurfaceRow",
              "classify", "derive", "surface_grid"},
@@ -28,8 +28,7 @@ EXPORTS = {
                      "PlaneWaveGauss", "apply_hamiltonian", "apply_oscillator",
                      "conjugate_function", "discrete_states", "ep_states", "evaluate",
                      "free_particle_states"},
-    "pairing": {"DirectGaussHermite", "DistributionalExact", "GramReport", "RotatedContour",
-                "gram", "metric_pair", "pair", "reconstruct"},
+    "pairing": {"GramReport", "RotatedContour", "gram", "metric_pair", "pair", "reconstruct"},
     "continuum": {"PoleScanReport", "continuum_norm_constant", "continuum_state",
                   "delta_normalization_probe", "pole_scan", "resonant_expansion",
                   "stripped_discrete_function"},

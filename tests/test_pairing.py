@@ -8,8 +8,7 @@ import pytest
 
 import conftest as pts
 from swanson import (
-    DirectGaussHermite,
-    DistributionalExact,
+    DeltaDeriv,
     GaussPoly,
     ModelParams,
     NonConvergentError,
@@ -394,20 +393,22 @@ def test_strategy_equivalence_direct_vs_rotated():
     p = pts.REGION_I_POINTS[0]
     states = discrete_states(p, 4)
     for m, n in ((0, 0), (1, 3), (4, 4), (2, 0)):
-        direct = pair(states[m].left_fn, states[n].right_fn, p, DirectGaussHermite(80))
+        direct = pair(states[m].left_fn, states[n].right_fn, p, RotatedContour(0.0, 80))
         rotated = pair(states[m].left_fn, states[n].right_fn, p, RotatedContour(0.35, 80))
         assert direct == pytest.approx(rotated, abs=1e-8)
 
 
 def test_direct_rule_is_the_theta_zero_contour():
-    from swanson.pairing import _pair_block
+    # the rule chosen for a block that decays on the real line is the theta = 0
+    # contour, on 4 n + 40 nodes for its highest degree n
+    from swanson.pairing import _default_strategy, _pair_block
 
     p = pts.REGION_I_POINTS[0]
     states = discrete_states(p, 6)
     lefts, rights = [s.left_fn for s in states], [s.right_fn for s in states]
-    direct = _pair_block(lefts, rights, p, DirectGaussHermite(80))
-    rotated = _pair_block(lefts, rights, p, RotatedContour(0.0, 80))
-    assert np.array_equal(direct, rotated)
+    assert _default_strategy(lefts, rights, p) == RotatedContour(0.0, 64)
+    direct = _pair_block(lefts, rights, p)
+    assert np.array_equal(direct, _pair_block(lefts, rights, p, RotatedContour(0.0, 64)))
 
 
 @pytest.mark.parametrize("n", [83, 100])
@@ -429,17 +430,17 @@ def test_rule_whose_weights_underflow_is_a_typed_error():
     with np.errstate(over="ignore"):
         assert not gauss_hermite(371).weights.any()
     state = discrete_states(p, 2)[2]
-    assert pair(state.left_fn, state.right_fn, p, DirectGaussHermite(370)) == pytest.approx(1.0)
+    assert pair(state.left_fn, state.right_fn, p, RotatedContour(0.0, 370)) == pytest.approx(1.0)
     with pytest.raises(NonConvergentError,
                        match="Gauss-Hermite pairing of order 371 leaves the float range"):
-        pair(state.left_fn, state.right_fn, p, DirectGaussHermite(371))
+        pair(state.left_fn, state.right_fn, p, RotatedContour(0.0, 371))
 
 
 def test_quadrature_order_doubling_stability():
     p = pts.REGION_I_POINTS[0]
     states = discrete_states(p, 5)
-    base = pair(states[2].left_fn, states[2].right_fn, p, DirectGaussHermite(60))
-    doubled = pair(states[2].left_fn, states[2].right_fn, p, DirectGaussHermite(120))
+    base = pair(states[2].left_fn, states[2].right_fn, p, RotatedContour(0.0, 60))
+    doubled = pair(states[2].left_fn, states[2].right_fn, p, RotatedContour(0.0, 120))
     assert abs(base - doubled) <= 1e-10
 
     p2 = pts.REGION_II_POINT
@@ -501,18 +502,16 @@ def test_distributional_requires_strategy_match():
     states = {(s.n, s.branch): s for s in discrete_states(p, 1)}
     delta_state = states[(0, "-")].right_fn
     smooth = GaussPoly(gauss=-1.0, coeffs=(1.0,), norm=1.0)
-    with pytest.raises(NonConvergentError):
-        pair(smooth, delta_state, p, DirectGaussHermite(40))
+    with pytest.raises(NonConvergentError, match="takes no quadrature rule"):
+        pair(smooth, delta_state, p, RotatedContour(0.0, 40))
 
 
 def test_distributional_against_displaced_gaussian():
     # <delta' with unit prefactor | exp(-(x-1)^2)> = d/dx exp(-(x-1)^2)|_0 = 2 e^{-1}
-    from swanson import DeltaDeriv, PlaneWaveGauss
-
     p = ModelParams(1.0, 0.0, 0.0)
     delta = DeltaDeriv(gauss=0.0, n=1, norm=-1.0)   # (-1)^1/sqrt(1!) convention
     target = PlaneWaveGauss(gauss=-2.0, k_wave=-2.0j, amp_plus=math.exp(-1.0), amp_minus=0.0)
-    value = pair(delta, target, p, DistributionalExact())
+    value = pair(delta, target, p)
     assert value == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
 
 
@@ -520,8 +519,6 @@ def test_distributional_against_displaced_gaussian():
 def test_delta_pairing_past_order_170_reads_the_closed_form(m):
     # <delta^(m) | exp(-x^2/2)> = (-1)^m d^m/dx^m exp(-x^2/2) at 0 = (-1)^(m/2) (m-1)!!
     # for even m and 0 for odd m; m! leaves the float range from m = 171
-    from swanson import DeltaDeriv
-
     p = ModelParams(1.0, 0.0, 0.0)
     gaussian = GaussPoly(gauss=-1.0, coeffs=(1.0,), norm=1.0)
     value = pair(DeltaDeriv(gauss=0.0, n=m, norm=1.0), gaussian, p)
@@ -543,8 +540,6 @@ def test_boundary_i_iii_gram_at_n_max_300_is_the_identity():
 def test_delta_pairing_outside_the_float_range_is_a_typed_error():
     # the value 2^150 299!! of a steeper Gaussian and the norm sqrt(301!) of an
     # order-301 functional both leave the float range
-    from swanson import DeltaDeriv
-
     p = ModelParams(1.0, 0.0, 0.0)
     gaussian = GaussPoly(gauss=-1.0, coeffs=(1.0,), norm=1.0)
     with pytest.raises(NonConvergentError, match="float range"):

@@ -15,10 +15,13 @@ import pytest
 
 import conftest as pts
 import swanson
+from readme_cases import run_case
 from swanson import (
     GaussPoly,
+    ModelParams,
     ObservableKind,
     RegionError,
+    cli,
     continuum,
     continuum_norm_constant,
     continuum_state,
@@ -199,6 +202,26 @@ def test_each_entry_point_classifies_and_derives_once_a_point(calls, name, args,
     assert _counted(calls, lambda: getattr(swanson, name)(*args)) == counts
 
 
+# (command line, (classify calls, derive calls)): a command classifies once for its own
+# output, plus once for each library entry point it calls
+CLI_CALLS = [
+    # its Region I label, then reconstruct
+    ("reconstruct --omega 1 --alpha 0.2 --beta 0.1 --nmax 40 --center 0.5 --width 1", (2, 1)),
+    # its Region II label, two stripped_discrete_function, then resonant_expansion
+    ("reconstruct --omega 1 --alpha -2 --beta -0.5 --sector minus --modes 0:1,3:2", (4, 3)),
+    # its Region I label, then make_state, evolve_expectation and metric_norm
+    ("evolve --omega 1 --alpha 0.2 --beta 0.1 --coeffs 1,1 --kind X --t-max 10", (4, 1)),
+]
+
+
+@pytest.mark.parametrize("line,counts", CLI_CALLS, ids=["reconstruct", "reconstruct-sector", "evolve"])
+def test_each_command_classifies_once_plus_once_an_entry_point(calls, tmp_path, line, counts):
+    calls.clear()
+    code, _, err = run_case(cli.main, line.split() + ["-o", "out.csv"], tmp_path)
+    assert code == 0, err
+    assert (calls["classify"], calls["derive"]) == counts
+
+
 def _public():
     """(name, object) of every public name of the package, each imported if need be: the
     names load on first use, so vars(swanson) holds only those used so far."""
@@ -256,6 +279,16 @@ def test_resonant_expansion_builds_one_stripped_ladder(built):
     built.clear()
     resonant_expansion(P2, target, 5, "minus")
     assert built == [("+", [0, 1, 2, 3, 4, 5])]
+
+
+@pytest.mark.parametrize("params,which,error", [
+    (ModelParams(1.0, 0.2, 0.1), "bogus", ValueError),
+    (ModelParams(1.0, -2.0, -0.5), "metric", RegionError),
+], ids=["which", "metric-stratum"])
+def test_gram_refuses_which_before_any_state(built, params, which, error):
+    with pytest.raises(error):
+        gram(params, 100, which)
+    assert built == []
 
 
 @pytest.mark.parametrize("which", ["right-left", "metric"])

@@ -141,6 +141,10 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("pair", S.pair, gaussian, shifted, pts["I"])
     add("metric_pair", S.metric_pair, gaussian, shifted, pts["I"])
     add("pair[no decay]", S.pair, S.GaussPoly(1.0, (1.0,), 1.0), gaussian, pts["I"])
+    # a delta block is paired in closed form, and refuses a rule
+    add("pair[delta,gaussian]", S.pair, S.DeltaDeriv(0.0, 2, 1.0), gaussian, pts["I"])
+    add("pair[delta,rule]", S.pair, S.DeltaDeriv(0.0, 2, 1.0), gaussian, pts["I"],
+        S.RotatedContour(0.0, 40))
     # sides of two bases, each sampled in its own; decaying plane waves, their drifts
     # conjugated on the left
     other_scale = S.GaussPoly(gauss=-1.5, coeffs=(0.2, 0.0, -1.0j), norm=0.9, scale=1.3)
@@ -163,6 +167,8 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("gram[II,8,metric]", S.gram, pts["II"], 8, "metric")
     add("gram[I,116]", S.gram, pts["I"], 116)
     add("gram[I,4,which]", S.gram, pts["I"], 4, "other")
+    add("gram[I,100,which]", S.gram, pts["I"], 100, "bogus")
+    add("gram[II,100,metric]", S.gram, pts["II"], 100, "metric")
     add("gram[I-II,4]", S.gram, pts["I-II"], 4)
 
     def bump(x):
@@ -217,6 +223,10 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
         [(1.0, S.stripped_discrete_function(pts["II"], 115, "-")),
          (2.0, S.stripped_discrete_function(pts["II"], 1, "+"))], 115)
     add("resonant_expansion[II,sector]", S.resonant_expansion, pts["II"], gaussian, 5, "both")
+    # targets that are not closed forms
+    for what, target in (("callable", bump), ("float", 1.0), ("None", None),
+                         ("function not pair", [gaussian]), ("short pair", [(1.0,)]), ("empty", [])):
+        add(f"resonant_expansion[II,{what}]", S.resonant_expansion, pts["II"], target, 5)
     add("resonant_expansion[I]", S.resonant_expansion, pts["I"], gaussian, 5)
 
     # sector evolution
@@ -248,8 +258,6 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
         add(f"delta_normalization_probe[{key}]", S.delta_normalization_probe, pts[key], 0.0, 0.346)
         add(f"delta_normalization_probe[{key},center]", S.delta_normalization_probe,
             pts[key], 0.5, 0.346, 4.0)
-        add(f"delta_normalization_probe[{key},check_box]", S.delta_normalization_probe,
-            pts[key], 0.0, 0.346, None, True)
     add("delta_normalization_probe[width=0]", S.delta_normalization_probe, pts["II"], 0.0, 0.0)
     add("delta_normalization_probe[e0=nan]", S.delta_normalization_probe, pts["II"], math.nan, 0.3)
     add("delta_normalization_probe[edge]", S.delta_normalization_probe, pts["II"], 6.0, 1.0, 0.0)
