@@ -27,8 +27,8 @@ import numpy as np
 
 from .core import BARRIER, ModelParams, RegionLabel, _require_index, _require_stratum, derive
 from .errors import NonConvergentError
-from .eigensystems import (_LADDER_MAX, CylinderState, EigenstateSpec, GaussPoly,
-                           GeneralizedFunction, _finite, _ladder)
+from .eigensystems import (_LADDER_MAX, CylinderState, GaussPoly,
+                           GeneralizedFunction, _finite, _ladder, _rungs)
 from .pairing import _PAIRED_DEGREE_MAX, _default_strategy, _expand
 from .specfun import _gauss_legendre, _log_gamma_lanczos, log_gamma, parabolic_cylinder_d
 
@@ -154,17 +154,11 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
 # Resonant (Gamow-type) expansions
 # ---------------------------------------------------------------------------
 
-def _stripped_ladder(label: RegionLabel, params: ModelParams, ns) -> list[EigenstateSpec]:
-    """phi_n^+ as each right_fn and phi_n^- as each left_fn, n in ns: the '+' ladder of the
-    point without its similarity weight."""
-    return _ladder(label, dataclasses.replace(derive(params), upsilon_coeff=0.0), params, "+", ns)
-
-
 def stripped_discrete_function(params: ModelParams, n: int, branch: str) -> GaussPoly:
     """The similarity-stripped discrete state phi_n^(+-) of the barrier regions, n <= 300."""
     n = _require_index(n, "n", _LADDER_MAX)
     label = _require_stratum(params, BARRIER, "stripped_discrete_function")
-    state, = _stripped_ladder(label, params, [n])
+    state, = _ladder(label, dataclasses.replace(derive(params), upsilon_coeff=0.0), params, "+", [n])
     if branch == "+":
         return state.right_fn
     if branch == "-":
@@ -199,8 +193,8 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
         raise TypeError("resonant_expansion: target must be a closed form or a non-empty list of "
                         "(coefficient, closed form) pairs; a callable of real x cannot be sampled "
                         f"on the rotated contour, got {given}")
-    ladder = _stripped_ladder(label, params, range(n_max + 1))
-    plus, minus = [s.right_fn for s in ladder], [s.left_fn for s in ladder]
+    plus, minus = _rungs(label, dataclasses.replace(derive(params), upsilon_coeff=0.0),  # phi^+, phi^-
+                         params, "+", n_max)
     duals, basis = (plus, minus) if sector == "minus" else (minus, plus)
     dual_branch = "+" if sector == "minus" else "-"
 

@@ -29,9 +29,8 @@ from .eigensystems import (
     GeneralizedFunction,
     _finite,
     _gauss_derivative,
-    _ladder,
     _level_spacing,
-    _superpose,
+    _rungs,
     _terms,
     _times_x,
     evaluate,
@@ -172,8 +171,8 @@ def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,
     xi(x, t) = sum_n e^{+|Omega|(n+1/2) t} c_n^- phi~_n^-(x)
              + sum_n e^{-|Omega|(n+1/2) t} c_n^+ phi~_n^+(x)
 
-    (each mode carries exp(i E_n t / hbar), so in Region IV the roles swap
-    with the relabeled energies).  Each sector is one GaussPoly evaluated once.
+    (each mode carries exp(i E_n t / hbar), so in Region IV the roles swap with the
+    relabeled energies).  Each sector is one GaussPoly, weights x phases x norm.
     Scalar or non-finite coefficients, more than 301 in a sector, or a non-finite
     time raise ValueError; raises NonConvergentError when a growth factor leaves
     the representable range, reporting its log-magnitude.
@@ -189,19 +188,19 @@ def evolve_sector(params: ModelParams, minus_coeffs, plus_coeffs, t: float,
         raise ValueError("at least one coefficient is required")
     label = _require_stratum(params, BARRIER, "evolve_sector")
     d = derive(params)
+    spacing = _level_spacing(label, d, params.hbar)
     grid = np.asarray(grid, dtype=float)
     out = np.zeros(len(grid), dtype=complex)
     for coeffs, branch in ((cm, "-"), (cp, "+")):
         if not np.any(coeffs):
             continue
-        sector = _ladder(label, d, params, branch, range(len(coeffs)))
-        energies = np.array([s.energy for s in sector])
+        right, _ = _rungs(label, d, params, branch, len(coeffs) - 1)
+        energies = (-spacing if branch == "-" else spacing) * (np.arange(len(coeffs)) + 0.5)
         log_factors = np.where(coeffs == 0, 0.0, 1j * energies * t / params.hbar)
         first = int(np.argmax(log_factors.real > 700.0))
         if log_factors[first].real > 700.0:
             raise NonConvergentError(
                 f"sector growth factor overflows: log magnitude {log_factors[first].real:.1f} "
                 f"for mode n={first} branch {branch}")
-        total = _superpose(coeffs * np.exp(log_factors), [s.right_fn for s in sector])
-        out += evaluate(total, grid, params)
+        out += evaluate(right.superpose(coeffs * np.exp(log_factors)), grid, params)
     return out

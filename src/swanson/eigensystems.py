@@ -213,10 +213,27 @@ def _gauss_derivative(coeffs: np.ndarray, scale, gauss, drift, params: ModelPara
     return out
 
 
-def _superpose(weights, fs: list[GaussPoly]) -> GaussPoly:
-    """sum_i weights[i] fs[i] as one GaussPoly; the fs share their Gaussian and basis."""
-    coeffs, scale, _, _ = _terms(fs)
-    return GaussPoly(fs[0].gauss, tuple((np.asarray(weights, dtype=complex) @ coeffs).tolist()), 1.0, scale)
+@dataclass(frozen=True)
+class Rungs:
+    """Rungs 0 ... top of one side of a Regions I-IV ladder, one record of their term data:
+    rung n is norm exp(gauss x^2/(2 b0^2)) h_n(scale x/b0)."""
+
+    gauss: complex
+    norm: complex
+    scale: complex
+    top: int
+
+    def rung(self, n: int) -> GaussPoly:
+        return GaussPoly(self.gauss, _unit(n), self.norm, self.scale)
+
+    def terms(self) -> tuple:
+        """Term data as _terms gives it, the term matrix norm times the identity as its diagonal."""
+        size = self.top + 1
+        return np.full(size, self.norm, dtype=complex), self.scale, np.zeros(size), range(size)
+
+    def superpose(self, weights) -> GaussPoly:
+        """sum_n weights[n] times rung n as one GaussPoly: the weights times the norm."""
+        return GaussPoly(self.gauss, tuple((np.asarray(weights) * self.norm).tolist()), 1.0, self.scale)
 
 
 def _stripped(terms: tuple, x: np.ndarray, params: ModelParams,
@@ -228,7 +245,9 @@ def _stripped(terms: tuple, x: np.ndarray, params: ModelParams,
     here.  The pairing kernel samples a whole side this way."""
     coeffs, scale, drift, first = terms
     if rows is None:
-        rows = _basis_rows(scale, x, params, coeffs.shape[1] - 1)
+        rows = _basis_rows(scale, x, params, coeffs.shape[-1] - 1)
+    if coeffs.ndim == 1:    # a diagonal term matrix (Rungs.terms): each basis row times its entry
+        return rows[: len(coeffs)] * coeffs[:, None]
     values = np.tensordot(coeffs, rows[: coeffs.shape[1]], axes=1)
     if len(coeffs) == len(first):   # one term each, all of drift 0: the rows are the values
         return values
@@ -507,13 +526,26 @@ def _ladder_stratum(params: ModelParams, n_max: int) -> tuple:
     return label, d, range(n_max + 1), (None,) if label in REAL_SPECTRUM else ("+", "-")
 
 
+def _rungs(label: RegionLabel, d, params: ModelParams, branch, top: int) -> tuple[Rungs, Rungs]:
+    """(right, left) Rungs of one Regions I-IV branch at label from the caller's derive d, the
+    left the conjugate family (in II/IV): the data _ladder builds its states from."""
+    sigma, cu = d.sigma, d.upsilon_coeff    # stripped states, similarity-dressed
+    g, norm, scale = -sigma ** 2, math.sqrt(sigma / (params.b0 * SQRT_PI)), sigma
+    if label not in REAL_SPECTRUM:  # '+': exp(-i sigma^2 x^2/(2 b0^2)) h_n(e^{i pi/4} sigma x/b0)
+        g, norm, scale = -1j * sigma ** 2, cmath.sqrt(ROOT_I) * norm, ROOT_I * sigma
+        if branch == "-":   # its conjugate
+            g, norm, scale = g.conjugate(), norm.conjugate(), scale.conjugate()
+    return (Rungs(cu + g, norm, scale, top),
+            Rungs(-cu + g.conjugate(), norm.conjugate(), scale.conjugate(), top))
+
+
 def _ladder(label: RegionLabel, d, params: ModelParams, branch: str | None,
             ns) -> list[EigenstateSpec]:
     """States n in ns of one branch (None in Regions I/III, '+' or '-' in II/IV and on
-    Boundary I-III) at label, from the caller's derive d: the one place they are built.
-    Their Gaussians, norms and scale do not depend on n and are formed once a call.
-    With d.upsilon_coeff = 0 the '+' ladder is the similarity-stripped resonant family:
-    phi_n^+ as each right_fn, phi_n^- as each left_fn."""
+    Boundary I-III) at label, from the caller's derive d: the one place they are built,
+    in Regions I-IV from the sides of _rungs.  With d.upsilon_coeff = 0 the '+' ladder
+    is the similarity-stripped resonant family: phi_n^+ as each right_fn, phi_n^- as
+    each left_fn."""
     states = []
     if label is RegionLabel.BOUNDARY_I_III:     # the monomial carries g, the delta -g
         g = d.tau_coeff if branch == "-" else -d.tau_coeff
@@ -524,21 +556,12 @@ def _ladder(label: RegionLabel, d, params: ModelParams, branch: str | None,
             states.append(EigenstateSpec(label, n, branch, energy, mono, delta) if branch == "+"
                           else EigenstateSpec(label, n, branch, -energy, delta, mono))
         return states
-    sigma, cu = d.sigma, d.upsilon_coeff    # Regions I-IV: stripped states, similarity-dressed
-    if label in REAL_SPECTRUM:
-        right = left = GaussPoly(-sigma ** 2, (), math.sqrt(sigma / (params.b0 * SQRT_PI)), sigma)
-    else:   # '+': exp(-i sigma^2 x^2/(2 b0^2)) h_n(e^{i pi/4} sigma x/b0); '-': its conjugate
-        norm = cmath.sqrt(ROOT_I) * math.sqrt(sigma / (params.b0 * SQRT_PI))
-        plus = GaussPoly(-1j * sigma ** 2, (), norm, ROOT_I * sigma)
-        minus = GaussPoly(1j * sigma ** 2, (), norm.conjugate(), ROOT_I.conjugate() * sigma)
-        right, left = (plus, minus) if branch == "+" else (minus, plus)
-    g_right, g_left = cu + right.gauss, -cu + left.gauss
+    right, left = _rungs(label, d, params, branch, max(ns))
     spacing = _level_spacing(label, d, params.hbar)
     for n in ns:
-        e_n, unit = spacing * (n + 0.5), _unit(n)
+        e_n = spacing * (n + 0.5)
         states.append(EigenstateSpec(label, n, branch, -e_n if branch == "-" else e_n,
-                                     GaussPoly(g_right, unit, right.norm, right.scale),
-                                     GaussPoly(g_left, unit, left.norm, left.scale)))
+                                     right.rung(n), left.rung(n)))
     return states
 
 

@@ -18,12 +18,14 @@ before any number is evaluated.
 Pairings are computed a family at a time by one kernel: every pair of a Gram
 block, a reconstruction or a resonant-expansion column shares one combined
 exponent, so the block takes one contour angle, one rule and one weighted
-matrix product; a single pairing is the 1 x 1 case.  A side of
-smooth closed forms with one basis is its term matrix times the basis rows
-(normalized Hermite polynomials or monomials) sampled at the nodes, so no
-state re-runs a recurrence.  The left side is read once and conjugated as
-term data, and when conj of its basis scale is the right side's, as in every
-Regions I-IV right-left and metric block, one set of basis rows serves both.
+matrix product; a single pairing is the 1 x 1 case.  A side of smooth closed
+forms with one basis is its term matrix times the basis rows (normalized
+Hermite polynomials or monomials) sampled at the nodes, so no state re-runs a
+recurrence; a Regions I-IV ladder side, one Rungs record (Gaussian, norm,
+scale, top), is the basis rows up to its top times its norm.  The left side is
+read once and conjugated as term data, and when conj of its basis scale is the
+right side's, as in every Regions I-IV right-left and metric block, one set of
+basis rows serves both.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ from .eigensystems import (
     DeltaDeriv,
     GaussPoly,
     GeneralizedFunction,
+    Rungs,
     _basis_rows,
     _inverse_sqrt_factorial,
     _ladder,
     _ladder_stratum,
+    _rungs,
     _stripped,
-    _superpose,
     _taylor_rows,
     _terms,
     conjugate_function,
@@ -79,28 +82,27 @@ class RotatedContour:
             raise ValueError("rotation angle must lie in (-pi/2, pi/2)")
 
 
-def _shared_gauss(side: list[GeneralizedFunction]) -> complex:
-    gauss = complex(side[0].gauss)
-    if any(complex(f.gauss) != gauss for f in side[1:]):
+def _shared_gauss(side: list[GeneralizedFunction] | Rungs) -> complex:
+    gauss = complex(side.gauss if isinstance(side, Rungs) else side[0].gauss)
+    if not isinstance(side, Rungs) and any(complex(f.gauss) != gauss for f in side[1:]):
         raise ValueError("every function on one side of a pairing block must share its Gaussian")
     return gauss
 
 
-def _combined_exponent(lefts: list[GeneralizedFunction], rights, params: ModelParams) -> complex:
+def _combined_exponent(lefts, rights, params: ModelParams) -> complex:
     """The one exponent a in exp(a x^2) of every conj(lefts[i]) * rights[j] of a block."""
     right_gauss = 0.0 if callable(rights) else _shared_gauss(rights)
     return (_shared_gauss(lefts).conjugate() + right_gauss) / (2.0 * params.b0 ** 2)
 
 
-def _default_strategy(lefts: list[GeneralizedFunction], rights,
-                      params: ModelParams) -> RotatedContour | None:
-    """None for a block with delta functionals (paired in closed form), else the contour
-    its combined exponent admits, on 4 n + 40 nodes for its highest degree n;
-    NonConvergentError if none."""
-    functions = lefts if callable(rights) else [*lefts, *rights]
+def _default_strategy(lefts, rights, params: ModelParams) -> RotatedContour | None:
+    """None for a block with delta functionals (paired in closed form), else the contour its
+    combined exponent admits, on 4 n + 40 nodes for its highest degree n; NonConvergentError if none."""
+    functions = [f for side in (lefts, rights) if isinstance(side, list) for f in side]
     if any(isinstance(f, DeltaDeriv) for f in functions):
         return None
-    degree = max((len(f.coeffs) - 1 for f in functions if isinstance(f, GaussPoly)), default=0)
+    degree = max([side.top for side in (lefts, rights) if isinstance(side, Rungs)]
+                 + [len(f.coeffs) - 1 for f in functions if isinstance(f, GaussPoly)], default=0)
     order = _NODES_PER_DEGREE * degree + _NODES_EXTRA
     a_tot = _combined_exponent(lefts, rights, params)
     mag = abs(a_tot)
@@ -134,7 +136,7 @@ def _delta_block(deltas: list[GeneralizedFunction], smooth: list[GeneralizedFunc
 
 
 @np.errstate(all="ignore")
-def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
+def _pair_block(lefts, rights, params: ModelParams,
                 strategy: RotatedContour | None = None) -> np.ndarray:
     """Matrix of <lefts[i] | rights[j]>, the one quadrature kernel.
 
@@ -143,16 +145,16 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
     combined exponent, as each side shares one Gaussian: one contour angle, one
     Gauss-Hermite rule (order 4 * highest degree + 40 unless strategy names
     one) and one weighted product of the stripped closed forms at the shared
-    nodes; a side is its term matrix (eigensystems._terms) times its basis
-    rows.  The left side's term data are conjugated as arrays (the basis
-    polynomials have real coefficients), and where the two sides then share a
-    basis scale its rows are sampled once, to the higher degree.  rights may
-    instead be a callable of real x with no Gaussian factor, sampled at the
-    real nodes of a theta = 0 rule.
+    nodes; a list side is its term matrix (eigensystems._terms) times its basis
+    rows, a Rungs side (a Regions I-IV ladder) its basis rows times its norm.  The
+    left side's term data are conjugated as arrays (the basis polynomials have
+    real coefficients), and where the two sides then share a basis scale its rows
+    are sampled once, to the higher degree.  rights may instead be a callable of
+    real x with no Gaussian factor, sampled at the real nodes of a theta = 0 rule.
     Every block is checked here: NonConvergentError names the rule of a non-finite one.
     """
     sampled = callable(rights)
-    functions = lefts if sampled else [*lefts, *rights]
+    functions = [f for side in (lefts, rights) if isinstance(side, list) for f in side]
     if any(isinstance(f, CylinderState) for f in functions):
         raise NonConvergentError(
             "continuum states are delta-normalized distributions; use "
@@ -162,6 +164,7 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
         if strategy is not None:
             raise NonConvergentError("a delta-derivative pairing is a functional evaluation "
                                      f"in closed form and takes no quadrature rule, got {strategy}")
+        lefts = [lefts.rung(n) for n in range(lefts.top + 1)] if isinstance(lefts, Rungs) else lefts
         lefts_conj = [conjugate_function(f) for f in lefts]
         if all(isinstance(f, DeltaDeriv) for f in lefts_conj):
             block = _delta_block(lefts_conj, rights, params).T
@@ -182,16 +185,16 @@ def _pair_block(lefts: list[GeneralizedFunction], rights, params: ModelParams,
         # residual oscillation left after absorbing exp(-t^2): exp(i t^2 Im(a_rot)/s^2)
         residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
         # conj p_k(x) is p_k at the conjugate scale
-        coeffs, scale, drift, first = _terms(lefts)
+        coeffs, scale, drift, first = lefts.terms() if isinstance(lefts, Rungs) else _terms(lefts)
         left = (coeffs.conj(), None if scale is None else scale.conjugate(), drift.conj(), first)
         if sampled:
             left_rows = _stripped(left, x, params)
             right_rows = np.asarray(rights(t / s), dtype=complex)[None, :]
         else:
-            right = _terms(rights)
+            right = rights.terms() if isinstance(rights, Rungs) else _terms(rights)
             rows = None
             if left[1] == right[1]:     # one basis: sampled once, to the higher degree
-                degree = max(coeffs.shape[1], right[0].shape[1]) - 1
+                degree = max(coeffs.shape[-1], right[0].shape[-1]) - 1
                 rows = _basis_rows(right[1], x, params, degree)
             left_rows, right_rows = _stripped(left, x, params, rows), _stripped(right, x, params, rows)
         block = (left_rows * (quadrature.weights * residual)) @ right_rows.T * (np.exp(1j * theta) / s)
@@ -266,13 +269,14 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     closed = label is RegionLabel.BOUNDARY_I_III    # delta blocks in closed form, the rest by quadrature
     _require_index(n_max, "n_max", _LADDER_MAX if closed else _PAIRED_DEGREE_MAX,
                    "" if closed else " outside Boundary I-III")     # before any state is built
-    ladders = [_ladder(label, d, params, branch, ns) for branch in branches]
-    if which == "metric":
-        rights = [s.right_fn for s in ladders[0]]
-        blocks = [_pair_block(_metric_dressed(rights, d.upsilon_coeff), rights, params)]
-    else:
-        blocks = [_pair_block([s.left_fn for s in ladder], [s.right_fn for s in ladder], params)
-                  for ladder in ladders]
+    if closed:
+        sides = [([s.left_fn for s in ladder], [s.right_fn for s in ladder])
+                 for ladder in (_ladder(label, d, params, branch, ns) for branch in branches)]
+    else:   # a Regions I-IV side is one Rungs record
+        sides = [_rungs(label, d, params, branch, n_max)[::-1] for branch in branches]
+    if which == "metric":   # the one branch of Regions I/III, its rights dressed on the left
+        sides = [(_metric_dressed([rights], d.upsilon_coeff)[0], rights) for _, rights in sides]
+    blocks = [_pair_block(lefts, rights, params) for lefts, rights in sides]
 
     stack = np.stack(blocks)
     max_off = float(np.max(np.abs(stack * (1.0 - np.eye(n_max + 1)))))
@@ -280,11 +284,11 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     return GramReport(n_max, which, np.vstack(blocks), max_off, max_diag)
 
 
-def _expand(duals: list[GaussPoly], basis: list[GaussPoly], pieces, strategy_of,
+def _expand(duals: Rungs, basis: Rungs, pieces, strategy_of,
             grid: np.ndarray, params: ModelParams, what: str,
             target: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Expand the target sum_p c_p f_p over basis, duals[n] the dual of basis[n]: the
-    coefficients sum_p c_p <duals[n] | f_p>, one kernel block per piece (c_p, f_p) on the
+    """Expand the target sum_p c_p f_p over the Rungs basis, its rung n dual to rung n of duals:
+    the coefficients sum_p c_p <duals_n | f_p>, one kernel block per piece (c_p, f_p) on the
     strategy strategy_of(f_p), chosen as the block is formed, and the sup-norm deviation
     on grid of their superposition from the target.  f_p may be a callable of real x, as
     _pair_block takes it.  target holds the target on grid where the caller formed it
@@ -294,10 +298,10 @@ def _expand(duals: list[GaussPoly], basis: list[GaussPoly], pieces, strategy_of,
                  for c, f in pieces)
     if target is None:
         target = sum(c * evaluate(f, grid, params) for c, f in pieces)
-    recon = evaluate(_superpose(coeffs, basis), grid, params)
+    recon = evaluate(basis.superpose(coeffs), grid, params)
     sup_error = float(np.max(np.abs(recon - target)))
     if not math.isfinite(sup_error):
-        raise NonConvergentError(f"{what} at n_max = {len(basis) - 1} has a non-finite sup-error")
+        raise NonConvergentError(f"{what} at n_max = {basis.top} has a non-finite sup-error")
     return coeffs, sup_error
 
 
@@ -313,10 +317,10 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
     """
     n_max = _require_index(n_max, "n_max", _PAIRED_DEGREE_MAX)
     label = _require_stratum(params, REAL_SPECTRUM, "reconstruct")
-    states = _ladder(label, derive(params), params, None, range(n_max + 1))
+    basis, duals = _rungs(label, derive(params), params, None, n_max)
     grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)
     values = (np.asarray(target(grid), dtype=complex) if callable(target)
               else evaluate(target, grid, params))
     rule = RotatedContour(0.0, max(_NODES_PER_DEGREE * n_max + _NODES_EXTRA, 160))
-    return _expand([s.left_fn for s in states], [s.right_fn for s in states], [(1.0, target)],
-                   lambda _: rule, grid, params, "reconstruction", values)
+    return _expand(duals, basis, [(1.0, target)], lambda _: rule, grid, params, "reconstruction",
+                   values)

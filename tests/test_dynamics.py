@@ -237,7 +237,7 @@ def test_evolve_expectation_builds_no_states(monkeypatch):
 
     p = pts.REGION_I_POINTS[0]
     state = make_state(p, [1.0, 0.5j, 0.3])
-    for module, name in ((dynamics, "_ladder"), (eigensystems, "_ladder"),
+    for module, name in ((dynamics, "_rungs"), (eigensystems, "_ladder"),
                          (eigensystems, "discrete_states"), (dynamics, "matrix_element")):
         monkeypatch.setattr(module, name, forbidden)
     for kind in ObservableKind:

@@ -23,7 +23,8 @@ from swanson import (
     pair,
     reconstruct,
 )
-from swanson.continuum import continuum_state, stripped_discrete_function
+from swanson.continuum import continuum_state, resonant_expansion, stripped_discrete_function
+from swanson.dynamics import evolve_sector
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +312,82 @@ def test_kernel_blocks_of_two_bases_and_plane_waves_equal_the_reference_byte_for
     for lefts, rights in [([left], [other]), ([left], [_GAUSSIAN]), ([other], [left]),
                           (_WAVES, [_GAUSSIAN]), ([_GAUSSIAN], _WAVES), (_WAVES[:1], _WAVES)]:
         assert _pair_block(lefts, rights, p).tobytes() == _reference_block(lefts, rights, p).tobytes()
+
+
+@pytest.mark.parametrize("n_max", [8, 40, 66])
+@pytest.mark.parametrize("p", [pts.REGION_I_POINTS[0], pts.REGION_I_POINTS[1], pts.REGION_III_POINTS[0],
+                               pts.REGION_II_POINT, pts.REGION_IV_POINT])
+def test_ladder_grams_equal_the_function_list_kernel(p, n_max):
+    # gram pairs each ladder side as one Rungs record, its basis rows times its norm.  With
+    # the real norm of Regions I/III that is the term matrix's product bit for bit; the
+    # complex norm of Regions II/IV no longer goes through the zgemm of tensordot, whose
+    # complex products round differently
+    from swanson.pairing import _pair_block
+
+    listed = [_pair_block(lefts, rights, p) for lefts, rights in _ladder_blocks(p, n_max)]
+    real = p in pts.REGION_I_POINTS + pts.REGION_III_POINTS
+    pairs = [(gram(p, n_max).matrix, np.vstack(listed[: len(listed) - real]))]
+    if real:
+        pairs.append((gram(p, n_max, "metric").matrix, listed[-1]))
+    for record, expected in pairs:
+        assert record.shape == expected.shape
+        if real:
+            assert record.tobytes() == expected.tobytes()
+        else:
+            assert np.max(np.abs(record - expected)) <= 1e-15
+
+
+@pytest.fixture
+def term_reads(monkeypatch):
+    """The number of functions of every eigensystems._terms call and the number of rows of
+    every np.tensordot term matrix, spied where _terms is defined and where it is called."""
+    import swanson.dynamics as dynamics_module
+    import swanson.eigensystems as eigensystems_module
+    import swanson.pairing as pairing_module
+
+    reads = {"_terms": [], "tensordot": []}
+    real_terms, real_tensordot = eigensystems_module._terms, np.tensordot
+
+    def terms(fs):
+        reads["_terms"].append(len(fs))
+        return real_terms(fs)
+
+    def tensordot(a, b, *args, **kwargs):
+        reads["tensordot"].append(len(a))
+        return real_tensordot(a, b, *args, **kwargs)
+
+    for module in (eigensystems_module, pairing_module, dynamics_module):
+        monkeypatch.setattr(module, "_terms", terms)
+    monkeypatch.setattr(np, "tensordot", tensordot)
+    return reads
+
+
+@pytest.mark.parametrize("p, which", [(pts.REGION_I_POINTS[0], "right-left"),
+                                      (pts.REGION_III_POINTS[0], "right-left"),
+                                      (pts.REGION_II_POINT, "right-left"),
+                                      (pts.REGION_IV_POINT, "right-left"),
+                                      (pts.REGION_I_POINTS[0], "metric"),
+                                      (pts.REGION_III_POINTS[0], "metric")])
+def test_a_ladder_gram_reads_no_term_matrix(term_reads, p, which):
+    gram(p, 12, which)
+    assert term_reads == {"_terms": [], "tensordot": []}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reconstruct(pts.REGION_I_POINTS[0], discrete_states(pts.REGION_I_POINTS[0], 3)[3].right_fn, 12),
+    lambda: reconstruct(pts.REGION_I_POINTS[1], lambda x: np.exp(-x * x), 12),
+    lambda: resonant_expansion(pts.REGION_II_POINT, stripped_discrete_function(pts.REGION_II_POINT, 2, "-"),
+                               12, "minus"),
+    lambda: resonant_expansion(pts.REGION_IV_POINT, stripped_discrete_function(pts.REGION_IV_POINT, 2, "+"),
+                               12, "plus"),
+    lambda: evolve_sector(pts.REGION_II_POINT, [1.0, 0.5], [0.3, 0.0, 1.0], 0.5, np.linspace(-3.0, 3.0, 7)),
+], ids=["reconstruct", "reconstruct-callable", "resonant-minus", "resonant-plus", "evolve_sector"])
+def test_expansions_read_one_function_at_a_time_as_term_data(term_reads, call):
+    # the ladder sides are Rungs records: only the target and the superposition, one function
+    # each, are read as term matrices, never the n_max + 1 rungs
+    call()
+    assert set(term_reads["_terms"]) == {1}
+    assert set(term_reads["tensordot"]) <= {1}
 
 
 @pytest.mark.parametrize("fs", [

@@ -28,6 +28,7 @@ from swanson import (
     core,
     delta_normalization_probe,
     discrete_states,
+    dynamics,
     eigensystems,
     ep_spectrum_flow,
     ep_states,
@@ -38,6 +39,7 @@ from swanson import (
     make_state,
     matrix_element,
     metric_norm,
+    pairing,
     pole_scan,
     reconstruct,
     resonant_expansion,
@@ -239,16 +241,24 @@ def test_the_count_table_covers_every_entry_point_that_takes_params():
 
 @pytest.fixture
 def built(monkeypatch):
-    """(branch, indices) of every call of the ladder builder, in every swanson namespace."""
+    """(branch, indices) of every call of the ladder builder, in every swanson namespace: the
+    states _ladder builds, and the rungs 0 ... top of each Rungs record a caller takes."""
     log = []
-    original = eigensystems._ladder
+    original, original_rungs = eigensystems._ladder, eigensystems._rungs
 
     def spy(label, d, params, branch, ns):
         states = original(label, d, params, branch, ns)
         log.append((branch, [s.n for s in states]))
         return states
 
+    def rungs_spy(label, d, params, branch, top):
+        log.append((branch, list(range(top + 1))))
+        return original_rungs(label, d, params, branch, top)
+
     _replace_everywhere(monkeypatch, "_ladder", original, spy)
+    # the callers' namespaces only: _ladder reads the same sides inside eigensystems
+    for mod in (continuum, dynamics, pairing):
+        monkeypatch.setattr(mod, "_rungs", rungs_spy)
     return log
 
 

@@ -164,6 +164,13 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
             add(f"gram[{key},{n_max}]", S.gram, pts[key], n_max)
     for key in real:
         add(f"gram[{key},8,metric]", S.gram, pts[key], 8, "metric")
+    # each Regions I-IV side one ladder record, at the top of the paired degrees (82 the
+    # last n_max whose rule is sound, 83 the first refused)
+    for key in ("I", "III", "II", "IV"):
+        for n_max in (66, 82):
+            add(f"gram[{key},{n_max}]", S.gram, pts[key], n_max)
+    add("gram[I,83]", S.gram, pts["I"], 83)
+    add("gram[III,40,metric]", S.gram, pts["III"], 40, "metric")
     add("gram[II,8,metric]", S.gram, pts["II"], 8, "metric")
     add("gram[I,116]", S.gram, pts["I"], 116)
     add("gram[I,4,which]", S.gram, pts["I"], 4, "other")
@@ -184,6 +191,7 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     for key in ("I", "I~", "III"):
         for what, f in [("gaussian", gaussian), *targets.items()]:
             add(f"reconstruct[{key},{what},20]", S.reconstruct, pts[key], f, 20)
+    add("reconstruct[I,gauss,82]", S.reconstruct, pts["I"], gaussian, 82)
     add("reconstruct[II]", S.reconstruct, pts["II"], gaussian, 4)
 
     # the resonant family and its expansions
@@ -201,7 +209,7 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
             single = S.stripped_discrete_function(p, 2, branch)
             mixed = [(0.5, S.stripped_discrete_function(p, 0, branch)),
                      (1j, S.stripped_discrete_function(p, 3, branch))]
-            for n_max in (-1, 0, 5, 40, 115, 116):
+            for n_max in (-1, 0, 5, 40, 82, 115, 116):
                 add(f"resonant_expansion[{key},{sector},single,{n_max}]",
                     S.resonant_expansion, p, single, n_max, sector)
             for n_max in (0, 5, 40):
