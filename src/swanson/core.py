@@ -285,16 +285,23 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
     Rows are emitted row-major with alpha/omega as the outer (slow) index.
     Omega^2/omega^2 varies continuously; the reduced mass changes sign only
     across the line alpha/omega + beta/omega = 1, where it is undefined.
-    n is an integer in 2 ... 1001.
+    n is an integer in 2 ... 1001 and half_range a real number; anything else
+    raises ValueError naming the argument.
 
-    Each alpha row is computed with numpy in one pass, making the
-    floating-point operations of derive and classify in their order, reduced
-    couplings above a scale of 1e100 included; so every row is bit-identical
-    to derive(ModelParams(1.0, a, b), tol) and classify(ModelParams(1.0, a, b), tol).
+    The grid is computed with numpy in blocks of whole alpha rows, about
+    4,096 points a block, each one broadcast pass of an alpha column against
+    the beta row. A pass makes the floating-point operations of derive and
+    classify in their order, reduced couplings above a scale of 1e100
+    included; so every row is bit-identical to derive(ModelParams(1.0, a, b), tol)
+    and classify(ModelParams(1.0, a, b), tol).
     """
     n = _require_index(n, "n", _SURFACE_N_MAX)
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+    import numbers
+
+    if not isinstance(half_range, numbers.Real):
+        raise ValueError(f"half_range must be a real number, got {half_range!r}")
     if half_range <= 0:
         raise ValueError("half_range must be positive")
     if not tol > 0:     # also NaN
@@ -308,10 +315,12 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
         raise ValueError(f"grid coordinates must be finite, got half_range = {half_range}")
     abs_b = np.abs(b)
     rows = []
+    block = max(1, 4096 // n)       # alpha rows a pass: bounded temporaries, few numpy calls
     # a subnormal gap gives mass inf and scale^2 past 1e154 gives omega_sq inf, as in derive
     with np.errstate(over="ignore", divide="ignore"):
-        for a in coords:
-            scale = np.maximum(max(1.0, abs(a)), abs_b)
+        for start in range(0, n, block):
+            a = b[start:start + block, None]      # a column of alpha against the row b of beta
+            scale = np.maximum(np.maximum(1.0, np.abs(a)), abs_b)
             s = np.where(scale > _SAFE_HI, scale, 1.0)  # 1.0 keeps a point unreduced, exactly
             wr, ar, br = 1.0 / s, a / s, b / s
             r_scale = np.maximum(np.maximum(np.abs(wr), np.abs(ar)), np.abs(br))
@@ -321,9 +330,10 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
             massive = np.abs(gap) > tol_gap     # the test of derive; classify's on_gap is its negation
             on_omega = np.abs(omega_sq) <= tol_gap * r_scale
             code = (~massive << 3) | (on_omega << 2) | ((gap > 0) << 1) | (omega_sq > 0)
-            mass = (1.0 / gap / s).tolist()
+            mass = (1.0 / gap / s).ravel().tolist()
             for i in np.flatnonzero(~massive).tolist():
                 mass[i] = None
-            rows.extend(map(_new_row, zip(itertools.repeat(a), coords, (omega_sq * s * s).tolist(),
-                                          mass, labels[code].tolist())))
+            a_col = itertools.chain.from_iterable(itertools.repeat(x, n) for x in coords[start:start + block])
+            rows.extend(map(_new_row, zip(a_col, coords * len(a), (omega_sq * s * s).ravel().tolist(),
+                                          mass, labels[code.ravel()].tolist())))
     return rows

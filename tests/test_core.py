@@ -3,13 +3,16 @@ import math
 import pickle
 import re
 import struct
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swanson import ModelParams, RegionLabel, SurfaceRow, classify, cli, derive, surface_grid
+from swanson import core
 from swanson.core import DEFAULT_TOL
 
 finite_coupling = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -208,6 +211,61 @@ def test_surface_grid_matches_scalar_property(half_range, n, tol):
     _assert_grid_matches_scalar(half_range, n, tol)
 
 
+def _rows_per_block(n):
+    # surface_grid computes whole alpha rows in blocks of about 4,096 points
+    return max(1, 4096 // n)
+
+
+@pytest.mark.parametrize("half_range", [2.0, 1e300], ids=["direct", "reduced"])
+@pytest.mark.parametrize("n", [64, 65, 103])
+def test_surface_grid_bit_identical_across_blocks(half_range, n):
+    # 64 fills one block; 65 and 103 end on a partial block; 1e300 takes the reduced couplings
+    _assert_grid_matches_scalar(half_range, n, DEFAULT_TOL)
+
+
+def test_surface_grid_rows_at_block_edges_of_the_top_side():
+    n, k = 1001, _rows_per_block(1001)
+    rows = surface_grid(2.0, n)
+    coords = [-2.0 + 4.0 * i / (n - 1) for i in range(n)]
+    for i in (k - 1, k, n - 2, n - 1):      # each side of the first edge and of the last
+        got = [_row_bits(*r) for r in rows[i * n:(i + 1) * n]]
+        expected = []
+        for b in coords:
+            p = ModelParams(1.0, coords[i], b)
+            d = derive(p)
+            expected.append(_row_bits(coords[i], b, d.omega_sq, d.m_eff, classify(p)))
+        assert got == expected, f"alpha row {i}"
+
+
+@pytest.mark.parametrize("n", [2, 64, 65, 201])
+def test_surface_grid_makes_one_numpy_pass_per_block(n, monkeypatch):
+    calls = []
+
+    def spy(w, a, b):
+        calls.append(a.shape)
+        return gap(w, a, b)
+
+    gap = core._gap
+    monkeypatch.setattr(core, "_gap", spy)
+    surface_grid(2.0, n)
+    assert len(calls) == -(-n // _rows_per_block(n))
+    assert all(shape[0] * shape[1] <= 4096 for shape in calls)
+
+
+@pytest.mark.parametrize("n", [201, 1001])
+def test_surface_grid_transient_memory_is_bounded(n):
+    # peak minus retained: the numpy temporaries of one block, not of the whole grid
+    surface_grid(2.0, 2)                    # the label table and numpy, loaded once
+    tracemalloc.start()
+    try:
+        rows = surface_grid(2.0, n)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == n * n
+    assert peak - retained <= 2 ** 20
+
+
 @pytest.mark.parametrize("args", [
     (2.0, 1), (2.0, 0), (0.0, 5), (-1.0, 5), (math.inf, 5), (math.nan, 5), (1e308, 5),
     (2.0, 5, 0.0), (2.0, 5, -1e-12),
@@ -215,6 +273,20 @@ def test_surface_grid_matches_scalar_property(half_range, n, tol):
 def test_surface_grid_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
         surface_grid(*args)
+
+
+@pytest.mark.parametrize("half_range", [
+    np.array([2.0]), np.array(2.0), "2", None, 2.0 + 0j, np.complex128(2.0)],
+    ids=["array", "0-d array", "str", "None", "complex", "numpy complex"])
+def test_surface_grid_refuses_a_half_range_that_is_not_a_real_number(half_range):
+    # an array gave rows of arrays and lists; a string, None or a complex a bare TypeError
+    with pytest.raises(ValueError, match="^half_range must be a real number, got "):
+        surface_grid(half_range, 5)
+
+
+@pytest.mark.parametrize("half_range", [2, np.float64(2.0), np.float32(2.0), np.int64(2)])
+def test_surface_grid_takes_every_real_scalar(half_range):
+    assert surface_grid(half_range, 3)[0][:2] == (-half_range, -half_range)
 
 
 @pytest.mark.parametrize("n,message", [

@@ -85,7 +85,7 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     """(name, thunk) per call, every object built from the package S itself: the classes of
     two trees are distinct, and the library's isinstance checks must see their own.  quick
     keeps every twelfth index of the long index sweeps, their edges and every tenth Weber
-    box point."""
+    box point, and leaves out the 1001 x 1001 surface."""
     M = S.ModelParams
     pts = {
         "I": M(1.0, 0.2, 0.1), "I'": M(1.0, -0.1, -0.3), "I~": M(1.0, 0.2, 0.1, 1.7, 0.6),
@@ -114,6 +114,12 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
         add(f"surface_grid[2,201,{tol:g}]", S.surface_grid, 2.0, 201, tol)
     add("surface_grid[1e300,40]", S.surface_grid, 1e300, 40)
     add("surface_grid[2,9,0.3]", S.surface_grid, 2.0, 9, 0.3)
+    # sides whose last block of alpha rows is partial, and the top side, packed: its million
+    # rows would need about a gigabyte in canonical form
+    add("surface_grid[2,103]", S.surface_grid, 2.0, 103)
+    add("surface_grid[1e300,103]", S.surface_grid, 1e300, 103)
+    if not quick:
+        rows.append(("surface_grid[2,1001]", lambda: _packed_rows(S.surface_grid(2.0, 1001))))
     for n in (2.5, "3", 1, 1002):
         add(f"surface_grid[n {n!r}]", S.surface_grid, 2.0, n)
     add("ModelParams[b0=0]", M, 1.0, 0.2, 0.1, 0.0)
@@ -373,6 +379,15 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
 # ---------------------------------------------------------------------------
 # Comparison
 # ---------------------------------------------------------------------------
+
+def _packed_rows(rows) -> tuple:
+    """Surface rows as arrays: the four float columns (a None mass as 0.0), where the mass
+    is None, and the region values."""
+    a, b, omega_sq, mass, region = zip(*rows)
+    none = np.array([m is None for m in mass])
+    mass = np.array([0.0 if m is None else m for m in mass])
+    return np.array([a, b, omega_sq]), mass, none, np.array([r.value for r in region])
+
 
 def _run(thunk):
     """The call's value, or ('raised', type name, message) for the error it raised."""
