@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -293,7 +294,9 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
     the beta row. A pass makes the floating-point operations of derive and
     classify in their order, reduced couplings above a scale of 1e100
     included; so every row is bit-identical to derive(ModelParams(1.0, a, b), tol)
-    and classify(ModelParams(1.0, a, b), tol).
+    and classify(ModelParams(1.0, a, b), tol). The cyclic garbage collector is
+    paused while the rows are built (rows cannot form a cycle) and switched
+    back on afterwards only if it was on.
     """
     n = _require_index(n, "n", _SURFACE_N_MAX)
     if n < 2:
@@ -316,24 +319,34 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
     abs_b = np.abs(b)
     rows = []
     block = max(1, 4096 // n)       # alpha rows a pass: bounded temporaries, few numpy calls
-    # a subnormal gap gives mass inf and scale^2 past 1e154 gives omega_sq inf, as in derive
-    with np.errstate(over="ignore", divide="ignore"):
-        for start in range(0, n, block):
-            a = b[start:start + block, None]      # a column of alpha against the row b of beta
-            scale = np.maximum(np.maximum(1.0, np.abs(a)), abs_b)
-            s = np.where(scale > _SAFE_HI, scale, 1.0)  # 1.0 keeps a point unreduced, exactly
-            wr, ar, br = 1.0 / s, a / s, b / s
-            r_scale = np.maximum(np.maximum(np.abs(wr), np.abs(ar)), np.abs(br))
-            omega_sq = wr * wr - 4.0 * ar * br
-            gap = _gap(wr, ar, br)
-            tol_gap = tol * r_scale
-            massive = np.abs(gap) > tol_gap     # the test of derive; classify's on_gap is its negation
-            on_omega = np.abs(omega_sq) <= tol_gap * r_scale
-            code = (~massive << 3) | (on_omega << 2) | ((gap > 0) << 1) | (omega_sq > 0)
-            mass = (1.0 / gap / s).ravel().tolist()
-            for i in np.flatnonzero(~massive).tolist():
-                mass[i] = None
-            a_col = itertools.chain.from_iterable(itertools.repeat(x, n) for x in coords[start:start + block])
-            rows.extend(map(_new_row, zip(a_col, coords * len(a), (omega_sq * s * s).ravel().tolist(),
-                                          mass, labels[code.ravel()].tolist())))
+    # rows hold only floats, None and RegionLabel members, so they cannot form a cycle: pause
+    # the collector for the build (not gc.freeze, which would unfreeze a caller's objects)
+    # and switch it back on only if it was on, so a caller's disabled collector stays off
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        # a subnormal gap gives mass inf and scale^2 past 1e154 gives omega_sq inf, as in derive
+        with np.errstate(over="ignore", divide="ignore"):
+            for start in range(0, n, block):
+                a = b[start:start + block, None]      # a column of alpha against the row b of beta
+                scale = np.maximum(np.maximum(1.0, np.abs(a)), abs_b)
+                s = np.where(scale > _SAFE_HI, scale, 1.0)  # 1.0 keeps a point unreduced, exactly
+                wr, ar, br = 1.0 / s, a / s, b / s
+                r_scale = np.maximum(np.maximum(np.abs(wr), np.abs(ar)), np.abs(br))
+                omega_sq = wr * wr - 4.0 * ar * br
+                gap = _gap(wr, ar, br)
+                tol_gap = tol * r_scale
+                massive = np.abs(gap) > tol_gap     # the test of derive; classify's on_gap is its negation
+                on_omega = np.abs(omega_sq) <= tol_gap * r_scale
+                code = (~massive << 3) | (on_omega << 2) | ((gap > 0) << 1) | (omega_sq > 0)
+                mass = (1.0 / gap / s).ravel().tolist()
+                for i in np.flatnonzero(~massive).tolist():
+                    mass[i] = None
+                a_col = itertools.chain.from_iterable(
+                    itertools.repeat(x, n) for x in coords[start:start + block])
+                rows.extend(map(_new_row, zip(a_col, coords * len(a), (omega_sq * s * s).ravel().tolist(),
+                                              mass, labels[code.ravel()].tolist())))
+    finally:
+        if gc_was_on:
+            gc.enable()
     return rows

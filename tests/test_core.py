@@ -1,4 +1,5 @@
 import cmath
+import gc
 import math
 import pickle
 import re
@@ -250,6 +251,69 @@ def test_surface_grid_makes_one_numpy_pass_per_block(n, monkeypatch):
     surface_grid(2.0, n)
     assert len(calls) == -(-n // _rows_per_block(n))
     assert all(shape[0] * shape[1] <= 4096 for shape in calls)
+
+
+@pytest.fixture
+def collector_state():
+    # each test below switches the process-wide collector; put it back as it was
+    was_on = gc.isenabled()
+    yield
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_surface_grid_starts_no_collection(collector_state):
+    # 40,401 tracked rows at n = 201 set off about 57 collections a call with the collector on
+    starts = []
+
+    def spy(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(spy)
+    try:
+        rows = surface_grid(2.0, 201)
+    finally:
+        gc.callbacks.remove(spy)
+    assert len(rows) == 201 * 201
+    assert starts == []
+
+
+class _BlockFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("was_on", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("case", ["rows", "block raises", "half_range inf", "n 1002"])
+def test_surface_grid_leaves_the_collector_as_it_found_it(was_on, case, collector_state, monkeypatch):
+    seen = []
+    gap = core._gap
+
+    def spy(w, a, b):
+        seen.append(gc.isenabled())
+        if case == "block raises":
+            raise _BlockFault
+        return gap(w, a, b)
+
+    monkeypatch.setattr(core, "_gap", spy)
+    args = {"half_range inf": (math.inf, 5), "n 1002": (2.0, 1002)}.get(case, (2.0, 65))
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
+    if case == "rows":
+        assert len(surface_grid(*args)) == 65 * 65
+    else:
+        with pytest.raises(_BlockFault if case == "block raises" else ValueError):
+            surface_grid(*args)
+    assert gc.isenabled() is was_on
+    if case in ("rows", "block raises"):
+        assert seen and not any(seen)       # paused for every block
+    else:
+        assert seen == []                   # refused before any block
 
 
 @pytest.mark.parametrize("n", [201, 1001])
