@@ -27,7 +27,7 @@ _EXPORTS = {
                      "PlaneWaveGauss", "apply_hamiltonian", "apply_oscillator",
                      "conjugate_function", "discrete_states", "ep_states", "evaluate",
                      "free_particle_states"),
-    "pairing": ("GramReport", "RotatedContour", "gram", "metric_pair", "pair", "reconstruct"),
+    "pairing": ("GramReport", "gram", "metric_pair", "pair", "reconstruct"),
     "continuum": ("PoleScanReport", "continuum_norm_constant", "continuum_state",
                   "delta_normalization_probe", "pole_scan", "resonant_expansion",
                   "stripped_discrete_function"),

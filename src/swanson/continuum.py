@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BARRIER, ModelParams, RegionLabel, _require_index, _require_stratum, derive
-from .errors import NonConvergentError
-from .eigensystems import (_LADDER_MAX, CylinderState, GaussPoly,
+from .errors import DeltaDerivNotEvaluableError, NonConvergentError
+from .eigensystems import (_LADDER_MAX, _NO_VALUES, CylinderState, DeltaDeriv, GaussPoly,
                            GeneralizedFunction, _finite, _ladder, _rungs)
-from .pairing import _PAIRED_DEGREE_MAX, _default_strategy, _expand
+from .pairing import _PAIRED_DEGREE_MAX, _expand
 from .specfun import _gauss_legendre, _log_gamma_lanczos, log_gamma, parabolic_cylinder_d
 
 __all__ = [
@@ -173,7 +173,9 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     sector 'minus' expands over phi_n^- with coefficients <phi_n^+ | target>
     (rotated-contour pairings against the opposite branch); 'plus' is the
     mirror.  target is a stripped GeneralizedFunction or a non-empty list of
-    (coefficient, function) pairs, else TypeError before any pairing.  Returns
+    (coefficient, function) pairs, else TypeError before any pairing; a
+    delta-derivative piece, which has no values to reconstruct, raises
+    DeltaDerivNotEvaluableError before any pairing too.  Returns
     (coefficients, sup-norm residual of the truncated reconstruction on 201
     points over +-6 b0).  Targets outside the sector's decay class make the
     coefficient integrals divergent, which raises NonConvergentError; n_max is
@@ -193,21 +195,19 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
         raise TypeError("resonant_expansion: target must be a closed form or a non-empty list of "
                         "(coefficient, closed form) pairs; a callable of real x cannot be sampled "
                         f"on the rotated contour, got {given}")
+    if any(isinstance(f, DeltaDeriv) for _, f in pieces):     # no values to reconstruct
+        raise DeltaDerivNotEvaluableError(_NO_VALUES)
     plus, minus = _rungs(label, dataclasses.replace(derive(params), upsilon_coeff=0.0),  # phi^+, phi^-
                          params, "+", n_max)
     duals, basis = (plus, minus) if sector == "minus" else (minus, plus)
     dual_branch = "+" if sector == "minus" else "-"
 
-    def strategy_of(f):
-        try:
-            return _default_strategy(duals, [f], params)
-        except NonConvergentError as exc:
-            raise NonConvergentError(
-                f"sector mismatch: coefficients <phi_n^{dual_branch}|target> diverge "
-                f"({exc})") from exc
+    def mismatch(reason):
+        return NonConvergentError(
+            f"sector mismatch: coefficients <phi_n^{dual_branch}|target> diverge ({reason})")
 
     grid = np.linspace(-6.0 * params.b0, 6.0 * params.b0, 201)
-    return _expand(duals, basis, pieces, strategy_of, grid, params, "resonant expansion")
+    return _expand(duals, basis, pieces, grid, params, "resonant expansion", refusal=mismatch)
 
 
 # ---------------------------------------------------------------------------

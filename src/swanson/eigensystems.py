@@ -38,6 +38,7 @@ from .errors import (DeltaDerivNotEvaluableError, NonConvergentError, RegionErro
 from .specfun import SQRT_PI, hermite_rows, log_gamma, parabolic_cylinder_d
 
 ROOT_I = cmath.exp(1j * math.pi / 4.0)  # branch of sqrt(i), fixed globally
+_NO_VALUES = "delta-derivative functionals have no pointwise values; use the pairing module"
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +324,7 @@ def evaluate(f: GeneralizedFunction, x, params: ModelParams):
     then raises NonConvergentError.
     """
     if isinstance(f, DeltaDeriv):
-        raise DeltaDerivNotEvaluableError(
-            "delta-derivative functionals have no pointwise values; use the pairing module")
+        raise DeltaDerivNotEvaluableError(_NO_VALUES)
     x_arr = np.atleast_1d(np.asarray(x, dtype=complex))
     if isinstance(f, CylinderState):
         g, mu, slope, pref = _cyl_fields(f)
@@ -340,15 +340,14 @@ def evaluate(f: GeneralizedFunction, x, params: ModelParams):
 # ---------------------------------------------------------------------------
 
 @np.errstate(all="ignore")
-def _taylor_rows(fs: list[GeneralizedFunction], gauss, params: ModelParams,
-                 order: int) -> np.ndarray:
-    """f^(m)(0)/sqrt(m!), m = 0 ... order, for each f in fs (the smooth forms of
-    _terms) with its Gaussian replaced by exp(gauss x^2/(2 b0^2)).
+def _taylor_rows(terms: tuple, gauss, params: ModelParams, order: int) -> np.ndarray:
+    """f^(m)(0)/sqrt(m!), m = 0 ... order, for each f of the term data terms (as _terms
+    returns them) with its Gaussian replaced by exp(gauss x^2/(2 b0^2)).
 
     Each step differentiates every term and divides by sqrt(m), so no factorial
     is formed; values past the float range come out non-finite, silently.
     """
-    coeffs, scale, drift, first = _terms(fs)
+    coeffs, scale, drift, first = terms
     at_zero = _basis_rows(scale, np.zeros(1), params, coeffs.shape[1] + order)[:, 0]
     out = np.empty((len(coeffs), order + 1), dtype=complex)
     for m in range(order + 1):
@@ -364,8 +363,8 @@ def taylor_coefficients(f: GeneralizedFunction, params: ModelParams, order: int)
     """Taylor coefficients of f about x = 0 up to the given order (inclusive); one
     reads 0 only where it is itself below the float range."""
     mantissas, exponents = zip(*(_inverse_sqrt_factorial_parts(m) for m in range(order + 1)))
-    rows = _taylor_rows([f], f.gauss, params, order)[0] * np.array(mantissas)   # 2^-e comes last,
-    return np.ldexp(rows.view(float), np.repeat(exponents, 2)).view(complex)    # on (re, im) pairs
+    rows = _taylor_rows(_terms([f]), f.gauss, params, order)[0] * np.array(mantissas)   # 2^-e comes
+    return np.ldexp(rows.view(float), np.repeat(exponents, 2)).view(complex)    # last, on (re, im) pairs
 
 
 def polynomial_pieces(f: GeneralizedFunction, params: ModelParams):

@@ -15,7 +15,6 @@ from swanson import (
     DeltaDeriv,
     ModelParams,
     ObservableKind,
-    RotatedContour,
     apply_hamiltonian,
     apply_observable,
     apply_oscillator,
@@ -38,6 +37,7 @@ from swanson import (
     sweep_to_boundary_i_iii,
     sweep_to_ep,
 )
+from swanson.pairing import _pair_block
 from swanson.eigensystems import GaussPoly, polynomial_pieces
 
 OMEGA_II = math.sqrt(3.0)
@@ -69,14 +69,14 @@ def test_criterion_2_barrier_biorthogonality_rotated():
         worst = max(worst, g.max_offdiag, g.max_diag_err)
         assert g.max_offdiag <= 1e-6
         assert g.max_diag_err <= 1e-6
-    # strategy-equivalence spot checks: explicit quarter-turn rotations with
-    # different orders agree with the auto strategy to 1e-8
+    # rule-equivalence spot checks: explicit quarter-turn rotations with
+    # different orders agree with the chosen rule to 1e-8
     states = {(s.n, s.branch): s for s in discrete_states(pts.REGION_II_POINT, 6)}
     for m, n, br in ((0, 0, "+"), (3, 3, "-"), (5, 1, "+"), (2, 6, "-")):
         theta = -math.pi / 4 if br == "+" else math.pi / 4
         auto = pair(states[(m, br)].left_fn, states[(n, br)].right_fn, pts.REGION_II_POINT)
-        explicit = pair(states[(m, br)].left_fn, states[(n, br)].right_fn,
-                        pts.REGION_II_POINT, RotatedContour(theta, 96))
+        explicit = _pair_block([states[(m, br)].left_fn], [states[(n, br)].right_fn],
+                               pts.REGION_II_POINT, (theta, 96))[0, 0]
         assert abs(auto - explicit) <= 1e-8
     elapsed = time.time() - t0
     assert elapsed < 30.0

@@ -8,6 +8,8 @@ import pytest
 
 import conftest as pts
 from swanson import (
+    DeltaDeriv,
+    DeltaDerivNotEvaluableError,
     ModelParams,
     NonConvergentError,
     RegionError,
@@ -275,6 +277,26 @@ def test_a_target_that_is_not_a_closed_form_is_refused_before_any_pairing(what, 
     with pytest.raises(TypeError, match=r"^resonant_expansion: target must be a closed form .*"
                                         + re.escape(given) + "$"):
         resonant_expansion(pts.REGION_II_POINT, target, 5)
+
+
+DELTA_TARGETS = {
+    "delta": DeltaDeriv(-1.0, 2, 1.0),
+    "list-with-delta": [(1.0, stripped_discrete_function(pts.REGION_II_POINT, 0, "-")),
+                        (1.0, DeltaDeriv(0.0, 2, 1.0))],
+}
+
+
+@pytest.mark.parametrize("what", list(DELTA_TARGETS))
+def test_a_target_with_a_delta_is_refused_before_any_pairing(what, monkeypatch):
+    # a delta target has no values to reconstruct; it was paired first, one block for
+    # the single delta and two for the list
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("paired a target that has no pointwise values")
+
+    monkeypatch.setattr(pairing, "_pair_block", no_pairing)
+    with pytest.raises(DeltaDerivNotEvaluableError, match="^delta-derivative functionals have no "
+                                                          "pointwise values; use the pairing module$"):
+        resonant_expansion(pts.REGION_II_POINT, DELTA_TARGETS[what], 5)
 
 
 def test_eta_phi_exchange_symmetry():

@@ -7,6 +7,7 @@ import pytest
 
 import conftest as pts
 from swanson import (
+    DeltaDeriv,
     ModelParams,
     NonConvergentError,
     ObservableKind,
@@ -118,6 +119,14 @@ def test_apply_observable_p_needs_the_similarity_coefficient():
     for kind in (ObservableKind.P, ObservableKind.P2):
         with pytest.raises(RegionError, match="similarity coefficient"):
             apply_observable(b, mono, kind)
+
+
+def test_observables_refuse_an_unknown_kind_and_a_delta():
+    p = pts.REGION_I_POINTS[0]
+    with pytest.raises(TypeError, match="unknown observable 'X'"):
+        matrix_element("X", 0, 1, p)
+    with pytest.raises(TypeError, match="observables act on GaussPoly states"):
+        apply_observable(p, DeltaDeriv(0.0, 1, 1.0), ObservableKind.X)
 
 
 def test_matrix_element_region_guard():

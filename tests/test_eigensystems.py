@@ -22,6 +22,7 @@ from swanson import (
     apply_hamiltonian,
     apply_oscillator,
     classify,
+    conjugate_function,
     continuum_state,
     derive,
     discrete_states,
@@ -32,7 +33,7 @@ from swanson import (
     pair,
     stripped_discrete_function,
 )
-from swanson.eigensystems import (_LADDER_MAX, _cyl_fields, _inverse_sqrt_factorial, _taylor_rows,
+from swanson.eigensystems import (_LADDER_MAX, _cyl_fields, _inverse_sqrt_factorial, _terms,
                                   polynomial_pieces, taylor_coefficients)
 from swanson.specfun import hermite, parabolic_cylinder_d
 
@@ -595,6 +596,18 @@ def test_evanescent_wave_far_out(amps):
 CYLINDER = continuum_state(pts.REGION_II_POINT, 0.3, "+", "phi")
 
 
+def test_conjugating_a_cylinder_state_flips_its_flag_and_is_an_involution():
+    once = conjugate_function(CYLINDER)
+    assert once.conjugated is not CYLINDER.conjugated
+    assert dataclasses.replace(once, conjugated=CYLINDER.conjugated) == CYLINDER
+    assert conjugate_function(once) == CYLINDER
+
+
+def test_conjugating_a_number_is_refused():
+    with pytest.raises(TypeError, match="unsupported function variant"):
+        conjugate_function(3.0)
+
+
 @pytest.mark.parametrize("f", [DeltaDeriv(gauss=-1.0, n=2, norm=1.0), CYLINDER],
                          ids=["DeltaDeriv", "CylinderState"])
 def test_non_polynomial_variants_are_rejected_as_documented(f):
@@ -602,7 +615,7 @@ def test_non_polynomial_variants_are_rejected_as_documented(f):
     with pytest.raises(TypeError):
         polynomial_pieces(f, p)
     with pytest.raises(TypeError):
-        _taylor_rows([f], -1.0, p, 3)
+        _terms([f])     # the term data _taylor_rows reads
     with pytest.raises(TypeError):
         taylor_coefficients(f, p, 3)
     if isinstance(f, DeltaDeriv):

@@ -272,7 +272,8 @@ def test_battery_block_matches_single_pairings(n):
     (lambda: sweep_to_ep(1.0, -2.0, 0, "II", [math.inf, 0.1]), "eps_values"),
     (lambda: ep_spectrum_flow(1.0, -2.0, 2, [0.1, math.nan]), "eps_values"),
     (lambda: sweep_to_ep(1.0, -2.0, 0, "II", GEOMETRIC_EPS, branch="x"), "branch"),
-], ids=["g-inf", "g-nan", "eps-nan", "eps-inf", "flow-eps-nan", "ep-branch"])
+    (lambda: sweep_to_boundary_i_iii(0.75, 0.25, 0, "up", [10.0]), "branch_target"),
+], ids=["g-inf", "g-nan", "eps-nan", "eps-inf", "flow-eps-nan", "ep-branch", "boundary-branch"])
 def test_sweep_inputs_are_checked_up_front(call, name):
     # these warned and blamed omega or alpha, or (the branch) raised a bare StopIteration
     with pytest.raises(ValueError, match=name):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -14,7 +15,6 @@ from swanson import (
     NonConvergentError,
     PlaneWaveGauss,
     RegionError,
-    RotatedContour,
     discrete_states,
     evaluate,
     gauss_hermite,
@@ -25,6 +25,13 @@ from swanson import (
 )
 from swanson.continuum import continuum_state, resonant_expansion, stripped_discrete_function
 from swanson.dynamics import evolve_sector
+from swanson.eigensystems import _terms
+from swanson.pairing import _pair_block
+
+
+def _pair_on(left, right, params, rule):
+    """<left | right> on the contour rule (theta, order), through the kernel."""
+    return _pair_block([left], [right], params, rule)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +68,10 @@ def test_boundary_i_iii_distributional_exact():
 def test_region_ii_rotated_quarter_turn():
     p = pts.REGION_II_POINT
     states = {(s.n, s.branch): s for s in discrete_states(p, 8)}
-    strategy = RotatedContour(-math.pi / 4.0, 72)
     for m in range(0, 9, 2):
         for n in range(9):
-            value = pair(states[(m, "+")].left_fn, states[(n, "+")].right_fn, p, strategy)
+            value = _pair_on(states[(m, "+")].left_fn, states[(n, "+")].right_fn, p,
+                             (-math.pi / 4.0, 72))
             assert value == pytest.approx(1.0 if m == n else 0.0, abs=1e-6)
 
 
@@ -171,8 +178,6 @@ def test_gram_fetches_one_rule_per_block(monkeypatch):
 
 
 def test_pair_block_rejects_mixed_exponents():
-    from swanson.pairing import _pair_block
-
     p = pts.REGION_I_POINTS[0]
     mixed = [GaussPoly(gauss=-1.0, coeffs=(1.0,), norm=1.0),
              GaussPoly(gauss=-2.0, coeffs=(1.0,), norm=1.0)]
@@ -193,12 +198,11 @@ def kernel_calls(monkeypatch):
     """Counts of the basis samplings (hermite_rows) and function conjugations the
     library makes, spied where they are defined and where they are called."""
     import swanson.eigensystems as eigensystems_module
-    import swanson.pairing as pairing_module
     import swanson.specfun as specfun_module
 
     calls = {"hermite_rows": 0, "conjugate_function": 0}
     for name, modules in (("hermite_rows", (specfun_module, eigensystems_module)),
-                          ("conjugate_function", (eigensystems_module, pairing_module))):
+                          ("conjugate_function", (eigensystems_module,))):
         def counting(*args, _real=getattr(modules[0], name), _name=name):
             calls[_name] += 1
             return _real(*args)
@@ -228,9 +232,24 @@ def test_reconstruct_samples_one_basis_for_its_block(kernel_calls):
     assert kernel_calls == {"hermite_rows": 3, "conjugate_function": 0}
 
 
-def test_a_delta_block_conjugates_its_left_functions(kernel_calls):
+def test_a_delta_block_conjugates_no_function(kernel_calls):
+    # both rules read the left side's term data conjugated as arrays
     gram(pts.BOUNDARY_I_III_POINT, 6)       # two branch blocks of 7 closed-form pairings
-    assert kernel_calls == {"hermite_rows": 0, "conjugate_function": 2 * 7}
+    assert kernel_calls == {"hermite_rows": 0, "conjugate_function": 0}
+
+
+def test_a_delta_block_reads_the_term_data_of_its_smooth_side_once(monkeypatch):
+    import swanson.pairing as pairing_module
+
+    read = []
+
+    def counting(fs):
+        read.append(len(fs))
+        return _terms(fs)
+
+    monkeypatch.setattr(pairing_module, "_terms", counting)
+    gram(ModelParams(1.0, 0.75, 0.25), 6)       # each branch block one smooth side of 7
+    assert read == [7, 7]
 
 
 def _reference_terms(fs):
@@ -259,20 +278,30 @@ def _reference_stripped(fs, x, params):
     return np.add.reduceat(values * np.exp(np.multiply.outer(drift, x)), first)
 
 
+def _reference_rule(a_tot, degree):
+    """(theta, order): theta = 0 where exp(a_tot x^2) decays along the real line with a
+    slow phase, else the angle that turns a_tot onto the negative axis; 4 degree + 40 nodes."""
+    if a_tot.real < 0.0 and abs(a_tot.imag) <= 0.5 * -a_tot.real:
+        return 0.0, 4 * degree + 40
+    angle = math.atan2(a_tot.imag, a_tot.real)
+    return 0.5 * ((math.pi if angle >= 0.0 else -math.pi) - angle), 4 * degree + 40
+
+
 def _reference_block(lefts, rights, params):
     from swanson.eigensystems import conjugate_function
-    from swanson.pairing import _combined_exponent, _default_strategy
 
-    strategy = _default_strategy(lefts, rights, params)
-    a_rot = _combined_exponent(lefts, rights, params) * np.exp(2j * strategy.theta)
+    degree = max(len(f.coeffs) - 1 if isinstance(f, GaussPoly) else 0 for f in lefts + rights)
+    a_tot = (complex(lefts[0].gauss).conjugate() + complex(rights[0].gauss)) / (2.0 * params.b0 ** 2)
+    theta, order = _reference_rule(a_tot, degree)
+    a_rot = a_tot * np.exp(2j * theta)
     s = math.sqrt(-a_rot.real)
-    quadrature = gauss_hermite(strategy.order)
+    quadrature = gauss_hermite(order)
     t = quadrature.nodes
-    x = np.exp(1j * strategy.theta) * t / s
+    x = np.exp(1j * theta) * t / s
     residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
     left_rows = _reference_stripped([conjugate_function(f) for f in lefts], x, params)
     right_rows = _reference_stripped(rights, x, params)
-    return (left_rows * (quadrature.weights * residual)) @ right_rows.T * (np.exp(1j * strategy.theta) / s)
+    return (left_rows * (quadrature.weights * residual)) @ right_rows.T * (np.exp(1j * theta) / s)
 
 
 def _ladder_blocks(p, n_max):
@@ -297,15 +326,11 @@ _WAVES = [PlaneWaveGauss(-1.0, 1.5, 0.5, 0.25j), PlaneWaveGauss(-1.0, 0.8j, comp
 @pytest.mark.parametrize("p", [pts.REGION_I_POINTS[0], pts.REGION_I_POINTS[1], pts.REGION_III_POINTS[0],
                                pts.REGION_II_POINT, pts.REGION_IV_POINT])
 def test_kernel_blocks_equal_the_reference_byte_for_byte(p, n_max):
-    from swanson.pairing import _pair_block
-
     for lefts, rights in _ladder_blocks(p, n_max):
         assert _pair_block(lefts, rights, p).tobytes() == _reference_block(lefts, rights, p).tobytes()
 
 
 def test_kernel_blocks_of_two_bases_and_plane_waves_equal_the_reference_byte_for_byte():
-    from swanson.pairing import _pair_block
-
     p = pts.REGION_I_POINTS[0]
     left = discrete_states(p, 3)[3].left_fn
     other = GaussPoly(gauss=-1.5, coeffs=(0.2, 0.0, -1.0j), norm=0.9, scale=1.3)
@@ -322,8 +347,6 @@ def test_ladder_grams_equal_the_function_list_kernel(p, n_max):
     # the real norm of Regions I/III that is the term matrix's product bit for bit; the
     # complex norm of Regions II/IV no longer goes through the zgemm of tensordot, whose
     # complex products round differently
-    from swanson.pairing import _pair_block
-
     listed = [_pair_block(lefts, rights, p) for lefts, rights in _ladder_blocks(p, n_max)]
     real = p in pts.REGION_I_POINTS + pts.REGION_III_POINTS
     pairs = [(gram(p, n_max).matrix, np.vstack(listed[: len(listed) - real]))]
@@ -470,22 +493,29 @@ def test_strategy_equivalence_direct_vs_rotated():
     p = pts.REGION_I_POINTS[0]
     states = discrete_states(p, 4)
     for m, n in ((0, 0), (1, 3), (4, 4), (2, 0)):
-        direct = pair(states[m].left_fn, states[n].right_fn, p, RotatedContour(0.0, 80))
-        rotated = pair(states[m].left_fn, states[n].right_fn, p, RotatedContour(0.35, 80))
+        direct = _pair_on(states[m].left_fn, states[n].right_fn, p, (0.0, 80))
+        rotated = _pair_on(states[m].left_fn, states[n].right_fn, p, (0.35, 80))
         assert direct == pytest.approx(rotated, abs=1e-8)
 
 
-def test_direct_rule_is_the_theta_zero_contour():
+def test_direct_rule_is_the_theta_zero_contour(monkeypatch):
     # the rule chosen for a block that decays on the real line is the theta = 0
     # contour, on 4 n + 40 nodes for its highest degree n
-    from swanson.pairing import _default_strategy, _pair_block
+    import swanson.pairing as pairing_module
 
     p = pts.REGION_I_POINTS[0]
     states = discrete_states(p, 6)
     lefts, rights = [s.left_fn for s in states], [s.right_fn for s in states]
-    assert _default_strategy(lefts, rights, p) == RotatedContour(0.0, 64)
+    orders = []
+
+    def counting(order):
+        orders.append(order)
+        return gauss_hermite(order)
+
+    monkeypatch.setattr(pairing_module, "gauss_hermite", counting)
     direct = _pair_block(lefts, rights, p)
-    assert np.array_equal(direct, _pair_block(lefts, rights, p, RotatedContour(0.0, 64)))
+    assert orders == [64]
+    assert np.array_equal(direct, _pair_block(lefts, rights, p, (0.0, 64)))
 
 
 @pytest.mark.parametrize("n", [83, 100])
@@ -507,24 +537,23 @@ def test_rule_whose_weights_underflow_is_a_typed_error():
     with np.errstate(over="ignore"):
         assert not gauss_hermite(371).weights.any()
     state = discrete_states(p, 2)[2]
-    assert pair(state.left_fn, state.right_fn, p, RotatedContour(0.0, 370)) == pytest.approx(1.0)
+    assert _pair_on(state.left_fn, state.right_fn, p, (0.0, 370)) == pytest.approx(1.0)
     with pytest.raises(NonConvergentError,
                        match="Gauss-Hermite pairing of order 371 leaves the float range"):
-        pair(state.left_fn, state.right_fn, p, RotatedContour(0.0, 371))
+        _pair_on(state.left_fn, state.right_fn, p, (0.0, 371))
 
 
 def test_quadrature_order_doubling_stability():
     p = pts.REGION_I_POINTS[0]
     states = discrete_states(p, 5)
-    base = pair(states[2].left_fn, states[2].right_fn, p, RotatedContour(0.0, 60))
-    doubled = pair(states[2].left_fn, states[2].right_fn, p, RotatedContour(0.0, 120))
+    base = _pair_on(states[2].left_fn, states[2].right_fn, p, (0.0, 60))
+    doubled = _pair_on(states[2].left_fn, states[2].right_fn, p, (0.0, 120))
     assert abs(base - doubled) <= 1e-10
 
     p2 = pts.REGION_II_POINT
     s2 = {(s.n, s.branch): s for s in discrete_states(p2, 4)}
-    base = pair(s2[(3, "+")].left_fn, s2[(3, "+")].right_fn, p2, RotatedContour(-math.pi / 4, 56))
-    doubled = pair(s2[(3, "+")].left_fn, s2[(3, "+")].right_fn, p2,
-                   RotatedContour(-math.pi / 4, 112))
+    base = _pair_on(s2[(3, "+")].left_fn, s2[(3, "+")].right_fn, p2, (-math.pi / 4, 56))
+    doubled = _pair_on(s2[(3, "+")].left_fn, s2[(3, "+")].right_fn, p2, (-math.pi / 4, 112))
     assert abs(base - doubled) <= 1e-10
 
 
@@ -574,13 +603,30 @@ def test_two_delta_pairing_undefined():
         pair(states[(0, "-")].right_fn, states[(1, "-")].right_fn, p)
 
 
-def test_distributional_requires_strategy_match():
-    p = pts.BOUNDARY_I_III_POINT
-    states = {(s.n, s.branch): s for s in discrete_states(p, 1)}
-    delta_state = states[(0, "-")].right_fn
-    smooth = GaussPoly(gauss=-1.0, coeffs=(1.0,), norm=1.0)
-    with pytest.raises(NonConvergentError, match="takes no quadrature rule"):
-        pair(smooth, delta_state, p, RotatedContour(0.0, 40))
+NOT_CLOSED_FORMS = {
+    # a callable of real x cannot be sampled on the rotated contour
+    "callable": (lambda x: np.exp(-x ** 2), "got function"),
+    "float": (1.0, "got 1.0"),
+    "none": (None, "got None"),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("what", list(NOT_CLOSED_FORMS))
+@pytest.mark.parametrize("single", [pair, metric_pair], ids=["pair", "metric_pair"])
+def test_a_side_that_is_not_a_closed_form_is_refused_before_any_pairing(single, what, side, monkeypatch):
+    # a callable leaked AttributeError: 'function' object has no attribute 'gauss'
+    import swanson.pairing as pairing_module
+
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("paired a side that is not a closed form")
+
+    monkeypatch.setattr(pairing_module, "_pair_block", no_pairing)
+    other, (given, named) = _GAUSSIAN, NOT_CLOSED_FORMS[what]
+    args = (given, other) if side == "left" else (other, given)
+    with pytest.raises(TypeError, match=f"^{single.__name__}: each side must be a closed form .*"
+                                        + re.escape(named) + "$"):
+        single(*args, pts.REGION_I_POINTS[0])
 
 
 def test_distributional_against_displaced_gaussian():

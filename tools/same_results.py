@@ -147,10 +147,13 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("pair", S.pair, gaussian, shifted, pts["I"])
     add("metric_pair", S.metric_pair, gaussian, shifted, pts["I"])
     add("pair[no decay]", S.pair, S.GaussPoly(1.0, (1.0,), 1.0), gaussian, pts["I"])
-    # a delta block is paired in closed form, and refuses a rule
+    # a delta block is paired in closed form, on either side
     add("pair[delta,gaussian]", S.pair, S.DeltaDeriv(0.0, 2, 1.0), gaussian, pts["I"])
-    add("pair[delta,rule]", S.pair, S.DeltaDeriv(0.0, 2, 1.0), gaussian, pts["I"],
-        S.RotatedContour(0.0, 40))
+    add("pair[gaussian,delta]", S.pair, shifted, S.DeltaDeriv(-1.0, 3, 0.5 - 1.0j), pts["I"])
+    # sides that are not closed forms
+    for single in (S.pair, S.metric_pair):
+        add(f"{single.__name__}[callable]", single, gaussian, lambda x: x, pts["I"])
+        add(f"{single.__name__}[float]", single, 1.0, gaussian, pts["I"])
     # sides of two bases, each sampled in its own; decaying plane waves, their drifts
     # conjugated on the left
     other_scale = S.GaussPoly(gauss=-1.5, coeffs=(0.2, 0.0, -1.0j), norm=0.9, scale=1.3)
@@ -228,6 +231,8 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
         add(f"resonant_expansion[II,{what}]", S.resonant_expansion, pts["II"], f, 5)
     add("resonant_expansion[II,delta 300]", S.resonant_expansion, pts["II"],
         S.DeltaDeriv(0.0, 300, 1.0), 5)
+    add("resonant_expansion[II,list with delta]", S.resonant_expansion, pts["II"],
+        [(1.0, S.stripped_discrete_function(pts["II"], 0, "-")), (1.0, S.DeltaDeriv(0.0, 2, 1.0))], 5)
     add("resonant_expansion[II,growing 1e4]", S.resonant_expansion, pts["II"],
         S.GaussPoly(1e4, (1.0,), 1.0), 5)
     add("resonant_expansion[II,list mismatch]", S.resonant_expansion, pts["II"],
