@@ -347,8 +347,12 @@ def _cmd_reconstruct(args) -> int:
         from . import continuum
 
         branch = "-" if args.sector == "minus" else "+"
-        modes = [(complex(coeff), continuum.stripped_discrete_function(p, int(idx), branch))
-                 for idx, coeff in (tok.split(":") for tok in args.modes.split(","))]
+        try:
+            pairs = [(int(n), complex(c)) for n, c in (tok.split(":") for tok in args.modes.split(","))]
+        except ValueError:
+            raise ValueError(f"--modes takes comma-separated index:coefficient pairs, "
+                             f"got {args.modes!r}") from None
+        modes = [(c, continuum.stripped_discrete_function(p, n, branch)) for n, c in pairs]
         coeffs, sup_error = continuum.resonant_expansion(p, modes, args.nmax, args.sector)
     else:
         import numpy as np

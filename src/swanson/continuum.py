@@ -173,9 +173,10 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     sector 'minus' expands over phi_n^- with coefficients <phi_n^+ | target>
     (rotated-contour pairings against the opposite branch); 'plus' is the
     mirror.  target is a stripped GeneralizedFunction or a non-empty list of
-    (coefficient, function) pairs, else TypeError before any pairing; a
-    delta-derivative piece, which has no values to reconstruct, raises
-    DeltaDerivNotEvaluableError before any pairing too.  Returns
+    (coefficient, function) pairs, else TypeError before any pairing; a NaN or
+    infinite coefficient raises ValueError and a delta-derivative piece, which
+    has no values to reconstruct, DeltaDerivNotEvaluableError, before any
+    pairing too.  Returns
     (coefficients, sup-norm residual of the truncated reconstruction on 201
     points over +-6 b0).  Targets outside the sector's decay class make the
     coefficient integrals divergent, which raises NonConvergentError; n_max is
@@ -195,6 +196,8 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
         raise TypeError("resonant_expansion: target must be a closed form or a non-empty list of "
                         "(coefficient, closed form) pairs; a callable of real x cannot be sampled "
                         f"on the rotated contour, got {given}")
+    for i, (c, _) in enumerate(pieces):
+        _finite(c, f"resonant_expansion: coefficient {c!r} of piece {i}")
     if any(isinstance(f, DeltaDeriv) for _, f in pieces):     # no values to reconstruct
         raise DeltaDerivNotEvaluableError(_NO_VALUES)
     plus, minus = _rungs(label, dataclasses.replace(derive(params), upsilon_coeff=0.0),  # phi^+, phi^-

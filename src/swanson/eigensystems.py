@@ -305,33 +305,51 @@ def _smooth_values(f: GeneralizedFunction, x: np.ndarray, params: ModelParams,
         for r in np.flatnonzero(huge.any(axis=1)):
             log_mag, phase = _log_stripped(stack[r], scale, x[huge[r]], params)
             val[r, huge[r]] = phase * np.exp(log_mag + expo[r, huge[r]])
-    val = val.reshape(derivatives + 1, len(coeffs), -1).sum(axis=1)     # sum each function's terms
+    if len(coeffs) > 1:     # sum each function's terms; one term is its own sum
+        val = val.reshape(derivatives + 1, len(coeffs), -1).sum(axis=1)
     if not np.isfinite(val).all():
         where = np.broadcast_to(x, val.shape)[~np.isfinite(val)][0]
         raise NonConvergentError(f"{type(f).__name__} value outside the float range at x = {where}")
     return val.reshape((derivatives + 1,) + shape)
 
 
-def evaluate(f: GeneralizedFunction, x, params: ModelParams):
-    """Pointwise value of a generalized function; x may be scalar or array,
-    real or complex (closed forms are entire, so complex x means analytic
-    continuation, which the contour-rotated pairings rely on).
-
-    Each term of a Gaussian-polynomial or plane-wave form adds its drift to the
-    Gaussian exponent; where a term under- or overflows (far out, or at high
-    degree), its exponents are added before exponentiating, the polynomial part
-    in log form if it overflowed by itself.  A value outside the float range even
-    then raises NonConvergentError.
-    """
+def _values(f: GeneralizedFunction, x: np.ndarray, params: ModelParams,
+            derivatives: int = 0) -> np.ndarray:
+    """f, f', ... f^(derivatives) at the complex points x, one row each: the one reader of a
+    closed form's values, by exact differentiation (never the defining equation, so residual
+    tests stay honest).  A delta has none and a NaN or infinite point raises ValueError, both
+    before any arithmetic; a cylinder state exp(q(x)) u(x), q = g x^2/(2 b0^2), is read for
+    derivatives 0 or 2 from one Weber ladder call, D_mu' = -(zeta/2) D_mu + mu D_(mu-1)."""
     if isinstance(f, DeltaDeriv):
         raise DeltaDerivNotEvaluableError(_NO_VALUES)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=complex))
-    if isinstance(f, CylinderState):
-        g, mu, slope, pref = _cyl_fields(f)
-        val = pref * np.exp(g * x_arr ** 2 / (2.0 * params.b0 * params.b0)) \
-            * parabolic_cylinder_d(mu, slope * x_arr)
-    else:
-        val = _smooth_values(f, x_arr, params)[0]
+    _finite(x, "every point x")
+    if not isinstance(f, CylinderState):
+        return _smooth_values(f, x, params, derivatives)
+    g, mu, slope, pref = _cyl_fields(f)
+    zeta = slope * x
+    d = parabolic_cylinder_d(mu - np.arange(derivatives + 1.0).reshape((-1,) + (1,) * x.ndim), zeta)
+    e = np.exp(g * x ** 2 / (2.0 * params.b0 * params.b0))
+    if derivatives == 0:
+        return pref * e * d
+    (d_mu, d_m1, d_m2), u = d, pref * d[0]
+    u1 = pref * slope * (-(0.5 * zeta) * d_mu + mu * d_m1)
+    u2 = pref * slope ** 2 * ((0.25 * zeta ** 2 - 0.5) * d_mu - zeta * mu * d_m1
+                              + mu * (mu - 1.0) * d_m2)
+    q1, q2 = g * x / (params.b0 * params.b0), g / (params.b0 * params.b0)     # q', q''
+    return np.stack([e * u, e * (u1 + q1 * u), e * (u2 + 2.0 * q1 * u1 + (q2 + q1 ** 2) * u)])
+
+
+def evaluate(f: GeneralizedFunction, x, params: ModelParams):
+    """Pointwise value of a generalized function; x may be scalar or array, real or complex
+    (closed forms are entire, so complex x means analytic continuation, which the
+    contour-rotated pairings rely on).  A delta-derivative functional raises
+    DeltaDerivNotEvaluableError and a NaN or infinite point ValueError.
+
+    Each term of a Gaussian-polynomial or plane-wave form adds its drift to the Gaussian
+    exponent; where a term under- or overflows (far out, or at high degree), its exponents
+    are added before exponentiating, the polynomial part in log form if it overflowed by
+    itself.  A value outside the float range even then raises NonConvergentError."""
+    val = _values(f, np.atleast_1d(np.asarray(x, dtype=complex)), params)[0]
     return complex(val[0]) if np.ndim(x) == 0 else val
 
 
@@ -382,59 +400,27 @@ def polynomial_pieces(f: GeneralizedFunction, params: ModelParams):
 # Hamiltonian application (exact closed-form differentiation)
 # ---------------------------------------------------------------------------
 
-def _h_coefficients(params: ModelParams) -> tuple[float, float, float]:
-    """H^x f = -c2 f'' + c0 x^2 f + c1 (2 x f' + f)."""
+def apply_hamiltonian(params: ModelParams, f: GeneralizedFunction, grid) -> np.ndarray:
+    """(H^x f)(x) = -c2 f'' + c0 x^2 f + c1 (2 x f' + f) on the grid, from the exact derivatives
+    of _values (refusals as for evaluate).  The adjoint H_c^x is H(omega, beta, alpha): pass
+    params.swapped()."""
+    x = np.asarray(grid, dtype=complex)
+    val, d1, d2 = _values(f, x, params, 2)
     w, a, b = params.omega, params.alpha, params.beta
     c2 = 0.5 * params.hbar * _gap(w, a, b) * params.b0 ** 2
     c0 = 0.5 * params.hbar * (w + (a + b)) / params.b0 ** 2
     c1 = 0.5 * params.hbar * (a - b)
-    return c2, c0, c1
-
-
-def _derivatives_on_grid(f: GeneralizedFunction, x: np.ndarray, params: ModelParams):
-    """(f, f', f'') on the grid, by exact differentiation of the closed form: a smooth
-    form's term coefficients (_smooth_values), or u' and u'' of a cylinder state
-    exp(g x^2/(2 b0^2)) u(x) from the Weber ladder.  Neither uses the defining
-    equation, so residual tests stay honest."""
-    if not isinstance(f, CylinderState):
-        return tuple(_smooth_values(f, x, params, 2))
-    g, mu, slope, pref = _cyl_fields(f)
-    zeta = slope * x
-    ladder = mu - np.arange(3.0).reshape((3,) + (1,) * zeta.ndim)
-    d_mu, d_m1, d_m2 = parabolic_cylinder_d(ladder, zeta)
-    # D_mu' = -(zeta/2) D_mu + mu D_{mu-1}; second derivative via the same ladder
-    u = pref * d_mu
-    u1 = pref * slope * (-(0.5 * zeta) * d_mu + mu * d_m1)
-    u2 = pref * slope ** 2 * ((0.25 * zeta ** 2 - 0.5) * d_mu - zeta * mu * d_m1
-                              + mu * (mu - 1.0) * d_m2)
-    q1 = g * x / (params.b0 * params.b0)        # q'(x) for q = g x^2/(2 b0^2)
-    q2 = g / (params.b0 * params.b0)
-    e = np.exp(g * x ** 2 / (2.0 * params.b0 * params.b0))
-    return e * u, e * (u1 + q1 * u), e * (u2 + 2.0 * q1 * u1 + (q2 + q1 ** 2) * u)
-
-
-def apply_hamiltonian(params: ModelParams, f: GeneralizedFunction, grid) -> np.ndarray:
-    """(H^x f)(x) on the grid, via exact differentiation of the closed form.
-
-    The adjoint H_c^x is H(omega, beta, alpha); apply it by passing
-    params.swapped().
-    """
-    if isinstance(f, DeltaDeriv):
-        raise DeltaDerivNotEvaluableError(
-            "apply H to delta-derivative functionals weakly, through pairings")
-    x = np.asarray(grid, dtype=complex)
-    c2, c0, c1 = _h_coefficients(params)
-    val, d1, d2 = _derivatives_on_grid(f, x, params)
     return -c2 * d2 + c0 * x ** 2 * val + c1 * (2.0 * x * d1 + val)
 
 
 def apply_oscillator(params: ModelParams, f: GeneralizedFunction, grid) -> np.ndarray:
-    """(h^x f)(x) = -hbar^2/(2m) f'' + (k/2) x^2 f on the grid (stripped form)."""
+    """(h^x f)(x) = -hbar^2/(2m) f'' + (k/2) x^2 f on the grid (stripped form); refusals
+    as for evaluate, then SingularParameterError at omega = alpha + beta."""
+    x = np.asarray(grid, dtype=complex)
+    val, _, d2 = _values(f, x, params, 2)
     d = derive(params)
     if d.m_eff is None:
         raise SingularParameterError("oscillator form undefined at omega = alpha + beta")
-    x = np.asarray(grid, dtype=complex)
-    val, _, d2 = _derivatives_on_grid(f, x, params)
     return -params.hbar ** 2 / (2.0 * d.m_eff) * d2 + 0.5 * d.k_stiff * x ** 2 * val
 
 

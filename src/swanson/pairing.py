@@ -292,8 +292,10 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
     c_n = <left_n | target>, paired on a Gauss-Hermite rule of order
     max(4 n_max + 40, 160); returns (coefficients, sup-norm deviation of the
     truncated reconstruction from the target on 201 points over +-5 b0).
-    Raises NonConvergentError when a coefficient or the deviation is not
-    finite; n_max is at most 115.
+    A callable is sampled on that grid before any pairing: output that is not
+    finite values of the grid's shape raises ValueError.  Raises
+    NonConvergentError when a coefficient or the deviation is not finite (so
+    for a callable finite on the grid but not at the nodes); n_max <= 115.
     """
     n_max = _require_index(n_max, "n_max", _PAIRED_DEGREE_MAX)
     label = _require_stratum(params, REAL_SPECTRUM, "reconstruct")
@@ -301,5 +303,9 @@ def reconstruct(params: ModelParams, target, n_max: int) -> tuple[np.ndarray, fl
     grid = np.linspace(-5.0 * params.b0, 5.0 * params.b0, 201)
     values = (np.asarray(target(grid), dtype=complex) if callable(target)
               else evaluate(target, grid, params))
+    if values.shape != grid.shape or not np.isfinite(values).all():     # a callable's output
+        got = f"shape {values.shape}" if values.shape != grid.shape else "non-finite values"
+        raise ValueError(f"reconstruct: a callable target must give finite values of shape "
+                         f"{grid.shape} on the grid, got {got}")
     rule = (0.0, max(_NODES_PER_DEGREE * n_max + _NODES_EXTRA, 160))
     return _expand(duals, basis, [(1.0, target)], grid, params, "reconstruction", values, rule)

@@ -140,7 +140,10 @@ def test_point_a_command_cannot_serve_exits_two(args):
       "--modes=-1:1"], "n"),
     (["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--sector", "minus",
       "--nmax", "-1"], "n_max"),
-], ids=["free-energy-nan", "ep-nan", "continuum-energy-inf", "negative-mode", "negative-nmax"])
+    (["reconstruct", "--omega", "1", "--alpha", "-2", "--beta", "-0.5", "--sector", "minus",
+      "--modes", "0:nan"], "resonant_expansion: coefficient (nan+0j) of piece 0"),
+], ids=["free-energy-nan", "ep-nan", "continuum-energy-inf", "negative-mode", "negative-nmax",
+        "mode-coefficient-nan"])
 def test_nonfinite_or_negative_state_inputs_exit_two(args, name):
     cp = run_cli(*args, "-o", "/dev/null")
     assert cp.returncode == 2, cp.stderr
@@ -201,8 +204,11 @@ def test_nonfinite_probe_inputs_exit_two(args, name):
     (["states", *BARRIER, "--continuum-energy", "1", "--grid-points", "0"], "--grid-points"),
     (["evolve", *OSCILLATOR, "--t-steps", "0"], "--t-steps"),
     (["reconstruct", *OSCILLATOR, "--width", "0"], "--width"),
+    (["reconstruct", *BARRIER, "--sector", "minus", "--modes", "0:1,abc"], "--modes"),
+    (["reconstruct", *BARRIER, "--sector", "minus", "--modes", "0:1:2"], "--modes"),
 ], ids=["evolve-grid-inf", "evolve-grid-nan", "states-grid-inf", "states-grid-nan", "t-max-inf",
-        "evolve-grid-points-0", "states-grid-points-0", "t-steps-0", "reconstruct-width-0"])
+        "evolve-grid-points-0", "states-grid-points-0", "t-steps-0", "reconstruct-width-0",
+        "modes-token-abc", "modes-token-three-parts"])
 def test_grids_and_targets_are_checked_before_the_library(tmp_path: Path, args, flag):
     # non-finite grids exited 1 after a screen of RuntimeWarnings, empty ones
     # exited 0 with a header-only file, and a zero width divided by zero

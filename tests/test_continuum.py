@@ -299,6 +299,24 @@ def test_a_target_with_a_delta_is_refused_before_any_pairing(what, monkeypatch):
         resonant_expansion(pts.REGION_II_POINT, DELTA_TARGETS[what], 5)
 
 
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, complex(1.0, math.nan)],
+                         ids=["nan", "inf", "complex-nan"])
+def test_a_nonfinite_coefficient_is_refused_before_any_pairing(coeff, monkeypatch):
+    # NaN paired every block and then blamed a GaussPoly value outside the float range;
+    # inf leaked a RuntimeWarning
+    blocks, real = [], pairing._pair_block
+    monkeypatch.setattr(pairing, "_pair_block", lambda *a, **k: blocks.append(a) or real(*a, **k))
+    p = pts.REGION_II_POINT
+    finite = [(1.0, stripped_discrete_function(p, 0, "-")), (0.5, stripped_discrete_function(p, 2, "-"))]
+    resonant_expansion(p, finite, 5)
+    assert len(blocks) == 2     # the spy sees the kernel: one block per piece
+    blocks.clear()
+    with pytest.raises(ValueError, match=r"^resonant_expansion: coefficient \S+ of piece 1 "
+                                         "must be finite$"):
+        resonant_expansion(p, [finite[0], (coeff, finite[1][1])], 5)
+    assert blocks == []
+
+
 def test_eta_phi_exchange_symmetry():
     # expanding the conjugated target in the plus sector conjugates the
     # minus-sector coefficients of the original target

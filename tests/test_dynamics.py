@@ -23,7 +23,7 @@ from swanson import (
     metric_norm,
     pair,
 )
-from swanson.eigensystems import _derivatives_on_grid, evaluate
+from swanson.eigensystems import _values, evaluate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,7 +90,7 @@ def test_apply_observable_against_pointwise_oracle(params, n):
     f = discrete_states(params, n)[n].right_fn
     reach = 1.2 * math.sqrt(2.0 * n + 1.0) * params.b0 / derive(params).sigma
     x = np.linspace(-reach, reach, 241)
-    val, d1, _ = _derivatives_on_grid(f, x.astype(complex), params)
+    val, d1, _ = _values(f, x.astype(complex), params, 2)
     c, hbar = derive(params).upsilon_coeff, params.hbar
     x_oracle = x * val
     p_oracle = -1j * hbar * d1 + 1j * hbar * c * x * val / params.b0 ** 2

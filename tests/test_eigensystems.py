@@ -485,6 +485,36 @@ def test_delta_guards():
         evaluate(s.right_fn, 0.0, pts.BOUNDARY_I_III_POINT)
     with pytest.raises(DeltaDerivNotEvaluableError):
         apply_hamiltonian(pts.BOUNDARY_I_III_POINT, s.right_fn, [0.0])
+    # a delta leaked TypeError from the term reader, or SingularParameterError here first
+    with pytest.raises(DeltaDerivNotEvaluableError):
+        apply_oscillator(pts.BOUNDARY_I_III_POINT, s.right_fn, [0.0])
+    with pytest.raises(DeltaDerivNotEvaluableError):
+        apply_oscillator(pts.REGION_I_POINTS[0], DeltaDeriv(0.0, 1, 1.0), [0.0])
+
+
+_READERS = {
+    "evaluate": lambda p, f, x: evaluate(f, x, p),
+    "apply_hamiltonian": apply_hamiltonian,
+    "apply_oscillator": apply_oscillator,
+}
+_FORMS = {
+    "gauss-poly": lambda p: stripped_discrete_function(p, 3, "+"),
+    "plane-wave": lambda p: PlaneWaveGauss(-1.0, 1.5, 0.5, 0.25j),
+    "cylinder": lambda p: continuum_state(p, 1.3, "+", "phi"),
+}
+
+
+@pytest.mark.parametrize("point", [math.nan, [0.5, math.inf], [0.5, complex(-1.0, math.nan)],
+                                   -math.inf],
+                         ids=["nan", "inf", "complex-nan", "scalar-minus-inf"])
+@pytest.mark.parametrize("form", list(_FORMS))
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_a_nonfinite_point_is_refused_before_any_arithmetic(reader, form, point):
+    # a smooth form called a NaN point a numerical failure (NonConvergentError), and a
+    # cylinder state leaked two RuntimeWarnings first, which fail this test
+    p = pts.REGION_II_POINT
+    with pytest.raises(ValueError, match="^every point x must be finite$"):
+        _READERS[reader](p, _FORMS[form](p), point)
 
 
 def test_discrete_states_region_guards():

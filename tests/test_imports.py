@@ -130,6 +130,22 @@ def test_a_module_loads_alone_and_a_public_name_loads_the_library():
     assert name == [every_module, True, False, len(swanson.__all__)]
 
 
+def test_the_package_never_imports_mpmath():
+    # mpmath is a test oracle only; the Weber continuum is the likeliest place to reach for it
+    probe = ("import importlib, sys\n"
+             f"for module in {sorted(EXPORTS)!r} + ['cli']:\n"
+             "    importlib.import_module('swanson.' + module)\n"
+             "import swanson as S\n"
+             "p = S.ModelParams(1.0, -2.0, -0.5)\n"
+             "S.evaluate(S.continuum_state(p, 1.3, '+', 'phi'), [-3.0, 0.0, 2.5], p)\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'swanson'))\n"
+             "print('mpmath' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    modules, mpmath_loaded = out.stdout.splitlines()
+    assert modules == repr(sorted({"swanson", "swanson.cli"} | {f"swanson.{m}" for m in EXPORTS}))
+    assert mpmath_loaded == "False"
+
+
 def _loads(tmp_path, argv: list[str]) -> tuple[int, set, bool]:
     report = tmp_path / "report.json"
     env = {**os.environ, "SWANSON_OUTDIR": str(tmp_path)}

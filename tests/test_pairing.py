@@ -680,6 +680,27 @@ def test_right_states_combine_convergent_with_their_duals():
             assert complex(combined).real < 0
 
 
+@pytest.mark.parametrize("target,got", [
+    (lambda x: 1.0, "shape ()"),
+    (lambda x: x[:3], "shape (3,)"),
+    (lambda x: np.nan * x, "non-finite values"),
+    (lambda x: np.where(x > 4.0, np.inf, 1.0), "non-finite values"),
+], ids=["scalar", "short", "nan", "inf"])
+def test_reconstruct_refuses_a_malformed_callable_before_any_pairing(target, got, monkeypatch):
+    # these raised a bare IndexError, numpy's matmul ValueError, and a NonConvergentError
+    # that blamed the Gauss-Hermite pairing
+    import swanson.pairing as pairing_module
+
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("paired a callable whose output on the grid is not usable")
+
+    monkeypatch.setattr(pairing_module, "_pair_block", no_pairing)
+    with pytest.raises(ValueError, match=r"^reconstruct: a callable target must give finite "
+                                         r"values of shape \(201,\) on the grid, got "
+                                         + re.escape(got) + "$"):
+        reconstruct(pts.REGION_I_POINTS[0], target, 10)
+
+
 def test_reconstruct_slow_target_nonconvergent():
     p = pts.REGION_I_POINTS[0]
     growing = GaussPoly(gauss=2.0, coeffs=(1.0,), norm=1.0)

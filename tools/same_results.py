@@ -138,6 +138,21 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("apply_hamiltonian", S.apply_hamiltonian, pts["I"], gaussian, grid)
     add("apply_oscillator", S.apply_oscillator, pts["I"], gaussian, grid)
     add("apply_oscillator[I-III]", S.apply_oscillator, pts["I-III"], gaussian, grid)
+    add("apply_oscillator[delta]", S.apply_oscillator, pts["I"], S.DeltaDeriv(0.0, 1, 1.0), grid)
+    add("apply_hamiltonian[delta]", S.apply_hamiltonian, pts["I"], S.DeltaDeriv(0.0, 1, 1.0), grid)
+    # the Weber ladder of a continuum state, and points that are not finite, for each reader
+    forms = {"gaussian": gaussian, "wave": S.PlaneWaveGauss(-1.0, 1.5, 0.5, 0.25j),
+             **{f"continuum {key}": S.continuum_state(pts[key], 1.3, "+", "phi") for key in ("II", "IV")}}
+    for key in ("II", "IV"):
+        for apply in (S.apply_hamiltonian, S.apply_oscillator):
+            add(f"{apply.__name__}[continuum {key}]", apply, pts[key], forms[f"continuum {key}"], grid)
+    for what in ("gaussian", "wave", "continuum II"):
+        for bad in (math.nan, math.inf, complex(0.5, math.nan)):
+            x = np.array([0.5, bad])
+            add(f"evaluate[{what},{bad}]", S.evaluate, forms[what], x, pts["II"])
+            add(f"evaluate[{what},scalar {bad}]", S.evaluate, forms[what], bad, pts["II"])
+            for apply in (S.apply_hamiltonian, S.apply_oscillator):
+                add(f"{apply.__name__}[{what},{bad}]", apply, pts["II"], forms[what], x)
     add("ep_states", S.ep_states, pts["I-II"], 1.0, 0.0, 1.0, 0.0)
     add("ep_states[I]", S.ep_states, pts["I"], 1.0, 0.0, 1.0, 0.0)
     add("free_particle_states", S.free_particle_states, pts["I-II"], 1.0, 1.0, 0.0)
@@ -201,6 +216,10 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
         for what, f in [("gaussian", gaussian), *targets.items()]:
             add(f"reconstruct[{key},{what},20]", S.reconstruct, pts[key], f, 20)
     add("reconstruct[I,gauss,82]", S.reconstruct, pts["I"], gaussian, 82)
+    # callables whose output on the grid is a scalar, too short, or not finite
+    for what, f in (("scalar", lambda x: 1.0), ("short", lambda x: x[:3]),
+                    ("nan", lambda x: np.nan * x), ("inf", lambda x: np.where(x > 4.0, np.inf, 1.0))):
+        add(f"reconstruct[I,callable {what},10]", S.reconstruct, pts["I"], f, 10)
     add("reconstruct[II]", S.reconstruct, pts["II"], gaussian, 4)
 
     # the resonant family and its expansions
@@ -242,6 +261,10 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
         [(1.0, S.stripped_discrete_function(pts["II"], 115, "-")),
          (2.0, S.stripped_discrete_function(pts["II"], 1, "+"))], 115)
     add("resonant_expansion[II,sector]", S.resonant_expansion, pts["II"], gaussian, 5, "both")
+    for c in (math.nan, math.inf, complex(1.0, math.nan)):
+        add(f"resonant_expansion[II,coefficient {c}]", S.resonant_expansion, pts["II"],
+            [(1.0, S.stripped_discrete_function(pts["II"], 0, "-")),
+             (c, S.stripped_discrete_function(pts["II"], 2, "-"))], 5)
     # targets that are not closed forms
     for what, target in (("callable", bump), ("float", 1.0), ("None", None),
                          ("function not pair", [gaussian]), ("short pair", [(1.0,)]), ("empty", [])):
