@@ -121,15 +121,10 @@ def _add_format(parser: argparse.ArgumentParser, default: str | None = "csv") ->
     parser.add_argument("--format", choices=("csv", "json"), default=default)
 
 
-def _finite(value: float, flag: str) -> float:
+def _finite_flag(value: float, flag: str) -> float:
+    """value; ValueError naming the float flag unless finite (a scalar: no numpy, unlike core._finite)."""
     if not math.isfinite(value):
         raise ValueError(f"{flag} must be finite, got {value!r}")
-    return value
-
-
-def _count(value: int, flag: str) -> int:
-    if value < 1:
-        raise ValueError(f"{flag} must be at least 1, got {value}")
     return value
 
 
@@ -232,8 +227,8 @@ def _cmd_surface(args) -> int:
 def _grid(args):
     import numpy as np
 
-    grid_max = _finite(args.grid_max, "--grid-max")
-    return np.linspace(-grid_max, grid_max, _count(args.grid_points, "--grid-points"))
+    grid_max = _finite_flag(args.grid_max, "--grid-max")
+    return np.linspace(-grid_max, grid_max, core._require_index(args.grid_points, "--grid-points", low=1))
 
 
 # the flags each mode of a command reads, with their defaults
@@ -359,7 +354,7 @@ def _cmd_reconstruct(args) -> int:
 
         from . import pairing
 
-        center, width = _finite(args.center, "--center"), _finite(args.width, "--width")
+        center, width = _finite_flag(args.center, "--center"), _finite_flag(args.width, "--width")
         if width <= 0.0:
             raise ValueError(f"--width must be positive, got {width!r}")
 
@@ -422,7 +417,8 @@ def _cmd_evolve(args) -> int:
     coeffs = _complex_list(args.coeffs)
     state = dynamics.make_state(p, coeffs)
     kind = dynamics.ObservableKind(args.kind)
-    times = np.linspace(0.0, _finite(args.t_max, "--t-max"), _count(args.t_steps, "--t-steps"))
+    times = np.linspace(0.0, _finite_flag(args.t_max, "--t-max"),
+                        core._require_index(args.t_steps, "--t-steps", low=1))
     values = dynamics.evolve_expectation(state, kind, p, times)
     body = _csv(["t", "re_value", "im_value"],
                 zip(times.tolist(), values.real.tolist(), values.imag.tolist()))

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BARRIER, ModelParams, RegionLabel, _require_index, _require_stratum, derive
+from .core import (BARRIER, ModelParams, RegionLabel, _finite, _require_choice, _require_index,
+                   _require_stratum, derive)
 from .errors import DeltaDerivNotEvaluableError, NonConvergentError
 from .eigensystems import (_LADDER_MAX, _NO_VALUES, CylinderState, DeltaDeriv, GaussPoly,
-                           GeneralizedFunction, _finite, _ladder, _rungs)
+                           GeneralizedFunction, _ladder, _rungs)
 from .pairing import _PAIRED_DEGREE_MAX, _expand
 from .specfun import _gauss_legendre, _log_gamma_lanczos, log_gamma, parabolic_cylinder_d
 
@@ -78,13 +79,11 @@ def continuum_state(params: ModelParams, energy: float, side: str = "+",
     H^x), or 'psi_bar' (Upsilon-dressed dual whose pairing against phi_tilde
     is delta-normalized).
     """
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
+    _require_choice(side, "side", ("+", "-"))
     _finite(energy, "energy")
     label = _require_stratum(params, BARRIER, "continuum_state")
     d = derive(params)
-    if kind not in _KINDS:
-        raise ValueError("kind must be one of 'phi', 'eta', 'phi_tilde', 'psi_bar'")
+    _require_choice(kind, "kind", _KINDS)
     eps = _reduced_energy(energy, params.hbar * abs(d.omega_cap), label)
     # one family, told apart by its Gaussian; eta is phi conjugated
     gauss = (0.0, 0.0, d.upsilon_coeff, -d.upsilon_coeff)[_KINDS.index(kind)]
@@ -134,8 +133,7 @@ def pole_scan(params: ModelParams, n_scan: int, samples_per_unit: int = 200) -> 
     is never formed from a rounded argument near its zero.
     """
     n_scan = _require_index(n_scan, "n_scan")
-    if _require_index(samples_per_unit, "samples_per_unit") < 2:
-        raise ValueError(f"samples_per_unit must be at least 2, got {samples_per_unit}")
+    samples_per_unit = _require_index(samples_per_unit, "samples_per_unit", low=2)
     count = samples_per_unit * (n_scan + 1)
     if count > _POLE_SCAN_SAMPLES_MAX:
         raise ValueError(f"samples_per_unit * (n_scan + 1) must be at most {_POLE_SCAN_SAMPLES_MAX}, "
@@ -158,12 +156,9 @@ def stripped_discrete_function(params: ModelParams, n: int, branch: str) -> Gaus
     """The similarity-stripped discrete state phi_n^(+-) of the barrier regions, n <= 300."""
     n = _require_index(n, "n", _LADDER_MAX)
     label = _require_stratum(params, BARRIER, "stripped_discrete_function")
+    _require_choice(branch, "branch", ("+", "-"))
     state, = _ladder(label, dataclasses.replace(derive(params), upsilon_coeff=0.0), params, "+", [n])
-    if branch == "+":
-        return state.right_fn
-    if branch == "-":
-        return state.left_fn
-    raise ValueError("branch must be '+' or '-'")
+    return state.right_fn if branch == "+" else state.left_fn
 
 
 def resonant_expansion(params: ModelParams, target, n_max: int,
@@ -184,8 +179,7 @@ def resonant_expansion(params: ModelParams, target, n_max: int,
     """
     n_max = _require_index(n_max, "n_max", _PAIRED_DEGREE_MAX)
     label = _require_stratum(params, BARRIER, "resonant_expansion")
-    if sector not in ("minus", "plus"):
-        raise ValueError("sector must be 'minus' or 'plus'")
+    _require_choice(sector, "sector", ("minus", "plus"))
     try:
         pieces = ([(complex(c), f) for c, f in target] if isinstance(target, (list, tuple))
                   else [(1.0 + 0.0j, target)])

@@ -231,17 +231,40 @@ def _require_stratum(where: ModelParams | RegionLabel, strata: tuple, what: str)
     return label
 
 
-def _require_index(value, name: str, top: int | None = None, where: str = "") -> int:
-    """The ladder index value as an int; ValueError naming it unless an integer in 0 ... top."""
+def _require_index(value, name: str, top: int | None = None, where: str = "", low: int = 0) -> int:
+    """The index or count value as an int; ValueError naming it unless an integer in
+    low ... top (a negative one is refused as such first)."""
     try:
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if n < 0:
         raise ValueError(f"{name} must be non-negative, got {n}")
+    if n < low:
+        raise ValueError(f"{name} must be at least {low}, got {n}")
     if top is not None and n > top:
         raise ValueError(f"{name} must be at most {top}{where}, got {n}")
     return n
+
+
+def _finite(values, what: str, dtype=complex):
+    """values as a numpy array of dtype; ValueError "<what> must be finite" if any entry is
+    NaN or infinite.  numpy is imported here, so that importing core loads none."""
+    import numpy as np
+
+    arr = np.asarray(values, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def _require_choice(value, name: str, choices: tuple) -> None:
+    """ValueError "<name> must be 'a' or 'b'" (or "one of 'a', 'b', ...") unless value is
+    one of choices."""
+    if value not in choices:
+        names = [repr(c) for c in choices]
+        needs = " or ".join(names) if len(names) == 2 else "one of " + ", ".join(names)
+        raise ValueError(f"{name} must be {needs}")
 
 
 # the largest grid side surface_grid serves: about 10^6 rows, 145 MB at 145 bytes a row
@@ -298,9 +321,7 @@ def surface_grid(half_range: float, n: int, tol: float = DEFAULT_TOL) -> list[Su
     paused while the rows are built (rows cannot form a cycle) and switched
     back on afterwards only if it was on.
     """
-    n = _require_index(n, "n", _SURFACE_N_MAX)
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    n = _require_index(n, "n", _SURFACE_N_MAX, low=2)
     import numbers
 
     if not isinstance(half_range, numbers.Real):

@@ -15,19 +15,17 @@ plus-branch modes decay.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BARRIER, REAL_SPECTRUM, ModelParams, ObservableKind, RegionLabel, _require_index,
-                   _require_stratum, derive)
+from .core import (BARRIER, REAL_SPECTRUM, ModelParams, ObservableKind, RegionLabel, _finite,
+                   _require_index, _require_stratum, derive)
 from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     _LADDER_MAX,
     GaussPoly,
     GeneralizedFunction,
-    _finite,
     _gauss_derivative,
     _level_spacing,
     _rungs,
@@ -67,10 +65,8 @@ def make_state(params: ModelParams, coeffs) -> StateVector:
     """
     label = _require_stratum(params, REAL_SPECTRUM, "make_state")
     # real and imaginary parts side by side: neither |c| nor a complex divide can overflow
-    parts = np.ascontiguousarray(coeffs, dtype=complex).view(float)
+    parts = np.ascontiguousarray(_finite(coeffs, "state coefficients")).view(float)
     peak = np.abs(parts).max(initial=0.0)
-    if not math.isfinite(peak):
-        raise ValueError("state coefficients must be finite")
     if peak == 0.0:
         raise ValueError("state has non-positive metric norm")
     parts = parts / peak
@@ -97,15 +93,11 @@ def matrix_element(kind: ObservableKind, m: int, n: int, params: ModelParams) ->
 
     X and P couple |m-n| = 1, X^2 and P^2 couple |m-n| in {0, 2}; every other
     element is an exact zero.  Validated against the sandwich quadrature
-    oracle in the test suite.
+    oracle in the test suite.  An index that is not a non-negative integer
+    raises ValueError naming it, m or n.
     """
     _require_stratum(params, REAL_SPECTRUM, "matrix_element")
-    try:
-        m, n = operator.index(m), operator.index(n)
-    except TypeError:
-        raise ValueError(f"indices must be integers, got {m!r} and {n!r}") from None
-    if m < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
+    m, n = _require_index(m, "m"), _require_index(n, "n")
     entry = _bands(kind, params, derive(params).sigma, min(m, n)).get(abs(m - n), 0.0)
     return complex(entry if m >= n else np.conjugate(entry))
 

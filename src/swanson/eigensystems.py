@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, OMEGA_ZERO, REAL_SPECTRUM, ModelParams, RegionLabel,
-                   _gap, _require_index, _require_stratum, classify, derive)
+                   _finite, _gap, _require_index, _require_stratum, classify, derive)
 from .errors import (DeltaDerivNotEvaluableError, NonConvergentError, RegionError,
                      SingularParameterError)
 from .specfun import SQRT_PI, hermite_rows, log_gamma, parabolic_cylinder_d
@@ -133,14 +133,6 @@ def _cyl_fields(f: CylinderState) -> tuple[complex, complex, complex, complex]:
     slope = -a if f.side == "+" else a
     prefactor = norm * cmath.exp(log_gamma(nu + 1.0))
     return g, -nu - 1.0, slope, prefactor
-
-
-def _finite(values, what: str, dtype=complex) -> np.ndarray:
-    """values as an array; ValueError if any entry is NaN or infinite."""
-    arr = np.asarray(values, dtype=dtype)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite")
-    return arr
 
 
 def _terms(fs: list[GeneralizedFunction]) -> tuple[np.ndarray, complex | None, np.ndarray, list[int]]:
@@ -297,7 +289,8 @@ def _smooth_values(f: GeneralizedFunction, x: np.ndarray, params: ModelParams,
         expo = expo + np.multiply.outer(np.tile(drift, derivatives + 1), x)
     stripped = np.dot(stack, _basis_rows(scale, x, params, stack.shape[-1] - 1))
     val = stripped * np.exp(expo)
-    if not np.isfinite(val).all() or expo.real.min(initial=0.0) < _LOG_TINY:
+    finite = np.isfinite(val).all()     # None once a redo or a sum changes val: tested again
+    if not finite or expo.real.min(initial=0.0) < _LOG_TINY:
         expo = np.broadcast_to(expo, val.shape)
         redo = ~np.isfinite(val) | ((expo.real < _LOG_TINY) & (stripped != 0))
         val[redo] = np.exp(np.log(stripped[redo]) + expo[redo])
@@ -305,9 +298,11 @@ def _smooth_values(f: GeneralizedFunction, x: np.ndarray, params: ModelParams,
         for r in np.flatnonzero(huge.any(axis=1)):
             log_mag, phase = _log_stripped(stack[r], scale, x[huge[r]], params)
             val[r, huge[r]] = phase * np.exp(log_mag + expo[r, huge[r]])
+        finite = None
     if len(coeffs) > 1:     # sum each function's terms; one term is its own sum
         val = val.reshape(derivatives + 1, len(coeffs), -1).sum(axis=1)
-    if not np.isfinite(val).all():
+        finite = None
+    if not (finite or np.isfinite(val).all()):
         where = np.broadcast_to(x, val.shape)[~np.isfinite(val)][0]
         raise NonConvergentError(f"{type(f).__name__} value outside the float range at x = {where}")
     return val.reshape((derivatives + 1,) + shape)

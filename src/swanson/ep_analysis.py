@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BARRIER, REAL_SPECTRUM, ModelParams, RegionLabel,
+from .core import (BARRIER, REAL_SPECTRUM, ModelParams, RegionLabel, _finite, _require_choice,
                    _require_index, _require_stratum, derive)
 from .errors import NonConvergentError, RegionError, SingularParameterError
 from .eigensystems import (
     _LADDER_MAX,
     PlaneWaveGauss,
     _ep_exponent,
-    _finite,
     _ladder,
     _ladder_stratum,
     _level_spacing,
@@ -161,10 +160,11 @@ def sweep_to_boundary_i_iii(alpha: float, beta: float, n: int, branch_target: st
     distance between normalized battery-pairing vectors (five displaced
     Gaussians).  n is at most 300, or 115 on the minus branch.
     """
-    if alpha == beta:
+    for name, value in (("alpha", alpha), ("beta", beta)):     # either reaches ModelParams as omega
+        _finite(value, name, float)
+    if alpha == beta:       # after the finite check: inf == inf
         raise SingularParameterError("boundary sweep requires alpha != beta")
-    if branch_target not in ("plus", "minus"):
-        raise ValueError("branch_target must be 'plus' or 'minus'")
+    _require_choice(branch_target, "branch_target", ("plus", "minus"))
     g_values = _finite(g_values, "g_values", float)
     if np.any(g_values <= 1.0):
         raise ValueError("G values must exceed 1 (epsilon(G) leaves its validity range)")
@@ -200,6 +200,8 @@ def _ep_swept_params(omega: float, beta: float, eps: float, side: str,
                      b0: float, hbar: float) -> ModelParams:
     if beta == 0.0:
         raise RegionError("no exceptional point at beta = 0: alpha cannot move Omega^2 = omega^2")
+    for name, value in (("omega", omega), ("beta", beta)):     # beta reaches ModelParams as alpha
+        _finite(value, name, float)
     if side == "I":
         alpha = (omega ** 2 - eps ** 2) / (4.0 * beta)
     else:
@@ -216,10 +218,8 @@ def sweep_to_ep(omega: float, beta: float, n: int, region_side: str, eps_values,
     branch (E = +-i hbar eps (n+1/2)).  Both converge to the same
     (even: Gaussian, odd: x Gaussian) E = 0 limit function of ep_states.  n is at most 300.
     """
-    if region_side not in ("I", "II"):
-        raise ValueError("region_side must be 'I' or 'II'")
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
+    _require_choice(region_side, "region_side", ("I", "II"))
+    _require_choice(branch, "branch", ("+", "-"))
     eps_values = _finite(eps_values, "eps_values", float)
     if np.any(eps_values <= 0.0) or np.any(np.diff(eps_values) >= 0.0):
         raise ValueError("eps values must be positive and decreasing")

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import REAL_SPECTRUM, ModelParams, RegionLabel, _require_index, _require_stratum, derive
+from .core import (REAL_SPECTRUM, ModelParams, RegionLabel, _require_choice, _require_index,
+                   _require_stratum, derive)
 from .errors import NonConvergentError, RegionError
 from .eigensystems import (
     _LADDER_MAX,
@@ -113,7 +114,8 @@ def _pair_block(lefts, rights, params: ModelParams, rule: tuple[float, int] | No
 
     Each side is a list of closed forms that share one Gaussian or a Rungs record (a
     Regions I-IV ladder side), read once by _side; rights may instead be a callable of
-    real x with no Gaussian factor, sampled at the real nodes of a theta = 0 rule.  A
+    real x with no Gaussian factor, sampled at the real nodes of a theta = 0 rule (output
+    not of the nodes' shape raises ValueError naming both shapes, before any product).  A
     block with delta-derivative functionals on one side is paired in closed form: the
     other side's Taylor rows at 0 (eigensystems._taylor_rows on its term data) at the
     deltas' orders, times their weights.  Every other block has one combined exponent
@@ -163,7 +165,11 @@ def _pair_block(lefts, rights, params: ModelParams, rule: tuple[float, int] | No
         residual = np.exp(t * t * (1.0 + a_rot / (s * s)))
         if sampled:
             left_rows = _stripped(left, x, params)
-            right_rows = np.asarray(rights(t / s), dtype=complex)[None, :]
+            right_rows = np.asarray(rights(t / s), dtype=complex)
+            if right_rows.shape != t.shape:     # before any product: matmul would name neither
+                raise ValueError(f"a callable target must give values of the nodes' shape {t.shape}, "
+                                 f"got shape {right_rows.shape}")
+            right_rows = right_rows[None, :]
         else:
             # one basis: sampled once, to the higher degree
             rows = _basis_rows(right[1], x, params, degree) if left[1] == right[1] else None
@@ -241,8 +247,7 @@ def gram(params: ModelParams, n_max: int, which: str = "right-left") -> GramRepo
     NonConvergentError when an entry is not finite; n_max <= 115 (300 on Boundary I-III).
     """
     n_max = _require_index(n_max, "n_max")
-    if which not in ("right-left", "metric"):
-        raise ValueError("which must be 'right-left' or 'metric'")
+    _require_choice(which, "which", ("right-left", "metric"))
     label, d, ns, branches = _ladder_stratum(params, n_max)
     if which == "metric":
         _require_stratum(label, REAL_SPECTRUM, "gram(which='metric')")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _require_index
+from .core import _finite, _require_index
 from .errors import NonConvergentError, PoleError, RegionError
 
 __all__ = [
@@ -125,9 +125,7 @@ def _log_gamma_lanczos(z: np.ndarray) -> np.ndarray:
 
 def _gamma_argument(z) -> tuple[np.ndarray, np.ndarray]:
     """z as a flat array (a scalar too: 0-d arithmetic rounds differently), shifts to Re >= 0.5."""
-    flat = np.asarray(z, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("gamma function arguments must be finite")
+    flat = _finite(z, "gamma function arguments").reshape(-1)
     return flat, np.maximum(np.ceil(0.5 - flat.real), 0.0)
 
 
@@ -178,9 +176,7 @@ class QuadratureRule:
 def gauss_hermite(n: int) -> QuadratureRule:
     """Gauss-Hermite rule of order n, an integer in 1 ... 500; exact for polynomials of
     degree 2n-1."""
-    n = _require_index(n, "order", _GAUSS_HERMITE_MAX)
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
+    n = _require_index(n, "order", _GAUSS_HERMITE_MAX, low=1)
     nodes, weights = np.polynomial.hermite.hermgauss(n)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -522,8 +518,7 @@ def parabolic_cylinder_d(nu, z):
     nus = np.broadcast_to(nu_arr, shape).ravel()
     zs = np.broadcast_to(z_arr, shape).ravel()
     for name, flat in (("order nu", nus), ("argument z", zs)):
-        if not np.isfinite(flat).all():
-            raise ValueError(f"parabolic_cylinder_d: {name} must be finite")
+        _finite(flat, f"parabolic_cylinder_d: {name}")
 
     flip = (zs.imag < 0.0) | ((zs == 0.0) & (nus.imag < 0.0))
     zc = np.where(flip, zs.conj(), zs)

@@ -76,6 +76,20 @@ def test_index_past_the_pairing_rules_names_the_flag(args, name):
 
 
 @pytest.mark.parametrize("args,name", [
+    (["--mode", "ep", "--omega", "1", "--beta", "nan"], "beta"),
+    (["--mode", "spectrum", "--omega", "1", "--beta", "inf"], "beta"),
+    (["--mode", "boundary", "--alpha", "nan", "--beta", "0.25"], "alpha"),
+], ids=["ep-beta-nan", "spectrum-beta-inf", "boundary-alpha-nan"])
+def test_ep_sweep_refuses_a_nonfinite_coupling_by_its_flag(tmp_path, args, name):
+    # --mode ep with --beta nan named alpha, a flag that mode does not read
+    out = tmp_path / "out.csv"
+    cp = run_cli("ep-sweep", *args, "-o", str(out))
+    assert cp.returncode == 2, cp.stderr
+    assert f"usage error: {name} must be finite" in cp.stderr
+    assert cp.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("args,name", [
     (["states", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--nmax", "301"], "n_max"),
     (["ep-sweep", "--mode", "ep", "--n", "301"], "n"),
     (["ep-sweep", "--mode", "spectrum", "--nmax", "301"], "n_max"),

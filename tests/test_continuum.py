@@ -528,6 +528,20 @@ def test_continuum_state_rejects_a_nonfinite_energy(energy):
         continuum_state(pts.REGION_II_POINT, energy)
 
 
+@pytest.mark.parametrize("branch", ["x", "plus", None])
+def test_stripped_discrete_function_refuses_a_branch_before_building_a_state(branch, monkeypatch):
+    # the state was built first, and the branch refused after
+    built = []
+    real = continuum._ladder
+    monkeypatch.setattr(continuum, "_ladder", lambda *a: built.append(a) or real(*a))
+    stripped_discrete_function(pts.REGION_II_POINT, 2, "-")
+    assert len(built) == 1      # the spy sees a good branch's one ladder call
+    built.clear()
+    with pytest.raises(ValueError, match=r"^branch must be '\+' or '-'$"):
+        stripped_discrete_function(pts.REGION_II_POINT, 2, branch)
+    assert built == []
+
+
 def test_negative_mode_indices_are_usage_errors():
     # a negative index used to give the n = 0 state, or an IndexError
     p = pts.REGION_II_POINT

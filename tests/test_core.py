@@ -364,6 +364,26 @@ def test_surface_grid_refuses_a_grid_size_outside_its_domain(n, message):
         surface_grid(2.0, n)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: core._require_index(-1, "k", low=2), "k must be non-negative, got -1"),
+    (lambda: core._require_index(1, "k", 5, low=2), "k must be at least 2, got 1"),
+    (lambda: core._require_index(6, "k", 5, " here", low=2), "k must be at most 5 here, got 6"),
+    (lambda: core._finite([1.0, math.inf], "the points"), "the points must be finite"),
+    (lambda: core._require_choice("c", "side", ("a", "b")), "side must be 'a' or 'b'"),
+    (lambda: core._require_choice(1, "kind", ("a", "b", "c")), "kind must be one of 'a', 'b', 'c'"),
+], ids=["negative-before-low", "low", "top", "finite", "two-choices", "three-choices"])
+def test_the_core_guards_word_each_refusal_once(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_the_core_guards_pass_their_inputs():
+    assert core._require_index(np.int64(3), "k", 3, low=3) == 3
+    assert core._require_choice("b", "side", ("a", "b")) is None
+    arr = core._finite([1, 2], "the points", float)
+    assert arr.dtype == np.float64 and arr.tolist() == [1.0, 2.0]
+
+
 def test_surface_rows_are_immutable_records(tmp_path):
     out = tmp_path / "surface.csv"
     assert cli.main(["surface", "--range", "2", "--n", "3", "--format", "csv", "-o", str(out)]) == 0

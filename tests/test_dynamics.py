@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -139,8 +140,20 @@ def test_matrix_element_region_guard():
 @pytest.mark.parametrize("m,n", [(1.5, 0.5), (1, 0.5), (2.0, 1), ("1", 0)])
 def test_matrix_element_rejects_indices_that_are_not_integers(m, n):
     # 1.5, 0.5 used to read the band at n = 0.5 and return 0.7398
-    with pytest.raises(ValueError, match="indices must be integers"):
+    name, value = ("m", m) if isinstance(m, (float, str)) else ("n", n)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
         matrix_element(ObservableKind.X, m, n, pts.REGION_I_POINTS[0])
+
+
+@pytest.mark.parametrize("m,n,message", [
+    (-1, 0, "m must be non-negative, got -1"),
+    (0, -2, "n must be non-negative, got -2"),
+    (2, 0.5, "n must be an integer, got 0.5"),
+    (-1, -1, "m must be non-negative, got -1"),
+])
+def test_matrix_element_refuses_each_index_by_name(m, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        matrix_element(ObservableKind.X2, m, n, pts.REGION_I_POINTS[0])
 
 
 def test_matrix_element_takes_numpy_integers():

@@ -24,6 +24,29 @@ GEOMETRIC_G = [10.0, 100.0, 1000.0]
 GEOMETRIC_EPS = [1e-1, 1e-2, 1e-3]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sweep,name", [
+    (lambda v: sweep_to_boundary_i_iii(v, 0.25, 0, "plus", [10.0]), "alpha"),
+    (lambda v: sweep_to_boundary_i_iii(0.75, v, 0, "minus", [10.0]), "beta"),
+    (lambda v: sweep_to_boundary_i_iii(v, v, 0, "plus", [10.0]), "alpha"),   # inf == inf
+    (lambda v: sweep_to_ep(v, -0.2, 0, "I", [0.1]), "omega"),
+    (lambda v: sweep_to_ep(1.0, v, 0, "II", [0.1]), "beta"),
+    (lambda v: ep_spectrum_flow(v, -0.2, 1, [0.1]), "omega"),
+    (lambda v: ep_spectrum_flow(1.0, v, 1, [0.1]), "beta"),
+], ids=["boundary-alpha", "boundary-beta", "boundary-both", "ep-omega", "ep-beta", "flow-omega", "flow-beta"])
+def test_sweeps_refuse_a_nonfinite_coupling_by_its_own_name(sweep, name, bad, monkeypatch):
+    # the boundary sweep named omega = alpha + beta (and took alpha = beta = inf for the
+    # singular alpha = beta); sweep_to_ep and the flow named alpha
+    built = []
+    for attr in ("ModelParams", "_ladder"):
+        real = getattr(ep_analysis, attr)
+        monkeypatch.setattr(ep_analysis, attr,
+                            lambda *a, _real=real, _attr=attr, **k: built.append(_attr) or _real(*a, **k))
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        sweep(bad)
+    assert built == []      # no parameter point and no state before the refusal
+
+
 def test_root_consistency():
     # both printed roots satisfy r(eps)^2 = G^2 eps^2 with
     # r^2 = (a-b)^2 + 2 eps (a+b) + eps^2

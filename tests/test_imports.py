@@ -166,7 +166,8 @@ def test_each_readme_command_loads_only_what_it_runs(tmp_path, name, argv):
     (["--help"], 0),
     (["classify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--tol", "nan"], 2),
     (["classify", "--omega", "1", "--alpha", "0.2"], 2),
-], ids=["help", "classify-tol-nan", "missing-flag"])
+    (["surface", "--n", "1"], 2),       # the core guards refuse without numpy
+], ids=["help", "classify-tol-nan", "missing-flag", "surface-n-1"])
 def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, code):
     assert _loads(tmp_path, argv) == (code, BASE, False)
 

@@ -701,6 +701,29 @@ def test_reconstruct_refuses_a_malformed_callable_before_any_pairing(target, got
         reconstruct(pts.REGION_I_POINTS[0], target, 10)
 
 
+def test_a_callable_of_another_shape_at_the_nodes_is_refused_before_the_product(monkeypatch):
+    # np.ones(201) has the grid's shape, and met numpy's matmul ValueError at the 160 nodes
+    import swanson.pairing as pairing_module
+
+    products = []
+
+    class Watched(np.ndarray):      # left rows that record each matrix product they enter
+        def __matmul__(self, other):
+            products.append(np.shape(other))
+            return np.asarray(self) @ other
+
+    real = pairing_module._stripped
+    monkeypatch.setattr(pairing_module, "_stripped", lambda *args: real(*args).view(Watched))
+    p = pts.REGION_I_POINTS[0]
+    reconstruct(p, lambda x: np.exp(-x * x), 10)
+    assert products == [(160, 1)]       # the spy sees a well-formed callable's product
+    products.clear()
+    with pytest.raises(ValueError, match=r"^a callable target must give values of the nodes' "
+                                         r"shape \(160,\), got shape \(201,\)$"):
+        reconstruct(p, lambda x: np.ones(201), 10)
+    assert products == []
+
+
 def test_reconstruct_slow_target_nonconvergent():
     p = pts.REGION_I_POINTS[0]
     growing = GaussPoly(gauss=2.0, coeffs=(1.0,), norm=1.0)

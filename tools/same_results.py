@@ -218,7 +218,8 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("reconstruct[I,gauss,82]", S.reconstruct, pts["I"], gaussian, 82)
     # callables whose output on the grid is a scalar, too short, or not finite
     for what, f in (("scalar", lambda x: 1.0), ("short", lambda x: x[:3]),
-                    ("nan", lambda x: np.nan * x), ("inf", lambda x: np.where(x > 4.0, np.inf, 1.0))):
+                    ("nan", lambda x: np.nan * x), ("inf", lambda x: np.where(x > 4.0, np.inf, 1.0)),
+                    ("ones 201", lambda x: np.ones(201))):     # the grid's shape, not the nodes'
         add(f"reconstruct[I,callable {what},10]", S.reconstruct, pts["I"], f, 10)
     add("reconstruct[II]", S.reconstruct, pts["II"], gaussian, 4)
 
@@ -351,6 +352,8 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
         add(f"evolve_expectation[{kind.name},times]", S.evolve_expectation, state, kind, pts["I~"],
             np.linspace(0.0, 4.0, 9))
     add("matrix_element[index]", S.matrix_element, S.ObservableKind.X, 1.5, 0, pts["I"])
+    add("matrix_element[index -1]", S.matrix_element, S.ObservableKind.X, 0, -1, pts["I"])
+    add("matrix_element[index n 0.5]", S.matrix_element, S.ObservableKind.X, 1, 0.5, pts["I"])
     add("metric_norm", S.metric_norm, state, pts["I"], 0.5)
     add("metric_norm[t=inf]", S.metric_norm, state, pts["I"], math.inf)
 
@@ -367,6 +370,15 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     add("sweep_to_boundary_i_iii[G]", S.sweep_to_boundary_i_iii, 0.75, 0.25, 3, "plus", [0.5])
     add("ep_spectrum_flow", S.ep_spectrum_flow, 1.0, -0.2, 3, eps)
     add("ep_spectrum_flow[boundary]", S.ep_spectrum_flow, 1.0, 0.2, 2, [1e-9])
+    for bad in (math.nan, math.inf):      # each coupling refused by its own name
+        add(f"sweep_to_boundary_i_iii[alpha={bad}]", S.sweep_to_boundary_i_iii, bad, 0.25, 0, "plus", [10.0])
+        add(f"sweep_to_boundary_i_iii[beta={bad}]", S.sweep_to_boundary_i_iii, 0.75, bad, 0, "plus", [10.0])
+        add(f"sweep_to_boundary_i_iii[alpha=beta={bad}]", S.sweep_to_boundary_i_iii, bad, bad, 0, "plus",
+            [10.0])
+        add(f"sweep_to_ep[omega={bad}]", S.sweep_to_ep, bad, -0.2, 0, "I", [0.1])
+        add(f"sweep_to_ep[beta={bad}]", S.sweep_to_ep, 1.0, bad, 0, "I", [0.1])
+        add(f"ep_spectrum_flow[omega={bad}]", S.ep_spectrum_flow, bad, -0.2, 1, [0.1])
+        add(f"ep_spectrum_flow[beta={bad}]", S.ep_spectrum_flow, 1.0, bad, 1, [0.1])
 
     # ladder indices: a non-integer, -1, and the top and one past it where there is a top
     indexed = [
@@ -400,6 +412,14 @@ def call_table(S, quick: bool = False) -> list[tuple[str, object]]:
     # the command line; imported by name, since a package need not import its cli itself
     cli = importlib.import_module(f"{S.__name__}.cli")
     for name, argv, _ in readme_cases():
+        add(f"cli[{name}]", run_command_line, cli, argv)
+    barrier_flags = ["--omega", "1", "--alpha", "-2", "--beta", "-0.5"]
+    for name, argv in (
+            ("ep-sweep beta nan", ["ep-sweep", "--mode", "ep", "--omega", "1", "--beta", "nan"]),
+            ("states grid-points 0", ["states", *barrier_flags, "--continuum-energy", "0.5",
+                                      "--grid-points", "0"]),
+            ("evolve t-steps 0", ["evolve", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
+                                  "--t-steps", "0"])):
         add(f"cli[{name}]", run_command_line, cli, argv)
     return rows
 
